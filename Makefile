@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race validate bench bench-json bench-json-pr5 bench-json-pr9 bench-json-pr10 ps-smoke serve load-smoke server-smoke crash-smoke metrics-smoke svc-chaos clean
+.PHONY: check vet build test race validate bench ps-smoke serve server-smoke crash-smoke metrics-smoke svc-chaos clean
 
 # The gate for every change: vet, build, and the full test suite under
 # the race detector (channels carry every cross-thread dependence, so
@@ -25,56 +25,20 @@ SEED ?= 1
 validate:
 	$(GO) run ./cmd/dswpsim -workload all -validate -seed $(SEED)
 
+# Every go test benchmark for one iteration: a compile-and-run smoke.
+# Performance is measured by the repository benchmark:
+# python3 perfbench/run.py --workload loops|serve|churn (BENCHMARK.json).
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# Full measurement run: queue microbenchmarks, end-to-end pipeline
-# timings, the false-sharing probe (BENCH_PR4.json), the
-# checkpoint-commit overhead sweep (BENCH_PR6.json), the
-# request-tracing overhead sweep (BENCH_PR7.json), and the multi-core
-# GOMAXPROCS sweep (BENCH_PR9.json); formats documented in
-# EXPERIMENTS.md. The PR9 scaling headlines need >= 4 real cores to
-# mean anything — the file records num_cpu for the reader.
-bench-json:
-	$(GO) run ./cmd/dswpbench -benchjson -out BENCH_PR4.json
-	$(GO) run ./cmd/dswpbench -ckptjson -ckptout BENCH_PR6.json
-	$(GO) run ./cmd/dswpbench -obsjson -obsout BENCH_PR7.json
-	$(GO) run ./cmd/dswpbench -mcjson -mcout BENCH_PR9.json
-	$(GO) run ./cmd/dswpbench -psjson -psout BENCH_PR10.json
-
-# Multi-core sweep alone (BENCH_PR9.json): pipeline wall-clock, stage
-# pinning, batch sizing, and cached-serving throughput across GOMAXPROCS.
-bench-json-pr9:
-	$(GO) run ./cmd/dswpbench -mcjson -mcout BENCH_PR9.json
-
-# PS-DSWP replication sweep alone (BENCH_PR10.json): the directed
-# 3-stage hashred pipeline at replication width {1,2,4} across
-# GOMAXPROCS and both queue substrates. Width curves only separate on
-# >= 4 real cores; the file records num_cpu for the reader.
-bench-json-pr10:
-	$(GO) run ./cmd/dswpbench -psjson -psout BENCH_PR10.json
-
-# Replication smoke for CI: the psdswp differential suite under -race
-# plus a quick -psjson sweep.
+# Replication smoke: the psdswp differential suite under -race.
 ps-smoke:
 	$(GO) test -race ./internal/psdswp/
-	$(GO) run ./cmd/dswpbench -psjson -quick -psout BENCH_PR10_quick.json
-
-# Serving-path measurement: cold-compile vs cached vs warm-pooled
-# closed-loop throughput and latency, pinned to BENCH_PR5.json (format
-# documented in EXPERIMENTS.md).
-bench-json-pr5:
-	$(GO) run ./cmd/dswpload -benchjson -out BENCH_PR5.json
 
 # Run the pipeline-as-a-service daemon locally (ADDR=:8080 make serve).
 ADDR ?= :7537
 serve:
 	$(GO) run ./cmd/dswpd -addr $(ADDR)
-
-# Quick in-process load-generator pass under the race detector: all four
-# serving paths, short windows, bit-identical digests enforced.
-load-smoke:
-	$(GO) run -race ./cmd/dswpload -quick
 
 # Full HTTP smoke: build dswpd, serve every workload over POST /run,
 # scrape /metrics and /healthz, short closed-loop load, graceful drain.

@@ -47,7 +47,6 @@ func main() {
 		addr       = flag.String("addr", ":7537", "listen address")
 		workers    = flag.Int("workers", 0, "concurrent pipeline runs (0 = GOMAXPROCS)")
 		shards     = flag.Int("shards", 0, "independent serving shards (0 = GOMAXPROCS, clamped to workers)")
-		pinStages  = flag.Bool("pin-stages", false, "pin each pipeline stage goroutine to its own OS thread")
 		queueDepth = flag.Int("queue-depth", 0, "pending-request bound (0 = 4*workers)")
 		cacheCap   = flag.Int("cache-cap", 32, "max cached compiled pipelines")
 		poolSize   = flag.Int("pool", 0, "warm instances per pipeline (0 = workers)")
@@ -55,8 +54,6 @@ func main() {
 		replicate  = flag.Bool("replicate", false, "apply PS-DSWP parallel-stage replication to every compile")
 		queueCap   = flag.Int("queue-cap", 0, "default synchronization-array capacity (0 = 32)")
 		deadline   = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
-		noCache    = flag.Bool("no-cache", false, "disable the compiled-pipeline cache")
-		noPool     = flag.Bool("no-pool", false, "disable warm instance pools")
 		drain      = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown grace for in-flight runs")
 		ckptDir    = flag.String("ckpt-dir", "", "directory for the durable checkpoint store (empty = in-memory)")
 		ckptEvery  = flag.Int64("ckpt-every", 0, "checkpoint commit period in iterations (0 = 64)")
@@ -102,7 +99,6 @@ func main() {
 	eng := engine.New(engine.Options{
 		Workers:          *workers,
 		Shards:           *shards,
-		PinStages:        *pinStages,
 		QueueDepth:       *queueDepth,
 		CacheCap:         *cacheCap,
 		PoolSize:         *poolSize,
@@ -110,8 +106,6 @@ func main() {
 		Queue:            kind,
 		Replicate:        *replicate,
 		DefaultDeadline:  *deadline,
-		DisableCache:     *noCache,
-		DisablePool:      *noPool,
 		Store:            store,
 		CheckpointEvery:  *ckptEvery,
 		Retries:          *retries,

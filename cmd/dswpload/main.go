@@ -1,48 +1,25 @@
-// Command dswpload is the closed-loop load generator for the serving
-// engine (internal/engine, cmd/dswpd). It answers the question the
-// engine exists to answer: how much does the compile-once/serve-many
-// split buy under concurrent load?
+// Command dswpload is the closed-loop HTTP load generator for dswpd. It
+// drives POST /run on a live daemon and checks that identical requests
+// return identical digests:
 //
-// Two modes:
+//	dswpload -addr localhost:7537          # closed loop for -duration
+//	dswpload -addr localhost:7537 -smoke   # endpoint smoke pass first
 //
-//	dswpload                      # in-process: benchmark cold vs cached
-//	                              # vs warm-pooled serving paths
-//	dswpload -benchjson           # ... and pin BENCH_PR5.json
-//	dswpload -ramp -slo 50ms      # double clients until the p99 SLO breaks
-//	dswpload -addr localhost:7537 # drive a running dswpd over HTTP
+// -clients goroutines issue requests from the -mix continuously for
+// -duration. One canary request per mix entry pins the expected digest
+// and every later response must match it. Failures are tallied by the
+// server's typed error class; 429s count as shed load, not errors. The
+// summary reports throughput, p50/p99/p99.9/mean latency, and the
+// latency of each failure class. scripts/server_smoke.sh and
+// scripts/metrics_smoke.sh run it against a freshly built dswpd.
 //
-// In-process mode measures four serving paths, each comparison holding
-// everything but one engine mechanism constant:
-//
-//	cold             — cache and pools disabled, sequential execution:
-//	                   every request pays profile + core.Apply;
-//	cached           — pipeline cache on, same sequential execution:
-//	                   the delta vs cold is exactly the compile the
-//	                   cache amortizes (headline: >= 10x throughput);
-//	cached-pipelined — cache on, pools off, supervised pipeline
-//	                   execution (the serving default);
-//	warm-pipelined   — cache and warm instance pools on: the delta vs
-//	                   cached-pipelined is exactly the per-run queue /
-//	                   register-file state the pools reuse.
-//
-// An explicit -mode collapses the table to cold/cached/warm in that one
-// execution mode. Each path runs the same closed loop: -clients
-// goroutines issue requests from the -mix continuously for -duration,
-// every response is checked bit-identical against the engine's own
-// sequential reference, and per-request latencies are recorded exactly.
-// The summary reports throughput and p50/p99/mean latency per path.
-//
-// HTTP mode drives POST /run on a live daemon with the same closed
-// loop and consistency check (identical requests must return identical
-// digests), tallying status codes; 429s count as shed load, not
-// errors. The CI server-smoke job runs this briefly against a freshly
-// built dswpd.
+// Performance is measured by perfbench (BENCHMARK.json), not here.
 package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,36 +32,13 @@ import (
 	"time"
 
 	"dswp/internal/engine"
-	"dswp/internal/queue"
 	"dswp/internal/telemetry"
 )
 
-// benchFile is the BENCH_PR5.json shape. Latency quantiles are exact
-// (computed from the full per-request sample, not histogram buckets);
-// throughput_rps counts only completed requests.
-type benchFile struct {
-	Schema     string   `json:"schema"`
-	Quick      bool     `json:"quick"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	NumCPU     int      `json:"num_cpu"`
-	Workers    int      `json:"workers"`
-	Clients    int      `json:"clients"`
-	DurationMS int64    `json:"duration_ms"`
-	Mix        []string `json:"workload_mix"`
-
-	Paths []pathResult `json:"paths"`
-
-	// CachedVsCold is the headline: cached-path throughput over
-	// cold-compile throughput (acceptance: >= 10).
-	CachedVsCold float64 `json:"cached_vs_cold_throughput"`
-	// WarmVsCached isolates the instance pools' win on top of the cache.
-	WarmVsCached float64 `json:"warm_vs_cached_throughput"`
-}
-
-// pathResult is one serving path's closed-loop measurement.
-type pathResult struct {
-	Path          string  `json:"path"` // cold | cached | cached-pipelined | warm-pipelined | http
-	Mode          string  `json:"mode,omitempty"`
+// result is the closed loop's summary. Latency quantiles are exact
+// (computed from the full per-request sample); throughput_rps counts
+// only completed requests.
+type result struct {
 	Requests      int     `json:"requests"`
 	Errors        int     `json:"errors"`
 	Shed          int     `json:"shed"`
@@ -93,23 +47,9 @@ type pathResult struct {
 	P99US         int64   `json:"p99_us"`
 	P999US        int64   `json:"p999_us"`
 	MeanUS        int64   `json:"mean_us"`
-	// Engine-side counters for the in-process paths (zero in HTTP mode).
-	Compiles  int64 `json:"compiles,omitempty"`
-	CacheHits int64 `json:"cache_hits,omitempty"`
-	PoolHits  int64 `json:"pool_hits,omitempty"`
-	// ShardRequests is the per-shard request count: home-shard routing
-	// attribution from the engine snapshot for in-process paths, the
-	// executing shard stamped on each response in HTTP mode.
-	ShardRequests []int64 `json:"shard_requests,omitempty"`
-	// ShardImbalance is max(ShardRequests)/mean(ShardRequests); 1.0 is a
-	// perfectly even spread, 0 means no shard data.
-	ShardImbalance float64 `json:"shard_imbalance,omitempty"`
-	// ErrorsByClass tallies failed requests by the engine's typed error
-	// class ("deadlock", "timeout", "stage-panic", "shed", ...),
-	// mirroring the engine's error taxonomy in the load report.
-	ErrorsByClass map[string]int `json:"errors_by_class,omitempty"`
-	// LatencyByClass breaks non-success latency down by the same classes
-	// (shed requests included): how long did failures take to fail?
+	// LatencyByClass breaks non-success latency down by the server's
+	// typed error class ("deadlock", "stage-panic", "shed", ...) plus
+	// "transport" and "digest-mismatch": how long did failures take?
 	LatencyByClass map[string]classLatency `json:"latency_by_class,omitempty"`
 }
 
@@ -121,198 +61,95 @@ type classLatency struct {
 	MeanUS int64 `json:"mean_us"`
 }
 
-// rampResult is the -ramp output: client count doubled step by step until
-// the p99 SLO breaches (or the cap), on the full warm serving path.
-type rampResult struct {
-	Schema      string     `json:"schema"`
-	SLOP99US    int64      `json:"slo_p99_us"`
-	Workers     int        `json:"workers"`
-	Shards      int        `json:"shards"`
-	StepMS      int64      `json:"step_ms"`
-	Steps       []rampStep `json:"steps"`
-	PeakClients int        `json:"peak_clients"` // largest client count inside SLO
-	PeakRPS     float64    `json:"peak_rps"`     // its throughput: peak sustainable load
-	SLOBreached bool       `json:"slo_breached"`
-}
-
-// rampStep is one rung of the ramp.
-type rampStep struct {
-	Clients        int     `json:"clients"`
-	Requests       int     `json:"requests"`
-	Errors         int     `json:"errors"`
-	Shed           int     `json:"shed"`
-	ThroughputRPS  float64 `json:"throughput_rps"`
-	P50US          int64   `json:"p50_us"`
-	P99US          int64   `json:"p99_us"`
-	ShardRequests  []int64 `json:"shard_requests,omitempty"`
-	ShardImbalance float64 `json:"shard_imbalance,omitempty"`
-}
-
 func main() {
-	var (
-		addr      = flag.String("addr", "", "drive a running dswpd at this host:port instead of in-process engines")
-		clients   = flag.Int("clients", 0, "closed-loop client goroutines (0 = GOMAXPROCS)")
-		workers   = flag.Int("workers", 0, "in-process engine workers (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "in-process engine shards (0 = GOMAXPROCS, clamped to workers)")
-		ramp      = flag.Bool("ramp", false, "ramp clients (1,2,4,...) on the warm path until the p99 SLO breaches")
-		slo       = flag.Duration("slo", 50*time.Millisecond, "p99 latency SLO for -ramp")
-		duration  = flag.Duration("duration", 3*time.Second, "measurement window per serving path")
-		mixFlag   = flag.String("mix", "list-traversal,list-of-lists", "comma-separated workload mix")
-		n         = flag.Int64("n", 32, "list-traversal length in the mix")
-		outer     = flag.Int64("outer", 4, "list-of-lists outer length in the mix")
-		inner     = flag.Int64("inner", 2, "list-of-lists inner length in the mix")
-		mode      = flag.String("mode", "", "execution mode for requests: supervised (default), concurrent, sequential")
-		kind      = flag.String("queue", "channel", "substrate for in-process engines: channel or ring")
-		smoke     = flag.Bool("smoke", false, "with -addr: first exercise /healthz, /workloads, one /run per workload, and /metrics")
-		quick     = flag.Bool("quick", false, "shorter window (-duration 500ms) for CI smoke")
-		benchjson = flag.Bool("benchjson", false, "write machine-readable results (see -out)")
-		out       = flag.String("out", "BENCH_PR5.json", "output path for -benchjson")
-		jsonOut   = flag.Bool("json", false, "emit the full summary as one JSON object on stdout (progress moves to stderr)")
-	)
-	flag.Parse()
-	if *jsonOut {
-		human = os.Stderr
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			os.Exit(2)
+		}
+		fmt.Fprintln(os.Stderr, "dswpload:", err)
+		os.Exit(1)
 	}
+}
 
-	if *quick && *duration == 3*time.Second {
-		*duration = 500 * time.Millisecond
+// run is the whole command: parse args, optionally smoke every
+// endpoint, then run the closed loop. Progress goes to stdout (stderr
+// under -json, so stdout carries exactly one JSON object).
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("dswpload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", "", "host:port (or URL) of the dswpd to drive (required)")
+		clients  = fs.Int("clients", 0, "closed-loop client goroutines (0 = GOMAXPROCS)")
+		duration = fs.Duration("duration", 3*time.Second, "closed-loop measurement window")
+		mixFlag  = fs.String("mix", "list-traversal,list-of-lists", "comma-separated workload mix")
+		n        = fs.Int64("n", 32, "list-traversal length in the mix")
+		outer    = fs.Int64("outer", 4, "list-of-lists outer length in the mix")
+		inner    = fs.Int64("inner", 2, "list-of-lists inner length in the mix")
+		smoke    = fs.Bool("smoke", false, "first exercise /healthz, /workloads, one /run per workload, /metrics and the telemetry endpoints")
+		jsonOut  = fs.Bool("json", false, "emit the summary as one JSON object on stdout (progress moves to stderr)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *addr == "" {
+		return errors.New("-addr is required")
 	}
 	if *clients <= 0 {
 		*clients = runtime.GOMAXPROCS(0)
 	}
-	if *workers <= 0 {
-		*workers = runtime.GOMAXPROCS(0)
+	mix, err := buildMix(strings.Split(*mixFlag, ","), *n, *outer, *inner)
+	if err != nil {
+		return err
 	}
 
-	mix := buildMix(strings.Split(*mixFlag, ","), *n, *outer, *inner)
-	if *addr != "" {
-		if *ramp {
-			fail(fmt.Errorf("-ramp is in-process only (it reads engine shard snapshots)"))
-		}
-		runHTTP(*addr, mix, *clients, *duration, *smoke, *jsonOut)
-		return
+	base := *addr
+	if !strings.Contains(base, "://") {
+		base = "http://" + base
+	}
+	l := &loader{
+		client: &http.Client{Timeout: 60 * time.Second},
+		base:   strings.TrimRight(base, "/"),
+		human:  stdout,
+		errs:   stderr,
+	}
+	defer l.client.CloseIdleConnections()
+	if *jsonOut {
+		l.human = stderr
 	}
 	if *smoke {
-		fail(fmt.Errorf("-smoke requires -addr"))
+		if err := l.smokeCheck(); err != nil {
+			return err
+		}
 	}
-
-	qk, err := queue.ParseKind(*kind)
+	res, err := l.closedLoop(mix, *clients, *duration)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	if *ramp {
-		opts := engine.Options{Workers: *workers, Shards: *shards, Queue: qk, QueueDepth: 512}
-		rr := runRamp(opts, mix, *mode, *slo, *duration)
-		if *jsonOut {
-			emitJSON(rr)
-		}
-		return
-	}
-	res := &benchFile{
-		Schema:     "dswp-bench-pr5/1",
-		Quick:      *quick,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Workers:    *workers,
-		Clients:    *clients,
-		DurationMS: duration.Milliseconds(),
-	}
-	for _, r := range mix {
-		name := r.Workload
-		switch name {
-		case "list-traversal":
-			name = fmt.Sprintf("list-traversal[n=%d]", r.N)
-		case "list-of-lists":
-			name = fmt.Sprintf("list-of-lists[outer=%d,inner=%d]", r.Outer, r.Inner)
-		}
-		res.Mix = append(res.Mix, name)
-	}
-	fmt.Fprintf(human, "dswpload: GOMAXPROCS=%d workers=%d clients=%d duration=%s\ndswpload: mix %s\n\n",
-		res.GOMAXPROCS, res.Workers, res.Clients, *duration, strings.Join(res.Mix, " "))
-
-	// Each comparison holds everything but one mechanism constant:
-	// cold vs cached run the mix with sequential execution, so the
-	// measured delta is exactly the compile the cache amortizes; the
-	// *-pipelined pair runs the default supervised pipeline, so the
-	// delta is exactly the per-run state the warm pools reuse. An
-	// explicit -mode collapses the table to cold/cached/warm in that
-	// one mode.
-	type pathSpec struct {
-		name, mode string
-		opts       engine.Options
-	}
-	paths := []pathSpec{
-		{"cold", "sequential", engine.Options{DisableCache: true, DisablePool: true}},
-		{"cached", "sequential", engine.Options{DisablePool: true}},
-		{"cached-pipelined", "supervised", engine.Options{DisablePool: true}},
-		{"warm-pipelined", "supervised", engine.Options{}},
-	}
-	coldName, cachedName, warmBase, warmName := "cold", "cached", "cached-pipelined", "warm-pipelined"
-	if *mode != "" {
-		paths = []pathSpec{
-			{"cold", *mode, engine.Options{DisableCache: true, DisablePool: true}},
-			{"cached", *mode, engine.Options{DisablePool: true}},
-			{"warm", *mode, engine.Options{}},
-		}
-		warmBase, warmName = "cached", "warm"
-	}
-	byName := map[string]pathResult{}
-	for _, p := range paths {
-		p.opts.Workers = *workers
-		p.opts.Shards = *shards
-		p.opts.QueueDepth = 2 * *clients // closed loop: never shed
-		p.opts.Queue = qk
-		pr := runPath(p.name, p.mode, p.opts, mix, *clients, *duration)
-		res.Paths = append(res.Paths, pr)
-		byName[p.name] = pr
-	}
-	if cold := byName[coldName].ThroughputRPS; cold > 0 {
-		res.CachedVsCold = byName[cachedName].ThroughputRPS / cold
-	}
-	if cached := byName[warmBase].ThroughputRPS; cached > 0 {
-		res.WarmVsCached = byName[warmName].ThroughputRPS / cached
-	}
-
-	fmt.Fprintf(human, "\nheadlines:\n")
-	fmt.Fprintf(human, "  cached_vs_cold_throughput: %.1fx (compile amortization; acceptance: >= 10)\n", res.CachedVsCold)
-	fmt.Fprintf(human, "  warm_vs_cached_throughput: %.2fx (instance reuse on the pipelined path)\n", res.WarmVsCached)
-
-	if *benchjson {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
-			f.Close()
-			fail(err)
-		}
-		if err := f.Close(); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(human, "\nwrote %s\n", *out)
-	}
+	l.print(res)
 	if *jsonOut {
-		emitJSON(res)
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(struct {
+			Schema     string `json:"schema"`
+			Addr       string `json:"addr"`
+			Clients    int    `json:"clients"`
+			DurationMS int64  `json:"duration_ms"`
+			Result     result `json:"result"`
+		}{"dswp-load-http/2", l.base, *clients, duration.Milliseconds(), res}); err != nil {
+			return err
+		}
 	}
-}
-
-// human receives progress and tables; it moves to stderr under -json so
-// stdout carries exactly one machine-readable object.
-var human io.Writer = os.Stdout
-
-// emitJSON writes the machine-readable summary to stdout.
-func emitJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		fail(err)
+	if res.Errors > 0 {
+		return fmt.Errorf("%d requests failed", res.Errors)
 	}
+	if res.Requests == 0 {
+		return errors.New("no request completed")
+	}
+	return nil
 }
 
 // buildMix expands workload names into concrete requests.
-func buildMix(names []string, n, outer, inner int64) []engine.Request {
+func buildMix(names []string, n, outer, inner int64) ([]engine.Request, error) {
 	var mix []engine.Request
 	for _, name := range names {
 		name = strings.TrimSpace(name)
@@ -329,358 +166,102 @@ func buildMix(names []string, n, outer, inner int64) []engine.Request {
 		mix = append(mix, req)
 	}
 	if len(mix) == 0 {
-		fail(fmt.Errorf("empty workload mix"))
+		return nil, errors.New("empty workload mix")
 	}
-	return mix
+	return mix, nil
 }
 
-// runPath measures one serving path: a dedicated engine, a priming pass
-// that records the per-workload reference digests (and, for cached/warm,
-// warms the reuse machinery the path is meant to measure), then the
-// timed closed loop.
-func runPath(name, mode string, opts engine.Options, mix []engine.Request, clients int, dur time.Duration) pathResult {
-	e := engine.New(opts)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := e.Shutdown(ctx); err != nil {
-			fail(fmt.Errorf("%s: shutdown: %w", name, err))
-		}
-	}()
+// loader is one invocation's client and output streams.
+type loader struct {
+	client *http.Client
+	base   string
+	human  io.Writer // progress and the summary table
+	errs   io.Writer // one line per failed request
+}
 
-	// Reference digests: the engine's sequential mode runs the original
-	// loop on the interpreter — the acceptance oracle.
+// tally accumulates closed-loop outcomes; each client keeps its own and
+// merges it once at the end.
+type tally struct {
+	lats       []time.Duration // successful requests
+	errs, shed int
+	classLats  map[string][]time.Duration // every non-success, shed included
+}
+
+func (t *tally) note(class string, el time.Duration) {
+	if t.classLats == nil {
+		t.classLats = map[string][]time.Duration{}
+	}
+	t.classLats[class] = append(t.classLats[class], el)
+}
+
+func (t *tally) merge(o *tally) {
+	t.lats = append(t.lats, o.lats...)
+	t.errs += o.errs
+	t.shed += o.shed
+	for k, v := range o.classLats {
+		for _, el := range v {
+			t.note(k, el)
+		}
+	}
+}
+
+// closedLoop pins the expected digest per mix entry with one canary
+// request each, then runs clients closed-loop for dur. The generator has
+// no in-process reference, so cross-request digest consistency is the
+// correctness check.
+func (l *loader) closedLoop(mix []engine.Request, clients int, dur time.Duration) (result, error) {
 	want := make([]string, len(mix))
 	for i, req := range mix {
-		req.Mode = "sequential"
-		resp, err := e.Run(context.Background(), req)
-		if err != nil {
-			fail(fmt.Errorf("%s: reference %s: %w", name, req.Workload, err))
-		}
-		want[i] = resp.Digest
-	}
-	// Prime: one pass per mix entry so cached/warm measure steady state,
-	// not their own fill. (The cold engine has nothing to prime.)
-	timed := make([]engine.Request, len(mix))
-	for i, req := range mix {
-		req.Mode = mode
-		timed[i] = req
-		if _, err := e.Run(context.Background(), req); err != nil {
-			fail(fmt.Errorf("%s: prime %s: %w", name, req.Workload, err))
-		}
-	}
-
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		lats      []time.Duration
-		nerr      int
-		classLats = map[string][]time.Duration{}
-		stop      = make(chan struct{})
-	)
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			var mine []time.Duration
-			errs := 0
-			myClass := map[string][]time.Duration{}
-			for i := c; ; i++ {
-				select {
-				case <-stop:
-					mu.Lock()
-					lats = append(lats, mine...)
-					nerr += errs
-					for k, v := range myClass {
-						classLats[k] = append(classLats[k], v...)
-					}
-					mu.Unlock()
-					return
-				default:
-				}
-				j := i % len(timed)
-				t0 := time.Now()
-				resp, err := e.Run(context.Background(), timed[j])
-				el := time.Since(t0)
-				if err != nil || resp.Digest != want[j] {
-					errs++
-					class := "digest-mismatch"
-					if err == nil {
-						fmt.Fprintf(os.Stderr, "dswpload: %s: %s digest %s, want %s\n",
-							name, timed[j].Workload, resp.Digest, want[j])
-					} else {
-						class = engine.ErrorClass(err)
-						fmt.Fprintf(os.Stderr, "dswpload: %s: %s: %v\n", name, timed[j].Workload, err)
-					}
-					myClass[class] = append(myClass[class], el)
-					continue
-				}
-				mine = append(mine, el)
-			}
-		}(c)
-	}
-	time.Sleep(dur)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	s := e.Metrics().Snapshot()
-	pr := summarize(name, lats, nerr, 0, elapsed, classLats)
-	pr.Mode = mode
-	pr.Compiles = s.Compiles
-	pr.CacheHits = s.CacheHits
-	pr.PoolHits = s.PoolHits
-	pr.ShardRequests, pr.ShardImbalance = shardSpread(s.Shards)
-	print1(pr)
-	return pr
-}
-
-// shardSpread extracts per-shard request counts and the max/mean
-// imbalance ratio from a snapshot's shard list.
-func shardSpread(shards []engine.ShardSnapshot) ([]int64, float64) {
-	if len(shards) == 0 {
-		return nil, 0
-	}
-	counts := make([]int64, len(shards))
-	for i, sh := range shards {
-		counts[i] = sh.Requests
-	}
-	return counts, imbalance(counts)
-}
-
-// imbalance is max/mean over per-shard counts: 1.0 is perfectly even, 0
-// means no traffic (or no shard data).
-func imbalance(counts []int64) float64 {
-	if len(counts) == 0 {
-		return 0
-	}
-	var total, max int64
-	for _, c := range counts {
-		total += c
-		if c > max {
-			max = c
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(max) / (float64(total) / float64(len(counts)))
-}
-
-// runRamp measures peak sustainable load on the warm serving path: one
-// engine (cache and pools on), client count doubled 1→256, each rung a
-// closed loop of stepDur, stopping at the first rung whose p99 exceeds
-// the SLO. Per-rung shard counts come from snapshot deltas, so each
-// rung's spread is attributed to that rung alone.
-func runRamp(opts engine.Options, mix []engine.Request, mode string, slo, stepDur time.Duration) rampResult {
-	e := engine.New(opts)
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := e.Shutdown(ctx); err != nil {
-			fail(fmt.Errorf("ramp: shutdown: %w", err))
-		}
-	}()
-
-	want := make([]string, len(mix))
-	timed := make([]engine.Request, len(mix))
-	for i, req := range mix {
-		req.Mode = "sequential"
-		resp, err := e.Run(context.Background(), req)
-		if err != nil {
-			fail(fmt.Errorf("ramp: reference %s: %w", req.Workload, err))
-		}
-		want[i] = resp.Digest
-		req.Mode = mode
-		timed[i] = req
-		if _, err := e.Run(context.Background(), req); err != nil {
-			fail(fmt.Errorf("ramp: prime %s: %w", req.Workload, err))
-		}
-	}
-
-	rr := rampResult{
-		Schema:   "dswp-load-ramp/1",
-		SLOP99US: slo.Microseconds(),
-		Workers:  opts.Workers,
-		StepMS:   stepDur.Milliseconds(),
-	}
-	prevShards := e.Metrics().Snapshot().Shards
-	rr.Shards = len(prevShards)
-	fmt.Fprintf(human, "ramp: workers=%d shards=%d slo p99<=%s step=%s\n",
-		rr.Workers, rr.Shards, slo, stepDur)
-	for c := 1; c <= 256; c *= 2 {
-		var (
-			wg         sync.WaitGroup
-			mu         sync.Mutex
-			lats       []time.Duration
-			errs, shed int
-			stop       = make(chan struct{})
-		)
-		start := time.Now()
-		for g := 0; g < c; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				var mine []time.Duration
-				myErrs, myShed := 0, 0
-				for i := g; ; i++ {
-					select {
-					case <-stop:
-						mu.Lock()
-						lats = append(lats, mine...)
-						errs += myErrs
-						shed += myShed
-						mu.Unlock()
-						return
-					default:
-					}
-					j := i % len(timed)
-					t0 := time.Now()
-					resp, err := e.Run(context.Background(), timed[j])
-					el := time.Since(t0)
-					switch {
-					case err != nil && engine.ErrorClass(err) == "shed":
-						myShed++ // overload shedding is the engine holding its SLO, not a failure
-					case err != nil || resp.Digest != want[j]:
-						myErrs++
-					default:
-						mine = append(mine, el)
-					}
-				}
-			}(g)
-		}
-		time.Sleep(stepDur)
-		close(stop)
-		wg.Wait()
-		elapsed := time.Since(start)
-
-		step := rampStep{Clients: c, Requests: len(lats), Errors: errs, Shed: shed}
-		if len(lats) > 0 {
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			step.ThroughputRPS = float64(len(lats)) / elapsed.Seconds()
-			step.P50US = lats[len(lats)/2].Microseconds()
-			step.P99US = lats[quantIdx(len(lats), 99, 100)].Microseconds()
-		}
-		cur := e.Metrics().Snapshot().Shards
-		counts := make([]int64, len(cur))
-		for i := range cur {
-			counts[i] = cur[i].Requests
-			if i < len(prevShards) {
-				counts[i] -= prevShards[i].Requests
-			}
-		}
-		prevShards = cur
-		step.ShardRequests = counts
-		step.ShardImbalance = imbalance(counts)
-		rr.Steps = append(rr.Steps, step)
-		fmt.Fprintf(human, "  clients %3d: %9.0f req/s  p50 %6dus  p99 %7dus  errs %d shed %d  imbalance %.2f\n",
-			c, step.ThroughputRPS, step.P50US, step.P99US, errs, shed, step.ShardImbalance)
-		if step.P99US > rr.SLOP99US || len(lats) == 0 {
-			rr.SLOBreached = true
-			break
-		}
-		if step.ThroughputRPS > rr.PeakRPS {
-			rr.PeakRPS, rr.PeakClients = step.ThroughputRPS, c
-		}
-	}
-	fmt.Fprintf(human, "ramp: peak sustainable %0.f req/s at %d clients (slo_breached=%v)\n",
-		rr.PeakRPS, rr.PeakClients, rr.SLOBreached)
-	return rr
-}
-
-// runHTTP drives POST /run on a live dswpd: same closed loop, with
-// cross-request digest consistency as the correctness check (the
-// generator has no in-process reference to compare against).
-func runHTTP(addr string, mix []engine.Request, clients int, dur time.Duration, smoke, jsonOut bool) {
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	base := strings.TrimRight(addr, "/")
-	client := &http.Client{Timeout: 60 * time.Second}
-	if smoke {
-		smokeCheck(client, base)
-	}
-
-	// One canary request per mix entry pins the expected digest.
-	want := make([]string, len(mix))
-	for i, req := range mix {
-		resp, status, class, err := post(client, base, req)
+		resp, status, class, err := l.post(req)
 		if err != nil || status != http.StatusOK {
-			fail(fmt.Errorf("canary %s: status=%d class=%s err=%v", req.Workload, status, class, err))
+			return result{}, fmt.Errorf("canary %s: status=%d class=%s err=%v", req.Workload, status, class, err)
 		}
 		want[i] = resp.Digest
 	}
 
 	var (
-		wg          sync.WaitGroup
-		mu          sync.Mutex
-		lats        []time.Duration
-		nerr, nshed int
-		byClass     = map[string]int{}
-		classLats   = map[string][]time.Duration{}
-		shardCounts = map[int]int64{}
-		stop        = make(chan struct{})
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		total tally
+		stop  = make(chan struct{})
 	)
 	start := time.Now()
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			var mine []time.Duration
-			errs, shed := 0, 0
-			classes := map[string]int{}
-			myClass := map[string][]time.Duration{}
-			myShards := map[int]int64{}
+			var mine tally
 			for i := c; ; i++ {
 				select {
 				case <-stop:
 					mu.Lock()
-					lats = append(lats, mine...)
-					nerr += errs
-					nshed += shed
-					for k, v := range classes {
-						byClass[k] += v
-					}
-					for k, v := range myClass {
-						classLats[k] = append(classLats[k], v...)
-					}
-					for k, v := range myShards {
-						shardCounts[k] += v
-					}
+					total.merge(&mine)
 					mu.Unlock()
 					return
 				default:
 				}
 				j := i % len(mix)
 				t0 := time.Now()
-				resp, status, class, err := post(client, base, mix[j])
+				resp, status, class, err := l.post(mix[j])
 				el := time.Since(t0)
 				switch {
 				case err != nil:
-					errs++
-					classes["transport"]++
-					myClass["transport"] = append(myClass["transport"], el)
-					fmt.Fprintf(os.Stderr, "dswpload: http: %s: %v\n", mix[j].Workload, err)
+					mine.errs++
+					mine.note("transport", el)
+					fmt.Fprintf(l.errs, "dswpload: %s: %v\n", mix[j].Workload, err)
 				case status == http.StatusTooManyRequests:
-					shed++ // load shedding is the server working as designed
-					classes[class]++
-					myClass[class] = append(myClass[class], el)
+					mine.shed++ // load shedding is the server working as designed
+					mine.note(class, el)
 				case status != http.StatusOK:
-					errs++
-					classes[class]++
-					myClass[class] = append(myClass[class], el)
-					fmt.Fprintf(os.Stderr, "dswpload: http: %s: status %d class %s\n",
-						mix[j].Workload, status, class)
+					mine.errs++
+					mine.note(class, el)
+					fmt.Fprintf(l.errs, "dswpload: %s: status %d class %s\n", mix[j].Workload, status, class)
 				case resp.Digest != want[j]:
-					errs++
-					classes["digest-mismatch"]++
-					myClass["digest-mismatch"] = append(myClass["digest-mismatch"], el)
-					fmt.Fprintf(os.Stderr, "dswpload: http: %s digest %s, want %s\n",
-						mix[j].Workload, resp.Digest, want[j])
+					mine.errs++
+					mine.note("digest-mismatch", el)
+					fmt.Fprintf(l.errs, "dswpload: %s: digest %s, want %s\n", mix[j].Workload, resp.Digest, want[j])
 				default:
-					myShards[resp.Shard]++
-					mine = append(mine, el)
+					mine.lats = append(mine.lats, el)
 				}
 			}
 		}(c)
@@ -688,191 +269,188 @@ func runHTTP(addr string, mix []engine.Request, clients int, dur time.Duration, 
 	time.Sleep(dur)
 	close(stop)
 	wg.Wait()
-	elapsed := time.Since(start)
+	return total.summarize(time.Since(start)), nil
+}
 
-	pr := summarize("http", lats, nerr, nshed, elapsed, classLats)
-	if len(byClass) > 0 {
-		pr.ErrorsByClass = byClass
-	}
-	if len(shardCounts) > 0 {
-		maxID := 0
-		for id := range shardCounts {
-			if id > maxID {
-				maxID = id
-			}
+func (t *tally) summarize(elapsed time.Duration) result {
+	r := result{Requests: len(t.lats), Errors: t.errs, Shed: t.shed}
+	for class, cl := range t.classLats {
+		if r.LatencyByClass == nil {
+			r.LatencyByClass = map[string]classLatency{}
 		}
-		counts := make([]int64, maxID+1)
-		for id, n := range shardCounts {
-			counts[id] = n
+		p50, p99, _, mean := quantiles(cl)
+		r.LatencyByClass[class] = classLatency{Count: len(cl), P50US: p50, P99US: p99, MeanUS: mean}
+	}
+	if len(t.lats) > 0 {
+		r.ThroughputRPS = float64(len(t.lats)) / elapsed.Seconds()
+		r.P50US, r.P99US, r.P999US, r.MeanUS = quantiles(t.lats)
+	}
+	return r
+}
+
+// quantiles sorts a non-empty sample in place and returns its p50, p99,
+// p99.9 and mean in microseconds.
+func quantiles(d []time.Duration) (p50, p99, p999, mean int64) {
+	sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+	var sum time.Duration
+	for _, x := range d {
+		sum += x
+	}
+	at := func(num, den int) int64 {
+		i := len(d) * num / den
+		if i >= len(d) {
+			i = len(d) - 1
 		}
-		pr.ShardRequests = counts
-		pr.ShardImbalance = imbalance(counts)
+		return d[i].Microseconds()
 	}
-	print1(pr)
-	if jsonOut {
-		emitJSON(struct {
-			Schema     string     `json:"schema"`
-			Addr       string     `json:"addr"`
-			Clients    int        `json:"clients"`
-			DurationMS int64      `json:"duration_ms"`
-			Result     pathResult `json:"result"`
-		}{"dswp-load-http/1", base, clients, dur.Milliseconds(), pr})
+	return at(1, 2), at(99, 100), at(999, 1000), (sum / time.Duration(len(d))).Microseconds()
+}
+
+func (l *loader) print(r result) {
+	fmt.Fprintf(l.human, "  http %7d reqs  %9.0f req/s  p50 %6dus  p99 %7dus  p99.9 %7dus  mean %6dus  errs %d shed %d\n",
+		r.Requests, r.ThroughputRPS, r.P50US, r.P99US, r.P999US, r.MeanUS, r.Errors, r.Shed)
+	classes := make([]string, 0, len(r.LatencyByClass))
+	for k := range r.LatencyByClass {
+		classes = append(classes, k)
 	}
-	if nerr > 0 {
-		fail(fmt.Errorf("%d requests failed", nerr))
-	}
-	if len(lats) == 0 {
-		fail(fmt.Errorf("no request completed"))
+	sort.Strings(classes)
+	for _, k := range classes {
+		cl := r.LatencyByClass[k]
+		fmt.Fprintf(l.human, "       %-18s n=%-6d p50 %6dus  p99 %7dus  mean %6dus\n",
+			k, cl.Count, cl.P50US, cl.P99US, cl.MeanUS)
 	}
 }
 
 // smokeCheck exercises every endpoint once: liveness, the workload
 // catalog, one POST /run per servable workload (each response must
 // carry a digest), and a /metrics scrape that must account for those
-// runs. Any failure exits nonzero — this is the CI server-smoke gate.
-func smokeCheck(client *http.Client, base string) {
-	hr, err := client.Get(base + "/healthz")
+// runs. Any failure is an error — this is the server-smoke gate.
+func (l *loader) smokeCheck() error {
+	hr, err := l.client.Get(l.base + "/healthz")
 	if err != nil || hr.StatusCode != http.StatusOK {
-		fail(fmt.Errorf("smoke /healthz: status=%v err=%v", status(hr), err))
+		return fmt.Errorf("smoke /healthz: status=%v err=%v", status(hr), err)
 	}
 	hr.Body.Close()
 
-	hr, err = client.Get(base + "/workloads")
-	if err != nil || hr.StatusCode != http.StatusOK {
-		fail(fmt.Errorf("smoke /workloads: status=%v err=%v", status(hr), err))
-	}
 	var cat struct {
 		Workloads []engine.WorkloadInfo `json:"workloads"`
 	}
-	err = json.NewDecoder(hr.Body).Decode(&cat)
-	hr.Body.Close()
-	if err != nil || len(cat.Workloads) == 0 {
-		fail(fmt.Errorf("smoke /workloads: %d entries, err=%v", len(cat.Workloads), err))
+	if err := l.getJSON("/workloads", &cat); err != nil || len(cat.Workloads) == 0 {
+		return fmt.Errorf("smoke /workloads: %d entries, err=%v", len(cat.Workloads), err)
 	}
 	for _, wi := range cat.Workloads {
-		resp, st, class, err := post(client, base, engine.Request{Workload: wi.Name})
+		resp, st, class, err := l.post(engine.Request{Workload: wi.Name})
 		if err != nil || st != http.StatusOK || resp.Digest == "" {
-			fail(fmt.Errorf("smoke /run %s: status=%d class=%s err=%v", wi.Name, st, class, err))
+			return fmt.Errorf("smoke /run %s: status=%d class=%s err=%v", wi.Name, st, class, err)
 		}
-		fmt.Fprintf(human, "  smoke /run %-24s %s cache=%s pipelined=%v\n",
+		fmt.Fprintf(l.human, "  smoke /run %-24s %s cache=%s pipelined=%v\n",
 			wi.Name, resp.Digest, resp.Cache, resp.Pipelined)
 	}
 	// After the per-workload runs, /workloads must carry compile info
 	// (checkpointable or not) for everything just served.
-	hr, err = client.Get(base + "/workloads")
-	if err != nil || hr.StatusCode != http.StatusOK {
-		fail(fmt.Errorf("smoke /workloads (2): status=%v err=%v", status(hr), err))
-	}
-	err = json.NewDecoder(hr.Body).Decode(&cat)
-	hr.Body.Close()
-	if err != nil {
-		fail(fmt.Errorf("smoke /workloads (2): %v", err))
+	if err := l.getJSON("/workloads", &cat); err != nil {
+		return fmt.Errorf("smoke /workloads (2): %v", err)
 	}
 	for _, wi := range cat.Workloads {
 		if !wi.Compiled || wi.Pipelined == nil || wi.Checkpointable == nil {
-			fail(fmt.Errorf("smoke /workloads: %s served but compile info missing: %+v", wi.Name, wi))
+			return fmt.Errorf("smoke /workloads: %s served but compile info missing: %+v", wi.Name, wi)
 		}
 		if *wi.Pipelined && !*wi.Checkpointable {
-			fmt.Fprintf(human, "  smoke note: %s pipelined but NOT checkpointable\n", wi.Name)
+			fmt.Fprintf(l.human, "  smoke note: %s pipelined but NOT checkpointable\n", wi.Name)
 		}
 	}
 
-	hr, err = client.Get(base + "/metrics")
-	if err != nil || hr.StatusCode != http.StatusOK {
-		fail(fmt.Errorf("smoke /metrics: status=%v err=%v", status(hr), err))
-	}
 	var snap engine.EngineSnapshot
-	err = json.NewDecoder(hr.Body).Decode(&snap)
-	hr.Body.Close()
-	if err != nil || snap.Completed < int64(len(cat.Workloads)) {
-		fail(fmt.Errorf("smoke /metrics: completed=%d want >= %d, err=%v",
-			snap.Completed, len(cat.Workloads), err))
+	if err := l.getJSON("/metrics", &snap); err != nil || snap.Completed < int64(len(cat.Workloads)) {
+		return fmt.Errorf("smoke /metrics: completed=%d want >= %d, err=%v",
+			snap.Completed, len(cat.Workloads), err)
 	}
 	if snap.PoolQuarantined > 0 {
-		fmt.Fprintf(human, "  smoke note: %d instance(s) quarantined\n", snap.PoolQuarantined)
+		fmt.Fprintf(l.human, "  smoke note: %d instance(s) quarantined\n", snap.PoolQuarantined)
 	}
-	fmt.Fprintf(human, "  smoke /metrics: %d completed, %d compiles, p50 total %dus\n",
+	fmt.Fprintf(l.human, "  smoke /metrics: %d completed, %d compiles, p50 total %dus\n",
 		snap.Completed, snap.Compiles, snap.LatencyTotalUS.P50)
 
-	smokeTelemetry(client, base)
+	return l.smokeTelemetry()
 }
 
-// smokeTelemetry exercises the PR7 observability surface: the Prometheus
+// smokeTelemetry exercises the observability surface: the Prometheus
 // representation of /metrics must negotiate correctly and lint clean,
 // /run must stamp X-Request-ID, and the /debug endpoints must answer.
-func smokeTelemetry(client *http.Client, base string) {
+func (l *loader) smokeTelemetry() error {
 	// Prometheus negotiation: Accept: text/plain flips the representation.
-	req, err := http.NewRequest(http.MethodGet, base+"/metrics", nil)
+	req, err := http.NewRequest(http.MethodGet, l.base+"/metrics", nil)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	req.Header.Set("Accept", "text/plain")
-	hr, err := client.Do(req)
+	hr, err := l.client.Do(req)
 	if err != nil || hr.StatusCode != http.StatusOK {
-		fail(fmt.Errorf("smoke /metrics (prom): status=%v err=%v", status(hr), err))
-	}
-	if ct := hr.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		fail(fmt.Errorf("smoke /metrics (prom): Content-Type %q, want text/plain", ct))
+		return fmt.Errorf("smoke /metrics (prom): status=%v err=%v", status(hr), err)
 	}
 	promText, err := io.ReadAll(hr.Body)
 	hr.Body.Close()
+	if ct := hr.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		return fmt.Errorf("smoke /metrics (prom): Content-Type %q, want text/plain", ct)
+	}
 	if err != nil {
-		fail(fmt.Errorf("smoke /metrics (prom): %v", err))
+		return fmt.Errorf("smoke /metrics (prom): %v", err)
 	}
 	if problems := telemetry.LintProm(string(promText)); len(problems) > 0 {
-		fail(fmt.Errorf("smoke /metrics (prom): lint: %s", strings.Join(problems, "; ")))
+		return fmt.Errorf("smoke /metrics (prom): lint: %s", strings.Join(problems, "; "))
 	}
 	if !strings.Contains(string(promText), "dswp_requests_total") {
-		fail(fmt.Errorf("smoke /metrics (prom): dswp_requests_total missing"))
+		return errors.New("smoke /metrics (prom): dswp_requests_total missing")
 	}
 
 	// /run responses must carry the request ID the trace was minted under.
 	body, _ := json.Marshal(engine.Request{Workload: "list-traversal", N: 8})
-	hr, err = client.Post(base+"/run", "application/json", bytes.NewReader(body))
+	hr, err = l.client.Post(l.base+"/run", "application/json", bytes.NewReader(body))
 	if err != nil || hr.StatusCode != http.StatusOK {
-		fail(fmt.Errorf("smoke /run (traced): status=%v err=%v", status(hr), err))
+		return fmt.Errorf("smoke /run (traced): status=%v err=%v", status(hr), err)
 	}
 	io.Copy(io.Discard, hr.Body)
 	hr.Body.Close()
 	reqID := hr.Header.Get("X-Request-ID")
 	if reqID == "" {
-		fail(fmt.Errorf("smoke /run (traced): no X-Request-ID header"))
+		return errors.New("smoke /run (traced): no X-Request-ID header")
 	}
 
-	hr, err = client.Get(base + "/debug/requests")
-	if err != nil || hr.StatusCode != http.StatusOK {
-		fail(fmt.Errorf("smoke /debug/requests: status=%v err=%v", status(hr), err))
-	}
 	var dbg struct {
 		Enabled bool `json:"enabled"`
 		Stats   struct {
 			Started int64 `json:"started"`
 		} `json:"stats"`
 	}
-	err = json.NewDecoder(hr.Body).Decode(&dbg)
-	hr.Body.Close()
-	if err != nil || !dbg.Enabled || dbg.Stats.Started == 0 {
-		fail(fmt.Errorf("smoke /debug/requests: enabled=%v started=%d err=%v",
-			dbg.Enabled, dbg.Stats.Started, err))
+	if err := l.getJSON("/debug/requests", &dbg); err != nil || !dbg.Enabled || dbg.Stats.Started == 0 {
+		return fmt.Errorf("smoke /debug/requests: enabled=%v started=%d err=%v",
+			dbg.Enabled, dbg.Stats.Started, err)
 	}
 
-	hr, err = client.Get(base + "/debug/vars?series=0")
-	if err != nil || hr.StatusCode != http.StatusOK {
-		fail(fmt.Errorf("smoke /debug/vars: status=%v err=%v", status(hr), err))
-	}
 	var vars struct {
-		UptimeSeconds float64 `json:"uptime_seconds"`
-		Window        struct {
+		Window struct {
 			Seconds int `json:"seconds"`
 		} `json:"window"`
 	}
-	err = json.NewDecoder(hr.Body).Decode(&vars)
-	hr.Body.Close()
-	if err != nil || vars.Window.Seconds == 0 {
-		fail(fmt.Errorf("smoke /debug/vars: window_seconds=%d err=%v", vars.Window.Seconds, err))
+	if err := l.getJSON("/debug/vars?series=0", &vars); err != nil || vars.Window.Seconds == 0 {
+		return fmt.Errorf("smoke /debug/vars: window_seconds=%d err=%v", vars.Window.Seconds, err)
 	}
-	fmt.Fprintf(human, "  smoke telemetry: prom lints clean (%d bytes), request %s traced, window %ds\n",
+	fmt.Fprintf(l.human, "  smoke telemetry: prom lints clean (%d bytes), request %s traced, window %ds\n",
 		len(promText), reqID, vars.Window.Seconds)
+	return nil
+}
+
+// getJSON GETs path and decodes a 200 response's JSON body into v.
+func (l *loader) getJSON(path string, v any) error {
+	hr, err := l.client.Get(l.base + path)
+	if err != nil {
+		return err
+	}
+	defer hr.Body.Close()
+	if hr.StatusCode != http.StatusOK {
+		return fmt.Errorf("status %d", hr.StatusCode)
+	}
+	return json.NewDecoder(hr.Body).Decode(v)
 }
 
 func status(hr *http.Response) int {
@@ -884,19 +462,18 @@ func status(hr *http.Response) int {
 
 // post issues one /run. On non-200 it decodes the server's typed error
 // body and returns its class ("deadlock", "stage-panic", "shed", ...).
-func post(client *http.Client, base string, req engine.Request) (*engine.Response, int, string, error) {
+func (l *loader) post(req engine.Request) (*engine.Response, int, string, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, 0, "", err
 	}
-	hr, err := client.Post(base+"/run", "application/json", bytes.NewReader(body))
+	hr, err := l.client.Post(l.base+"/run", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, 0, "", err
 	}
 	defer hr.Body.Close()
 	if hr.StatusCode != http.StatusOK {
 		var eb struct {
-			Error string `json:"error"`
 			Class string `json:"class"`
 		}
 		class := "unknown"
@@ -910,95 +487,4 @@ func post(client *http.Client, base string, req engine.Request) (*engine.Respons
 		return nil, hr.StatusCode, "", err
 	}
 	return &resp, hr.StatusCode, "", nil
-}
-
-func summarize(name string, lats []time.Duration, nerr, nshed int, elapsed time.Duration,
-	classLats map[string][]time.Duration) pathResult {
-	pr := pathResult{Path: name, Requests: len(lats), Errors: nerr, Shed: nshed}
-	for class, cl := range classLats {
-		if len(cl) == 0 {
-			continue
-		}
-		sort.Slice(cl, func(i, j int) bool { return cl[i] < cl[j] })
-		var sum time.Duration
-		for _, l := range cl {
-			sum += l
-		}
-		if pr.LatencyByClass == nil {
-			pr.LatencyByClass = map[string]classLatency{}
-		}
-		pr.LatencyByClass[class] = classLatency{
-			Count:  len(cl),
-			P50US:  cl[len(cl)/2].Microseconds(),
-			P99US:  cl[quantIdx(len(cl), 99, 100)].Microseconds(),
-			MeanUS: (sum / time.Duration(len(cl))).Microseconds(),
-		}
-	}
-	if len(lats) == 0 {
-		return pr
-	}
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum time.Duration
-	for _, l := range lats {
-		sum += l
-	}
-	pr.ThroughputRPS = float64(len(lats)) / elapsed.Seconds()
-	pr.P50US = lats[len(lats)/2].Microseconds()
-	pr.P99US = lats[quantIdx(len(lats), 99, 100)].Microseconds()
-	pr.P999US = lats[quantIdx(len(lats), 999, 1000)].Microseconds()
-	pr.MeanUS = (sum / time.Duration(len(lats))).Microseconds()
-	return pr
-}
-
-// quantIdx returns the index of the num/den quantile in a sorted sample
-// of n elements, clamped into range for tiny samples.
-func quantIdx(n, num, den int) int {
-	i := n * num / den
-	if i >= n {
-		i = n - 1
-	}
-	return i
-}
-
-func print1(pr pathResult) {
-	fmt.Fprintf(human, "  %-7s %7d reqs  %9.0f req/s  p50 %6dus  p99 %7dus  p99.9 %7dus  mean %6dus  errs %d shed %d",
-		pr.Path, pr.Requests, pr.ThroughputRPS, pr.P50US, pr.P99US, pr.P999US, pr.MeanUS, pr.Errors, pr.Shed)
-	if pr.Compiles > 0 || pr.CacheHits > 0 {
-		fmt.Fprintf(human, "  [compiles %d, cache hits %d, pool hits %d]", pr.Compiles, pr.CacheHits, pr.PoolHits)
-	}
-	if len(pr.ShardRequests) > 1 {
-		fmt.Fprintf(human, "  [shards %v imbalance %.2f]", pr.ShardRequests, pr.ShardImbalance)
-	}
-	if len(pr.ErrorsByClass) > 0 {
-		classes := make([]string, 0, len(pr.ErrorsByClass))
-		for k := range pr.ErrorsByClass {
-			classes = append(classes, k)
-		}
-		sort.Strings(classes)
-		fmt.Fprintf(human, "  [errors:")
-		for _, k := range classes {
-			fmt.Fprintf(human, " %s=%d", k, pr.ErrorsByClass[k])
-		}
-		fmt.Fprintf(human, "]")
-	}
-	for _, k := range sortedClassKeys(pr.LatencyByClass) {
-		cl := pr.LatencyByClass[k]
-		fmt.Fprintf(human, "\n          %-18s n=%-6d p50 %6dus  p99 %7dus  mean %6dus",
-			k, cl.Count, cl.P50US, cl.P99US, cl.MeanUS)
-	}
-	fmt.Fprintln(human)
-}
-
-func sortedClassKeys(m map[string]classLatency) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "dswpload:", err)
-	os.Exit(1)
 }

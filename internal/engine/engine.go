@@ -115,12 +115,6 @@ type Options struct {
 	// own Replicate/ReplicaWidth knobs; this only flips the default on
 	// (the dswpd -replicate flag).
 	Replicate bool
-	// PinStages pins every pipeline-stage goroutine to its own OS thread
-	// (runtime.LockOSThread) for the duration of the run. On multi-core
-	// hosts this trades scheduler flexibility for cache affinity between
-	// a stage and the core its queue endpoints are hot on; the mc bench
-	// tier measures whether that trade pays. Results never change.
-	PinStages bool
 	// QueueCap is the default synchronization-array capacity for served
 	// runs (default runtime.DefaultQueueCap). Requests overriding it
 	// bypass the warm pool, whose instances are built for this capacity.
@@ -130,11 +124,6 @@ type Options struct {
 	// DefaultDeadline bounds requests that carry no deadline of their
 	// own (default 30s; <0 disables).
 	DefaultDeadline time.Duration
-	// DisableCache forces every request through a cold compile — the
-	// benchmark harness uses it to measure the cache's win.
-	DisableCache bool
-	// DisablePool forces fresh per-run state even on cache hits.
-	DisablePool bool
 	// Store receives durable checkpoint commits from supervised runs and
 	// feeds engine-level resume-on-retry and post-crash recovery
 	// (default: a fresh in-memory store, which survives retries but not
@@ -305,7 +294,7 @@ type Response struct {
 	// the pipeline is sequential or replication was not requested).
 	ReplicatedStage int `json:"replicated_stage,omitempty"`
 	ReplicaWidth    int `json:"replica_width,omitempty"`
-	// Cache is "hit", "miss", or "bypass" (cache disabled).
+	// Cache is "hit" or "miss".
 	Cache string `json:"cache"`
 	// Warm is true when the run reused a pooled instance.
 	Warm bool `json:"warm"`
@@ -670,42 +659,28 @@ func (e *Engine) execute(ctx context.Context, s *shard, j *job) (*Response, erro
 	resp := &Response{Workload: req.Workload, Key: j.key,
 		Shard: s.id, Spilled: s != home}
 
-	var (
-		p   *pipeline
-		err error
-	)
 	cs := tr.Begin("cache")
-	if e.opts.DisableCache {
-		resp.Cache = "bypass"
-		atomic.AddInt64(&home.met.cacheBypass, 1)
-		p, err = e.compile(req, j.build, j.key, home.met)
+	p, hit, err := home.cache.acquire(ctx, j.key, func() (*pipeline, error) {
+		return e.compile(req, j.build, j.key, home.met)
+	})
+	if hit {
+		resp.Cache = "hit"
 	} else {
-		var hit bool
-		p, hit, err = home.cache.acquire(ctx, j.key, func() (*pipeline, error) {
-			return e.compile(req, j.build, j.key, home.met)
-		})
-		if hit {
-			resp.Cache = "hit"
-		} else {
-			resp.Cache = "miss"
-			if p != nil { // a failed cold compile has no pipeline
-				resp.CompileMicros = p.compileMicros
-			}
-		}
-		if err == nil {
-			defer home.cache.release(p)
+		resp.Cache = "miss"
+		if p != nil { // a failed cold compile has no pipeline
+			resp.CompileMicros = p.compileMicros
 		}
 	}
+	if err == nil {
+		defer home.cache.release(p)
+	}
 	cs.Attr("outcome", resp.Cache)
-	if resp.CompileMicros > 0 || e.opts.DisableCache {
+	if resp.CompileMicros > 0 {
 		cs.Attr("compile_us", resp.CompileMicros)
 	}
 	tr.End(cs)
 	if err != nil {
 		return nil, err
-	}
-	if e.opts.DisableCache {
-		resp.CompileMicros = p.compileMicros
 	}
 
 	resp.Pipelined = p.tr != nil
@@ -755,8 +730,7 @@ func (e *Engine) execute(ctx context.Context, s *shard, j *job) (*Response, erro
 		res, err = rt.RunCtx(ctx, p.tr.Threads, rt.Options{
 			Plan: p.plan, Instance: inst, Queue: kind, QueueCap: qcap,
 			Mem: p.prog.Mem, Regs: p.prog.Regs, Faults: faults,
-			LockOSThread: e.opts.PinStages,
-			Recorder:     e.tracer.RunRecorder(tr, len(p.tr.Threads), stageLabels(p)...),
+			Recorder: e.tracer.RunRecorder(tr, len(p.tr.Threads), stageLabels(p)...),
 		})
 		e.releaseInstance(p, inst, poisons(err) || j.reaped.Load())
 	case req.Mode == "" || req.Mode == "supervised":
@@ -870,8 +844,7 @@ func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
 	}, supervisor.Policy{
 		Queue: kind, QueueCap: qcap, Plan: p.plan, Instance: inst,
 		Faults: faults, CheckpointEvery: e.opts.CheckpointEvery,
-		DisableResume: true, LockOSThread: e.opts.PinStages,
-		Store: e.store, StoreKey: ckey, StoreMeta: meta,
+		DisableResume: true, Store: e.store, StoreKey: ckey, StoreMeta: meta,
 		Recorder: e.tracer.RunRecorder(tr, len(p.tr.Threads), stageLabels(p)...),
 	})
 	e.releaseInstance(p, inst, poisons(err) || j.reaped.Load())
@@ -1022,7 +995,7 @@ func (e *Engine) instanceFor(p *pipeline, sm *shardMetrics, kind queue.Kind, qca
 		atomic.AddInt64(&sm.poolMisses, 1)
 		return nil, false
 	}
-	if e.opts.DisablePool || p.pool == nil || faults != nil ||
+	if p.pool == nil || faults != nil ||
 		kind != e.opts.Queue || qcap != e.opts.QueueCap {
 		atomic.AddInt64(&sm.poolMisses, 1)
 		return nil, false
@@ -1096,9 +1069,7 @@ func (e *Engine) compile(req Request, build func() *workloads.Program, key strin
 	p := &pipeline{key: key, prog: prog, tr: tr, plan: plan,
 		compileMicros: time.Since(start).Microseconds()}
 	e.met.RecordCompile(p.compileMicros)
-	if !e.opts.DisablePool {
-		p.pool = newPool(plan, e.opts.Queue, e.opts.QueueCap, e.opts.PoolSize, sm)
-	}
+	p.pool = newPool(plan, e.opts.Queue, e.opts.QueueCap, e.opts.PoolSize, sm)
 	return p, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,8 +104,9 @@ func TestConcurrentIdenticalSingleCompile(t *testing.T) {
 
 // TestConcurrentMixedWorkloads serves 64 concurrent requests across a
 // workload mix (pipelined, packed, parametric, and a single-SCC case)
-// and checks every response against its sequential reference, with
-// exactly one compile per distinct cache key.
+// twice and checks every response against its sequential reference,
+// with exactly one compile per distinct cache key and warm instances
+// reused in the second wave.
 func TestConcurrentMixedWorkloads(t *testing.T) {
 	testutil.VerifyNone(t)
 	mix := []Request{
@@ -131,29 +133,44 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 	e := New(Options{Workers: 8, QueueDepth: 128})
 	defer shutdown(t, e)
 
+	// Two waves: the first compiles every key and fills the warm pools;
+	// the second must be served entirely from the cache, and released
+	// instances must come back warm under concurrent clients.
 	const n = 64
 	var wg sync.WaitGroup
-	fail := make(chan string, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			req := mix[i%len(mix)]
-			resp, err := e.Run(context.Background(), req)
-			if err != nil {
-				fail <- fmt.Sprintf("request %d (%s): %v", i, req.Workload, err)
-				return
-			}
-			if resp.Digest != want[i%len(mix)] {
-				fail <- fmt.Sprintf("request %d (%s): digest %s, want %s",
-					i, req.Workload, resp.Digest, want[i%len(mix)])
-			}
-		}(i)
+	var warm atomic.Int64
+	fail := make(chan string, 2*n)
+	for wave := 0; wave < 2; wave++ {
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				req := mix[i%len(mix)]
+				resp, err := e.Run(context.Background(), req)
+				if err != nil {
+					fail <- fmt.Sprintf("wave %d request %d (%s): %v", wave, i, req.Workload, err)
+					return
+				}
+				if resp.Digest != want[i%len(mix)] {
+					fail <- fmt.Sprintf("wave %d request %d (%s): digest %s, want %s",
+						wave, i, req.Workload, resp.Digest, want[i%len(mix)])
+				}
+				if wave == 1 && resp.Cache != "hit" {
+					fail <- fmt.Sprintf("wave 1 request %d (%s): cache %q, want hit", i, req.Workload, resp.Cache)
+				}
+				if wave == 1 && resp.Warm {
+					warm.Add(1)
+				}
+			}(i)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	close(fail)
 	for msg := range fail {
 		t.Error(msg)
+	}
+	if warm.Load() == 0 {
+		t.Error("no second-wave request reused a pooled instance")
 	}
 
 	s := e.Metrics().Snapshot()

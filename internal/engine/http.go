@@ -136,8 +136,8 @@ func statusFor(err error) int {
 
 // ErrorClass maps an engine error onto its stable taxonomy class
 // ("shed", "deadline", "stage-panic", ...; see errorBody.Class). In-
-// process callers (dswpload, the telemetry plane) use it to bucket
-// failures exactly the way the HTTP error body does.
+// process callers (the telemetry plane, the service chaos soak) use it
+// to bucket failures exactly the way the HTTP error body does.
 func ErrorClass(err error) string {
 	if err == nil {
 		return ""

@@ -11,10 +11,9 @@ import (
 // steady-state request path lives here, not on Metrics, so concurrent
 // requests on different shards update disjoint cache lines instead of
 // bouncing one set of counters between cores (the same false-sharing
-// argument obs.QueueMetrics makes for queue endpoints, measured by the
-// dswpbench padding probe). The trailing pad keeps the next shard's
-// block off this one's last line; blocks are allocated contiguously by
-// newMetrics so the layout is deterministic.
+// argument obs.QueueMetrics makes for queue endpoints). The trailing pad
+// keeps the next shard's block off this one's last line; blocks are
+// allocated contiguously by newMetrics so the layout is deterministic.
 //
 // Attribution: admission-side counters (requests, shed, drained,
 // spilled) and cache/pool/compile counters belong to a request's *home*
@@ -40,7 +39,6 @@ type shardMetrics struct {
 	// Compiled-pipeline cache (home shard).
 	cacheHits   int64
 	cacheMisses int64
-	cacheBypass int64
 	cacheEvicts int64
 	compiles    int64
 
@@ -133,7 +131,6 @@ type EngineSnapshot struct {
 
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
-	CacheBypass int64 `json:"cache_bypass"`
 	CacheEvicts int64 `json:"cache_evicts"`
 	Compiles    int64 `json:"compiles"`
 
@@ -292,7 +289,6 @@ func (m *Metrics) Snapshot() *EngineSnapshot {
 		s.Queued += ss.Queued
 		s.CacheHits += ss.CacheHits
 		s.CacheMisses += ss.CacheMisses
-		s.CacheBypass += atomic.LoadInt64(&sm.cacheBypass)
 		s.CacheEvicts += ss.CacheEvicts
 		s.Compiles += ss.Compiles
 		s.PoolHits += ss.PoolHits

@@ -42,7 +42,6 @@ func (e *Engine) PromText() string {
 		"Compiled-pipeline cache events.",
 		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "hit")}, Value: float64(s.CacheHits)},
 		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "miss")}, Value: float64(s.CacheMisses)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "bypass")}, Value: float64(s.CacheBypass)},
 		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "evict")}, Value: float64(s.CacheEvicts)})
 	p.Counter("dswp_compiles_total",
 		"core.Apply compilations actually executed.", one(s.Compiles)...)

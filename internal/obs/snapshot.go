@@ -58,15 +58,19 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 	}
 	for q := range m.queues {
 		src, dst := &m.queues[q], &s.Queues[q]
+		// Counters bounded by Produces (Consumes, the OccHist total) load
+		// before Produces: an earlier read can only be smaller, so the
+		// snapshot keeps those bounds however far the stages run on
+		// between loads.
+		dst.Consumes = atomic.LoadInt64(&src.Consumes)
+		loadHist(&dst.OccHist, &src.OccHist)
 		dst.Produces = atomic.LoadInt64(&src.Produces)
 		dst.HighWater = atomic.LoadInt64(&src.HighWater)
 		dst.StallFull = atomic.LoadInt64(&src.StallFull)
 		dst.StallFullTicks = atomic.LoadInt64(&src.StallFullTicks)
 		dst.Cap = atomic.LoadInt64(&src.Cap)
-		dst.Consumes = atomic.LoadInt64(&src.Consumes)
 		dst.StallEmpty = atomic.LoadInt64(&src.StallEmpty)
 		dst.StallEmptyTicks = atomic.LoadInt64(&src.StallEmptyTicks)
-		loadHist(&dst.OccHist, &src.OccHist)
 		loadHist(&dst.BlockHist, &src.BlockHist)
 	}
 	return s

@@ -1,22 +1,25 @@
 package queue
 
 import (
+	"runtime"
 	"testing"
 
 	"dswp/internal/failpoint"
 )
 
 // TestFailpointParkDelay arms queue/ring/park with a sleep action and
-// drives both endpoints through the park slow path: the injected delay
+// drives the consumer through the park slow path: the injected delay
 // stretches the sleep/wake handshake window but must never lose or
-// reorder a value.
+// reorder a value. The producer waits for the consumer to arm its
+// waiting flag before every produce, so each consume spins out its
+// budget and reaches the park path at any GOMAXPROCS.
 func TestFailpointParkDelay(t *testing.T) {
 	failpoint.Reset()
 	defer failpoint.Reset()
 	if err := failpoint.Enable("queue/ring/park", "sleep(2ms):every(1)"); err != nil {
 		t.Fatal(err)
 	}
-	q := New(KindRing, 1)
+	q := New(KindRing, 1).(*ring)
 	done := make(chan struct{})
 	defer close(done)
 
@@ -24,6 +27,15 @@ func TestFailpointParkDelay(t *testing.T) {
 	errs := make(chan error, 1)
 	go func() {
 		for i := int64(0); i < n; i++ {
+			for q.consWait.Load() == 0 {
+				select {
+				case <-done:
+					errs <- errDone("consumer stopped early")
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
 			if !q.Produce(i, done) {
 				errs <- errDone("producer stopped early")
 				return
@@ -44,7 +56,7 @@ func TestFailpointParkDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	if failpoint.Triggers()["queue/ring/park"] == 0 {
-		t.Fatal("the park path never triggered — capacity 1 should force it")
+		t.Fatal("the park path never triggered — the consumer parked before every produce")
 	}
 }
 

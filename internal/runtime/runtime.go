@@ -24,7 +24,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	goruntime "runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -113,13 +112,6 @@ type Options struct {
 	// queues. nil allocates fresh state, preserving the original
 	// behavior.
 	Instance *Instance
-	// LockOSThread pins each stage goroutine to its own OS thread for
-	// the duration of the run (runtime.LockOSThread), giving every stage
-	// stable core affinity on multi-core hosts — the software stand-in
-	// for the paper's one-stage-per-core placement. Purely a scheduling
-	// hint: results are identical with it on or off. Ignored in effect
-	// when GOMAXPROCS=1 (the threads still pin, but share the one P).
-	LockOSThread bool
 }
 
 type blockState uint8
@@ -484,13 +476,6 @@ func (e *engine) setState(ti int, st blockState) {
 // the stage (including injected ones) are captured into a *StageFailure
 // carrying a full pipeline snapshot instead of crashing the process.
 func (e *engine) runThread(ti int) {
-	if e.opts.LockOSThread {
-		// Wire each stage to its own OS thread so the kernel scheduler
-		// gives the pipeline stable cross-core placement instead of
-		// migrating stages between Ps mid-loop.
-		goruntime.LockOSThread()
-		defer goruntime.UnlockOSThread()
-	}
 	th := e.threads[ti]
 	defer func() {
 		if r := recover(); r != nil {

@@ -110,9 +110,6 @@ type Policy struct {
 	// (runtime.Plan.NewInstance with matching queue kind and capacity).
 	// Incompatible with Faults; see runtime.Options.Instance.
 	Instance *rt.Instance
-	// LockOSThread pins each stage goroutine of the concurrent attempt
-	// to its own OS thread; see runtime.Options.LockOSThread.
-	LockOSThread bool
 	// Store, when non-nil, receives a durable copy of every committed
 	// checkpoint under StoreKey, so recovery can outlive this Run call
 	// (engine retries, process restarts). Store errors never fail the
@@ -249,8 +246,6 @@ func Run(ctx context.Context, p Pipeline, pol Policy) (*interp.Result, *Report, 
 		RecordTrace: pol.RecordTrace,
 		Plan:        pol.Plan,
 		Instance:    pol.Instance,
-
-		LockOSThread: pol.LockOSThread,
 	})
 	if err == nil {
 		return res, rep, nil

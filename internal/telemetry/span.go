@@ -17,8 +17,8 @@
 // production serving. A nil *Tracer (telemetry disabled) costs one nil
 // check per call site; an enabled-but-unsampled request costs a handful
 // of monotonic clock reads, a pooled event buffer, and one ring-buffer
-// decision at completion — BENCH_PR7.json pins the end-to-end cost on the
-// cached serving path.
+// decision at completion. The serve benchmark workload (perfbench) runs
+// with tracing on, so its req_p50_ms carries this cost.
 package telemetry
 
 import (

@@ -12,14 +12,10 @@ import (
 // pipeline's throughput is the hash stage's throughput; the stage is
 // replicable precisely because the reduction — the only loop-carried
 // dependence besides the induction pointer — is kept out of it. This is
-// the bench workload for the replication tier (BENCH_PR10.json).
+// the workload that exercises the replication fan-in merge path.
 func HashRed() *Program {
 	return hashRed(16000, 6)
 }
-
-// HashRedSized builds the same loop with explicit trip count and hash
-// rounds, for benchmarks that want to scale stage weight.
-func HashRedSized(n, rounds int64) *Program { return hashRed(n, rounds) }
 
 func hashRed(n, rounds int64) *Program {
 	b := ir.NewBuilder("hashred_loop")

@@ -74,14 +74,16 @@ done
 RID=$(curl -s -D - -o /dev/null -X POST -d '{"workload":"list-traversal","n":64}' \
   "http://localhost:$PORT/run" | tr -d '\r' | awk -F': ' 'tolower($1)=="x-request-id"{print $2}')
 [ -n "$RID" ] || fail "/run returned no X-Request-ID"
-curl -sf "http://localhost:$PORT/debug/requests/$RID" | grep -q '"id"' \
+# grep reads each body to the end: grep -q would exit at the first match
+# and, under pipefail, fail the check whenever curl then hits SIGPIPE.
+curl -sf "http://localhost:$PORT/debug/requests/$RID" | grep '"id"' >/dev/null \
   || fail "/debug/requests/$RID JSON fetch failed"
-curl -sf "http://localhost:$PORT/debug/requests/$RID?format=text" | grep -q "request $RID" \
+curl -sf "http://localhost:$PORT/debug/requests/$RID?format=text" | grep "request $RID" >/dev/null \
   || fail "/debug/requests/$RID text fetch failed"
-curl -sf "http://localhost:$PORT/debug/requests/$RID?format=chrome" | grep -q 'traceEvents' \
+curl -sf "http://localhost:$PORT/debug/requests/$RID?format=chrome" | grep 'traceEvents' >/dev/null \
   || fail "/debug/requests/$RID chrome fetch failed"
 
-curl -sf "http://localhost:$PORT/debug/vars" | grep -q '"window"' \
+curl -sf "http://localhost:$PORT/debug/vars" | grep '"window"' >/dev/null \
   || fail "/debug/vars missing window"
 
 # The debug listener carries the same surface plus pprof; the serving
