@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race validate bench ps-smoke serve server-smoke crash-smoke metrics-smoke svc-chaos clean
+.PHONY: check vet build test race validate bench ps-smoke serve server-smoke crash-smoke metrics-smoke chaos clean
 
 # The gate for every change: vet, build, and the full test suite under
 # the race detector (channels carry every cross-thread dependence, so
@@ -57,15 +57,16 @@ crash-smoke:
 metrics-smoke:
 	RACE=1 scripts/metrics_smoke.sh
 
-# Service-level chaos soak under the race detector: seeded failpoint
-# schedules (storage faults, pool/compile/retry/HTTP injections) against
-# live engines with concurrent mixed traffic. Contract: correct digest
-# or typed error, empty checkpoint store after drain, no leaked
-# goroutines. CHAOS_SEED=N make svc-chaos replays a schedule; the
-# default seed is the pinned CI schedule.
-CHAOS_SEED ?= 20260808
-svc-chaos:
-	$(GO) run -race ./cmd/dswpchaos -seed $(CHAOS_SEED) -scenarios 8 -requests 32 -v
+# The chaos soak under the race detector, both drivers at the pinned CI
+# seeds: the supervisor driver (faults, panics, stalls, cancellation and
+# crash recovery on plain, packed and replicated pipelines) and the
+# service driver (seeded failpoint schedules against live engines with
+# concurrent mixed traffic). Contract: correct digest or typed error,
+# no hang, empty checkpoint store after drain, no leaked goroutines.
+# `go run ./cmd/dswpchaos -driver D -seed N` replays a schedule.
+chaos:
+	$(GO) run -race ./cmd/dswpchaos -driver supervisor -seed 20250806 -timeout 30s
+	$(GO) run -race ./cmd/dswpchaos -driver service -seed 20260808 -runs 8 -v
 
 clean:
 	$(GO) clean ./...

@@ -42,10 +42,9 @@
 // cancellation (-deadline), in-place retry of transient injected faults
 // (-retries), iteration checkpointing, and sequential resume from the last
 // checkpoint on any unrecoverable failure (disable with -resume=false).
-// -chaos runs the seed-reproducible chaos soak instead of a timing run.
+// The chaos soak lives in cmd/dswpchaos.
 //
 //	dswpsim -runtime=supervised -faults=42 -deadline=10s 181.mcf
-//	dswpsim -chaos -seed 7 -runs 200
 //
 // Exit codes are distinct per failure class (see -h): 2 deadlock,
 // 3 timeout, 4 validation mismatch, 5 stage panic, 1 anything else.
@@ -59,7 +58,6 @@ import (
 	"os"
 	"time"
 
-	"dswp/internal/chaos"
 	"dswp/internal/core"
 	"dswp/internal/doacross"
 	"dswp/internal/interp"
@@ -84,7 +82,7 @@ func main() {
 	threads := flag.Int("threads", 2, "thread count (doacross supports >2)")
 	engine := flag.String("runtime", "interp", "functional engine: interp | goroutine")
 	queuecap := flag.Int("queuecap", 0, "functional queue capacity (interp: 0 = unbounded; goroutine: 0 = 32)")
-	queueKind := flag.String("queue", "", "communication substrate: channel | ring (default channel; -chaos default mixes both)")
+	queueKind := flag.String("queue", "", "communication substrate: channel | ring (default channel)")
 	pack := flag.Bool("pack", false, "coalesce same-point flows into multi-word queue packets (compiler-side flow packing)")
 	faults := flag.Uint64("faults", 0, "fault-injection seed for the goroutine runtime (0 = none)")
 	seed := flag.Uint64("seed", 1, "randomization seed for -validate (logged for reproduction)")
@@ -96,19 +94,12 @@ func main() {
 	retries := flag.Int("retries", 4, "retry budget for transient injected queue faults (supervised runtime)")
 	resume := flag.Bool("resume", true, "sequentially resume from the last checkpoint on unrecoverable failure (supervised runtime)")
 	ckptEvery := flag.Int64("ckpt", 0, "checkpoint period in outer-loop iterations (supervised runtime; 0 = default)")
-	doChaos := flag.Bool("chaos", false, "run the chaos soak harness instead of a timing run")
-	runs := flag.Int("runs", 0, "chaos scenario count (0 = 200)")
-	budget := flag.Duration("budget", 0, "chaos soak wall-clock budget (0 = none)")
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() > 0 {
 		*workload = flag.Arg(0)
 	}
 
-	if *doChaos {
-		runChaos(*seed, *runs, *budget, *threads, *queueKind)
-		return
-	}
 	if *doValidate {
 		runValidation(*workload, *seed)
 		return
@@ -216,29 +207,6 @@ Exit codes:
   4  differential validation mismatch (validate.MismatchError)
   5  stage panic (runtime.StageFailure)
 `)
-}
-
-func runChaos(seed uint64, runs int, budget time.Duration, threads int, kindFlag string) {
-	fmt.Printf("chaos seed %d (reproduce with -chaos -seed %d)\n", seed, seed)
-	opts := chaos.Options{
-		Seed: seed, Runs: runs, Budget: budget, Threads: threads,
-		Logf: func(f string, a ...any) { fmt.Printf(f+"\n", a...) },
-	}
-	// An unset -queue mixes both substrates across the soak; an explicit
-	// one forces every run onto it (e.g. -queue=ring for the ring soak).
-	if kindFlag == "" || kindFlag == "mix" {
-		opts.Mix = true
-	} else {
-		kind, err := queue.ParseKind(kindFlag)
-		if err != nil {
-			fail(err)
-		}
-		opts.Queue = kind
-	}
-	rep := chaos.Soak(opts)
-	if !rep.OK() {
-		fail(fmt.Errorf("chaos contract violated (seed %d): %s", seed, rep))
-	}
 }
 
 func runValidation(workload string, seed uint64) {

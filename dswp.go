@@ -49,7 +49,6 @@ import (
 	rt "dswp/internal/runtime"
 	"dswp/internal/sim"
 	"dswp/internal/supervisor"
-	"dswp/internal/svcchaos"
 	"dswp/internal/validate"
 	"dswp/internal/workloads"
 )
@@ -131,7 +130,7 @@ type (
 	SupervisorReport = supervisor.Report
 
 	// ChaosOptions and ChaosReport configure and report the chaos soak
-	// harness.
+	// (RunChaos).
 	ChaosOptions = chaos.Options
 	ChaosReport  = chaos.Report
 
@@ -183,17 +182,13 @@ type (
 	WorkloadInfo        = engine.WorkloadInfo
 	EngineBreakerInfo   = engine.BreakerInfo
 
-	// Robustness (internal/failpoint, internal/svcchaos, engine
-	// governance): FailpointSite is a named deterministic fault-injection
-	// site (zero-cost while the registry is disarmed);
-	// RequestTooLargeError is the per-request memory-cap rejection;
-	// ChaosConfig/ChaosResult parameterize and report a service-level
-	// chaos run (cmd/dswpchaos, make svc-chaos).
+	// Robustness (internal/failpoint, engine governance): FailpointSite
+	// is a named deterministic fault-injection site (zero-cost while the
+	// registry is disarmed); RequestTooLargeError is the per-request
+	// memory-cap rejection.
 	FailpointSite        = failpoint.Site
 	FailpointPolicy      = failpoint.Policy
 	RequestTooLargeError = engine.RequestTooLargeError
-	ChaosConfig          = svcchaos.Config
-	ChaosResult          = svcchaos.Result
 )
 
 // Sentinel errors from the transformation (Figure 3 steps 3 and 6).
@@ -425,20 +420,16 @@ func RunSupervised(ctx context.Context, tr *Transformed, p *Program, pol Policy)
 	}, pol)
 }
 
-// RunChaos executes the seed-reproducible chaos soak: randomized fault,
-// panic, starvation, and cancellation scenarios across all built-in
-// workloads under the supervisor, asserting bit-identical state or a
-// typed error on every run. The report's OK method says whether the
-// contract held.
-func RunChaos(opts ChaosOptions) *ChaosReport { return chaos.Soak(opts) }
-
-// RunServiceChaos executes the service-level chaos harness: concurrent
-// mixed traffic against live engines while seeded failpoint schedules
-// inject storage, pool, compile, retry, and HTTP faults. Every request
-// must end in a digest bit-identical to the sequential reference or a
-// typed error; the checkpoint store must drain to empty; no goroutine
-// may leak. ChaosResult.Failed reports whether the contract held.
-func RunServiceChaos(cfg ChaosConfig) (*ChaosResult, error) { return svcchaos.Run(cfg) }
+// RunChaos executes the seed-reproducible chaos soak (cmd/dswpchaos)
+// with the named driver: "supervisor" soaks supervised pipeline runs
+// under queue faults, panics, stalls, cancellation and crash recovery;
+// "service" soaks live engines under failpoint schedules. Every check
+// must end in the bit-identical sequential state or a typed error; ctx
+// bounds the soak, and the report's OK method says whether the contract
+// held.
+func RunChaos(ctx context.Context, driver string, opts ChaosOptions) *ChaosReport {
+	return chaos.Soak(ctx, driver, opts)
+}
 
 // EnableFailpoint arms a named fault-injection site with a textual spec —
 // "error(ENOSPC):prob(0.3,42)", "panic(boom):nth(5)", "sleep(2ms)" —

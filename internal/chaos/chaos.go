@@ -1,514 +1,286 @@
-// Package chaos is the seed-reproducible soak harness for the supervised
-// pipeline: it composes every disruption the fault injector knows —
-// transient and permanent queue faults, stage panics, forced stalls under
-// starvation timeouts, artificially tiny queue capacities, mid-run
-// cancellation — across all built-in workloads, and asserts the
-// supervisor's contract on every single run: the caller gets either the
-// bit-identical sequential state or a typed error; never a hang, never a
-// wrong answer.
+// Package chaos is the seed-reproducible chaos soak. It holds the
+// project's core promise — a pipelined run ends in exactly the state the
+// sequential loop computes — against injected faults, with two drivers
+// over one core:
 //
-// Every scenario derives from Options.Seed through per-run sub-seeds, so a
-// soak truncated by budget still replays run-for-run from its report line,
-// and any individual failure reproduces from (seed, run index) alone.
+//   - supervisor: one supervised pipeline run per scenario under transient
+//     and permanent queue faults, stage panics, forced stalls under a tiny
+//     attempt timeout, tiny queue capacities, mid-run cancellation and a
+//     durable-store crash rehearsal, across every built-in workload at
+//     partition widths 2 and 3, with and without flow packing, and on the
+//     PS-DSWP replicated pipelines of every replicable target;
+//   - service: one engine lifetime per scenario serving concurrent mixed
+//     traffic, in process and over HTTP, while seeded failpoint schedules
+//     inject storage, pool, compile, retry and HTTP faults.
+//
+// The drivers share the core. Scenario i of a soak is a pure function of
+// (driver, seed, i), drawn from one workloads.RNG stream, so any failure
+// replays from its seed and run index. Every result is compared with the
+// workloads.StateDigest of interp.Run on the untransformed program. Every
+// contract check must end in that digest or in an error engine.ErrorClass
+// can name ("internal" means untyped), never in a hang or a leaked
+// goroutine.
 package chaos
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
+	"sync"
 	"time"
 
-	"dswp/internal/ckptstore"
-	"dswp/internal/core"
+	"dswp/internal/engine"
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
-	"dswp/internal/profile"
-	"dswp/internal/queue"
-	rt "dswp/internal/runtime"
-	"dswp/internal/supervisor"
-	"dswp/internal/validate"
 	"dswp/internal/workloads"
+)
+
+// Driver names.
+const (
+	Supervisor = "supervisor"
+	Service    = "service"
 )
 
 // Options configures a soak.
 type Options struct {
-	// Ctx, when set, bounds the whole soak externally: each scenario's
-	// context derives from it, and when it expires the soak stops early
-	// with Report.Aborted set. The serving engine uses this to keep
-	// background soaks inside server deadlines. nil = context.Background().
-	Ctx context.Context
-	// Seed drives every randomized choice; 0 = 1.
+	// Seed drives every randomized choice (0 = 1).
 	Seed uint64
-	// Runs is the number of chaos scenarios to execute (0 = 200).
+	// Runs is the number of scenarios (0 = the driver's default: 200
+	// supervisor runs, 8 service engine lifetimes).
 	Runs int
-	// Budget bounds total soak wall-clock time; when it expires the soak
-	// stops early and reports how many runs completed (0 = no budget).
-	Budget time.Duration
-	// Threads is the partition width (0 = 2).
-	Threads int
-	// Queue forces one communication substrate for every run
-	// (queue.KindChannel or queue.KindRing). Ignored when Mix is set.
-	Queue queue.Kind
-	// Mix randomizes the substrate per run instead, covering both kinds
-	// in one soak (the harness default from the CLI).
-	Mix bool
 	// Logf, when set, receives progress and failure lines.
 	Logf func(format string, args ...any)
 }
 
-func (o Options) withDefaults() Options {
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.Runs == 0 {
-		o.Runs = 200
-	}
-	if o.Threads == 0 {
-		o.Threads = 2
-	}
-	return o
-}
-
-func (o Options) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
-}
-
-// Report is the soak outcome. The contract holds iff OK().
+// Report is a soak's outcome. The contract held iff OK().
 type Report struct {
+	// Driver names the driver that ran.
+	Driver string
 	// Seed echoes the soak seed for reproduction.
 	Seed uint64
-	// Runs counts executed scenarios (may be below Options.Runs when the
-	// budget truncated the soak).
-	Runs int
-	// Clean counts runs where the concurrent attempt needed no recovery.
-	Clean int
-	// Recovered counts runs that hit an injected failure and still
-	// produced the correct state (in-place retry or sequential resume).
-	Recovered int
-	// Canceled counts mid-run-cancellation scenarios that ended with a
-	// context error — the one legitimate way to not produce a result.
-	Canceled int
-	// ByClass histograms the attempt failures the supervisor survived,
-	// keyed by error class name.
-	ByClass map[string]int
-	// ByMode histograms executed scenarios by mode name, so a soak can
-	// prove every mode (including the durable crash-recovery rehearsal)
-	// was actually reached.
-	ByMode map[string]int
-	// WrongState counts runs whose final state diverged from the
-	// sequential baseline. Must be zero.
-	WrongState int
-	// Untyped counts runs that failed with an error outside the typed
-	// taxonomy. Must be zero.
-	Untyped int
-	// Hangs counts runs that blew the per-run hang deadline. Must be zero.
-	Hangs int
-	// NotRecovered lists non-cancellation scenarios that ended in error
-	// (the supervisor should have recovered), with repro info.
-	NotRecovered []string
-	// Aborted is true when Options.Ctx expired before the soak finished;
-	// Runs counts only the scenarios that completed before the cut.
+	// Scenarios counts executed scenarios.
+	Scenarios int
+	// Aborted is true when ctx expired before Options.Runs scenarios ran.
 	Aborted bool
+	// Checks counts contract checks: one per supervisor run, one per
+	// service request.
+	Checks int
+	// Correct counts checks whose final state matched the reference.
+	Correct int
+	// Recovered counts the Correct supervisor runs that survived an
+	// injected failure (in-place retry, sequential resume, or durable
+	// crash recovery).
+	Recovered int
+	// Typed counts checks that ended in a typed error: a canceled run, or
+	// a request that was shed, timed out or failed by an injection.
+	Typed int
+	// ByClass histograms typed errors by engine.ErrorClass: those checks
+	// ended with, and the attempt failures supervisor runs recovered from.
+	ByClass map[string]int
+	// ByMode histograms supervisor scenarios by fault mode and ByQueue
+	// all scenarios by queue substrate, so a soak shows what it reached.
+	ByMode  map[string]int
+	ByQueue map[string]int
+	// Replicated counts supervisor scenarios on a PS-DSWP replicated
+	// pipeline; ReplicatedRecovered counts those that were Recovered.
+	Replicated          int
+	ReplicatedRecovered int
+	// Triggered sums failpoint hits across service scenarios.
+	Triggered map[string]int64
+	// Violations lists every contract breach, each with its scenario tag.
+	Violations []string
+
+	mu   sync.Mutex // guards the counters while service clients run
+	logf func(format string, args ...any)
 }
 
-// OK reports whether the soak upheld the supervisor's contract.
-func (r *Report) OK() bool {
-	return r.WrongState == 0 && r.Untyped == 0 && r.Hangs == 0 && len(r.NotRecovered) == 0
-}
+// OK reports whether the soak upheld the contract.
+func (r *Report) OK() bool { return len(r.Violations) == 0 }
 
 func (r *Report) String() string {
-	s := fmt.Sprintf("chaos: %d runs (seed %d): %d clean, %d recovered, %d canceled",
-		r.Runs, r.Seed, r.Clean, r.Recovered, r.Canceled)
+	var b strings.Builder
+	fmt.Fprintf(&b, "chaos %s: %d scenarios, %d checks (seed %d): %d correct (%d recovered), %d typed errors",
+		r.Driver, r.Scenarios, r.Checks, r.Seed, r.Correct, r.Recovered, r.Typed)
 	if r.Aborted {
-		s += ", aborted by deadline"
+		b.WriteString(", aborted by deadline")
 	}
-	if !r.OK() {
-		s += fmt.Sprintf(" — CONTRACT VIOLATED: %d wrong-state, %d untyped, %d hangs, %d not-recovered",
-			r.WrongState, r.Untyped, r.Hangs, len(r.NotRecovered))
+	if r.Replicated > 0 {
+		fmt.Fprintf(&b, ", %d replicated (%d recovered)", r.Replicated, r.ReplicatedRecovered)
 	}
-	return s
+	for _, h := range []struct {
+		name string
+		m    map[string]int
+	}{{"mode", r.ByMode}, {"queue", r.ByQueue}, {"class", r.ByClass}} {
+		for _, k := range sortedKeys(h.m) {
+			fmt.Fprintf(&b, "\n  %-9s %-26s %d", h.name, k, h.m[k])
+		}
+	}
+	for _, k := range sortedKeys(r.Triggered) {
+		fmt.Fprintf(&b, "\n  failpoint %-26s %d", k, r.Triggered[k])
+	}
+	for _, v := range r.Violations {
+		fmt.Fprintf(&b, "\n  VIOLATION: %s", v)
+	}
+	return b.String()
 }
 
-// chaosRNG is the repo-wide xorshift64* generator.
-type chaosRNG struct{ s uint64 }
-
-func (r *chaosRNG) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
-func (r *chaosRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// target is a workload prepared for soaking: transformed threads plus the
-// sequential baseline to diff against. Each transformable workload yields
-// two targets, with and without compiler-side flow packing, so the soak
-// exercises packed multi-word queues under every failure mode.
-type target struct {
-	prog   *workloads.Program
-	tr     *core.Transformed
-	base   *interp.Result
-	packed bool
+// violate records a contract breach; callers hold r.mu or run alone.
+func (r *Report) violate(tag, format string, args ...any) {
+	v := fmt.Sprintf("seed=%d %s: %s", r.Seed, tag, fmt.Sprintf(format, args...))
+	r.Violations = append(r.Violations, v)
+	r.logf("chaos FAIL: %s", v)
 }
 
-// scenario modes. Cancellation composes orthogonally on top of any mode.
-const (
-	modeCleanFaults = iota // RandomFaults timing perturbation only
-	modeTransient          // transient queue fault within the retry budget
-	modePermanent          // permanent queue fault -> sequential resume
-	modePanic              // injected stage panic -> sequential resume
-	modeStarve             // forced stalls under a tiny attempt timeout
-	modeDurable            // crash: durable store is all that survives
-	numModes
-)
+// driver derives scenarios. scenario(seed, i) must be a pure function of
+// its arguments, so a soak replays scenario for scenario.
+type driver interface {
+	scenario(seed uint64, i int) scenario
+}
 
-var modeNames = [numModes]string{"clean", "transient", "permanent", "panic", "starve", "durable"}
+// scenario is one derived chaos scenario. String is its reproduction tag.
+type scenario interface {
+	String() string
+	run(ctx context.Context, rep *Report)
+}
 
-// hangDeadline is the per-run ceiling the harness enforces from outside
-// the supervisor; crossing it is recorded as a hang — the one failure the
-// typed-error contract can never report about itself.
-const hangDeadline = 20 * time.Second
-
-// Soak executes opts.Runs chaos scenarios and reports. It returns (never
-// panics) even when the contract is violated; callers gate on Report.OK().
-func Soak(opts Options) *Report {
-	opts = opts.withDefaults()
-	rep := &Report{Seed: opts.Seed, ByClass: map[string]int{}, ByMode: map[string]int{}}
-	start := time.Now()
-	if opts.Ctx == nil {
-		opts.Ctx = context.Background()
+func newDriver(name string) (driver, error) {
+	switch name {
+	case Supervisor:
+		return newSupervisorDriver()
+	case Service:
+		return newServiceDriver()
 	}
+	return nil, fmt.Errorf("chaos: unknown driver %q (want %s or %s)", name, Supervisor, Service)
+}
 
-	var targets []*target
-	for _, p := range validate.AllPrograms() {
-		base, err := interp.Run(p.F, interp.Options{Mem: p.Mem, Regs: p.Regs})
-		if err != nil {
-			continue
-		}
-		prof, err := profile.Collect(p.F, p.Options())
-		if err != nil {
-			continue
-		}
-		tr, err := core.Apply(p.F, p.LoopHeader, prof, core.Config{
-			NumThreads: opts.Threads, SkipProfitability: true,
-		})
-		if err != nil {
-			continue // single-SCC workloads have nothing to pipeline
-		}
-		targets = append(targets, &target{prog: p, tr: tr, base: base})
-		if trP, err := core.Apply(p.F, p.LoopHeader, prof, core.Config{
-			NumThreads: opts.Threads, SkipProfitability: true, PackFlows: true,
-		}); err == nil {
-			targets = append(targets, &target{prog: p, tr: trP, base: base, packed: true})
+// Soak runs opts.Runs scenarios of the named driver and reports. ctx
+// bounds the whole soak: when it expires the soak stops early with
+// Report.Aborted set, and scenarios it cuts short score as canceled. Soak
+// never panics on a contract violation; callers gate on Report.OK().
+func Soak(ctx context.Context, driverName string, opts Options) *Report {
+	if opts.Seed == 0 {
+		opts.Seed = 1
+	}
+	if opts.Runs == 0 {
+		opts.Runs = 200
+		if driverName == Service {
+			opts.Runs = 8
 		}
 	}
-	if len(targets) == 0 {
-		rep.NotRecovered = append(rep.NotRecovered, "no transformable workloads")
+	rep := &Report{Driver: driverName, Seed: opts.Seed, ByClass: map[string]int{},
+		ByMode: map[string]int{}, ByQueue: map[string]int{}, Triggered: map[string]int64{},
+		logf: func(string, ...any) {}}
+	if opts.Logf != nil {
+		rep.logf = opts.Logf
+	}
+	d, err := newDriver(driverName)
+	if err != nil {
+		rep.violate("setup", "%v", err)
 		return rep
 	}
-	opts.logf("chaos: %d targets, %d runs, seed %d", len(targets), opts.Runs, opts.Seed)
-
-	seeder := &chaosRNG{s: opts.Seed | 1}
 	for i := 0; i < opts.Runs; i++ {
-		if opts.Ctx.Err() != nil {
+		if ctx.Err() != nil {
 			rep.Aborted = true
-			opts.logf("chaos: context expired after %d/%d runs", i, opts.Runs)
+			rep.logf("chaos: context expired after %d/%d scenarios", i, opts.Runs)
 			break
 		}
-		if opts.Budget > 0 && time.Since(start) > opts.Budget {
-			opts.logf("chaos: budget exhausted after %d/%d runs", i, opts.Runs)
-			break
-		}
-		// Each run gets its own sub-seed so a budget-truncated soak still
-		// replays the runs it did execute, run-for-run.
-		soakOne(rep, targets, i, seeder.next(), opts)
-		rep.Runs++
+		sc := d.scenario(opts.Seed, i)
+		sc.run(ctx, rep)
+		rep.Scenarios++
+		rep.logf("chaos: %s", sc)
 	}
-	opts.logf("%s", rep)
 	return rep
 }
 
-// soakOne executes chaos scenario (seed, run index i) and scores it.
-func soakOne(rep *Report, targets []*target, i int, subSeed uint64, opts Options) {
-	rng := &chaosRNG{s: subSeed | 1}
-	tg := targets[rng.intn(len(targets))]
-	mode := rng.intn(numModes)
-	rep.ByMode[modeNames[mode]]++
-	midCancel := rng.intn(4) == 0 // 25% of runs get a mid-flight cancel
-	caps := []int{1, 2, 8, 32}
-	cap := caps[rng.intn(len(caps))]
-	every := []int64{4, 16, 64}[rng.intn(3)]
+// scenarioRNG is the stream scenario i of a soak draws from. Both
+// arguments are spread by odd multipliers, so neighbouring seeds and
+// neighbouring runs start far apart.
+func scenarioRNG(seed uint64, i int) *workloads.RNG {
+	return workloads.NewRNG(seed*0x9E3779B97F4A7C15 + uint64(i+1)*0xBF58476D1CE4E5B9)
+}
 
-	kind := opts.Queue
-	if opts.Mix {
-		kind = queue.Kind(rng.intn(2))
-	}
+// digestOf renders a final state the way the engine reports it.
+func digestOf(res *interp.Result) string {
+	return fmt.Sprintf("%016x", workloads.StateDigest(res))
+}
 
-	plan := rt.RandomFaults(rng.next(), len(tg.tr.Threads), tg.tr.NumQueues)
-	pol := supervisor.Policy{
-		QueueCap:        cap,
-		Queue:           kind,
-		CheckpointEvery: every,
-		AttemptTimeout:  10 * time.Second,
-		Retry: rt.RetryPolicy{MaxAttempts: 4,
-			Backoff: 5 * time.Microsecond, MaxBackoff: 100 * time.Microsecond},
-		Faults: plan,
-	}
-	nq, nt := tg.tr.NumQueues, len(tg.tr.Threads)
-	var store *ckptstore.MemStore
-	switch mode {
-	case modeTransient:
-		plan.QueueFault = map[int]rt.QueueFaultSpec{rng.intn(nq): {
-			Class: rt.FaultTransient, Every: int64(16 + rng.intn(256)), Fails: 1 + rng.intn(3)}}
-	case modePermanent:
-		plan.QueueFault = map[int]rt.QueueFaultSpec{rng.intn(nq): {
-			Class: rt.FaultPermanent, Every: int64(32 + rng.intn(512))}}
-	case modeStarve:
-		// Stall one thread hard enough that the watchdog's wall-clock
-		// bound fires, forcing the timeout -> resume path.
-		plan.ThreadStall = map[int]rt.ThreadStall{rng.intn(nt): {
-			Every: int64(64 + rng.intn(192)), Delay: 2 * time.Millisecond}}
-		pol.AttemptTimeout = 50 * time.Millisecond
-		pol.Poll = time.Millisecond
-	case modePanic:
-		plan.ThreadPanic = map[int]int64{rng.intn(nt): int64(50 + rng.intn(2000))}
-	case modeDurable:
-		// Process-crash rehearsal: a permanent failure kills the attempt
-		// with sequential resume disabled, so the durable store is the
-		// only survivor. Recovery then re-executes the original loop from
-		// the last committed entry — exactly what dswpd does on restart.
-		if rng.intn(2) == 0 {
-			plan.ThreadPanic = map[int]int64{rng.intn(nt): int64(50 + rng.intn(2000))}
-		} else {
-			plan.QueueFault = map[int]rt.QueueFaultSpec{rng.intn(nq): {
-				Class: rt.FaultPermanent, Every: int64(32 + rng.intn(512))}}
-		}
-		store = ckptstore.NewMem()
-		pol.DisableResume = true
-		pol.Store = store
-		pol.StoreKey = fmt.Sprintf("durable.%d", i)
-		pol.StoreMeta = []byte(tg.prog.Name)
-	}
+// hangAfter bounds one contract check from outside: a run or request still
+// going after it is a hang, the one failure the typed-error taxonomy
+// cannot report about itself.
+const hangAfter = 20 * time.Second
 
-	pack := ""
-	if tg.packed {
-		pack = " packed"
-	}
-	tag := fmt.Sprintf("run=%d seed=%d %s%s/%s queue=%s cap=%d every=%d cancel=%v",
-		i, opts.Seed, tg.prog.Name, pack, modeNames[mode], kind, cap, every, midCancel)
+var errHang = errors.New("chaos: hang deadline")
 
-	// The scenario context derives from the soak's external one, so an
-	// engine-imposed deadline cuts running scenarios short too; the scoring
-	// below treats that like an injected cancel, not a contract violation.
-	ctx, cancel := context.WithCancel(opts.Ctx)
+// watched runs f under a context that expires after hangAfter and reports
+// whether that deadline fired before f returned.
+func watched[T any](ctx context.Context, f func(context.Context) T) (T, bool) {
+	wctx, cancel := context.WithTimeoutCause(ctx, hangAfter, errHang)
 	defer cancel()
-	if midCancel {
-		delay := time.Duration(rng.intn(2000)) * time.Microsecond
-		timer := time.AfterFunc(delay, cancel)
-		defer timer.Stop()
-	}
-
-	pipe := supervisor.Pipeline{
-		Threads: tg.tr.Threads, Original: tg.prog.F, LoopHeader: tg.prog.LoopHeader,
-		RegOwner: tg.tr.RegOwner, Mem: tg.prog.Mem, Regs: tg.prog.Regs,
-	}
-
-	// The hang watchdog runs the supervisor on a goroutine and gives up
-	// after hangDeadline: a run that neither returns nor cancels is the
-	// contract violation the typed-error taxonomy cannot self-report.
-	type outcome struct {
-		res  *interp.Result
-		srep *supervisor.Report
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		res, srep, err := supervisor.Run(ctx, pipe, pol)
-		ch <- outcome{res, srep, err}
-	}()
-	var out outcome
+	done := make(chan T, 1)
+	go func() { done <- f(wctx) }()
 	select {
-	case out = <-ch:
-	case <-time.After(hangDeadline):
-		rep.Hangs++
-		opts.logf("chaos FAIL (hang): %s", tag)
-		cancel() // unblock the stuck goroutine if it is still listening
-		return
-	}
-
-	if out.srep != nil && out.srep.Failure != nil {
-		rep.ByClass[classOf(out.srep.Failure)]++
-	}
-	if mode == modeDurable {
-		scoreDurable(rep, tg, store, pol.StoreKey, out.err,
-			midCancel || opts.Ctx.Err() != nil, rng, tag, opts)
-		return
-	}
-	if out.err != nil {
-		if isCancel(out.err) {
-			if midCancel || opts.Ctx.Err() != nil {
-				rep.Canceled++
-				return
-			}
-			// A cancellation error without an injected cancel means the
-			// supervisor gave up on something it should have survived.
-		}
-		if !typed(out.err) {
-			rep.Untyped++
-			opts.logf("chaos FAIL (untyped error): %s: %v", tag, out.err)
-			return
-		}
-		if midCancel || opts.Ctx.Err() != nil {
-			// Raced the cancel but died on the injected failure first;
-			// either terminal state is acceptable under cancellation.
-			rep.Canceled++
-			return
-		}
-		rep.NotRecovered = append(rep.NotRecovered, fmt.Sprintf("%s: %v", tag, out.err))
-		opts.logf("chaos FAIL (not recovered): %s: %v", tag, out.err)
-		return
-	}
-
-	if cerr := validate.Compare(tag, tg.base, out.res); cerr != nil {
-		rep.WrongState++
-		opts.logf("chaos FAIL (wrong state): %v", cerr)
-		return
-	}
-	if out.srep.Failure != nil {
-		rep.Recovered++
-	} else {
-		rep.Clean++
+	case out := <-done:
+		return out, context.Cause(wctx) == errHang
+	case <-time.After(hangAfter + hangAfter/2):
+		var zero T
+		return zero, true // f ignored its context as well
 	}
 }
 
-// scoreDurable scores a modeDurable run: the supervised attempt ran with
-// sequential resume disabled and a MemStore standing in for the on-disk
-// checkpoint directory. This helper then plays the restarted process —
-// read the durable entry back, rebuild the checkpoint against the pristine
-// memory image, re-execute the original loop sequentially from that cut
-// (or from scratch when nothing committed / the entry is corrupt), and
-// demand the bit-identical final state.
-func scoreDurable(rep *Report, tg *target, store *ckptstore.MemStore, key string,
-	runErr error, canceled bool, rng *chaosRNG, tag string, opts Options) {
-	if runErr == nil {
-		// The injected failure never fired (the loop retired too few
-		// instructions); the pipelined run finished normally and deleted
-		// nothing — there is no crash to recover from.
-		rep.Clean++
-		return
-	}
-	if isCancel(runErr) && canceled {
-		rep.Canceled++
-		return
-	}
-	if !typed(runErr) {
-		rep.Untyped++
-		opts.logf("chaos FAIL (untyped error): %s: %v", tag, runErr)
-		return
-	}
+// outcome is what one contract check observed.
+type outcome struct {
+	digest    string // final-state digest; empty when the check ended in an error
+	class     string // engine.ErrorClass of that error
+	err       string
+	injected  bool // the error traces back to an armed failpoint
+	recovered bool // the run survived an injected failure on the way
+	hung      bool
+}
 
-	// A quarter of recoveries face a torn entry: the store must surface
-	// ErrCorrupt (never a wrong checkpoint) and recovery must fall back
-	// to a from-scratch re-execution.
-	torn := rng.intn(4) == 0
-	if torn {
-		store.Corrupt(key)
-	}
+func failure(err error) outcome {
+	return outcome{class: engine.ErrorClass(err), err: err.Error(),
+		injected: errors.Is(err, failpoint.ErrInjected)}
+}
 
-	iopts := interp.Options{Ctx: opts.Ctx}
-	e, gerr := store.Get(key)
+// check applies the contract to one outcome: the reference digest want,
+// or a typed error where errOK allows one. An "internal" error is a
+// violation unless an armed failpoint caused it. check reports whether
+// the result was correct.
+func (r *Report) check(tag, want string, o outcome, errOK bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.Checks++
 	switch {
-	case gerr == nil:
-		cp, cerr := e.Checkpoint(tg.prog.Mem)
-		if cerr != nil {
-			rep.NotRecovered = append(rep.NotRecovered,
-				fmt.Sprintf("%s: rebuilding durable checkpoint: %v", tag, cerr))
-			opts.logf("chaos FAIL (not recovered): %s: %v", tag, cerr)
-			return
+	case o.hung:
+		r.violate(tag, "hung past %v", hangAfter)
+	case o.class == "":
+		if o.digest != want {
+			r.violate(tag, "wrong state: digest %s, sequential %s", o.digest, want)
+			return false
 		}
-		iopts.StartBlock = tg.prog.LoopHeader
-		iopts.RegFile = cp.Regs
-		iopts.Mem = cp.Mem
-	case errors.Is(gerr, ckptstore.ErrNotFound),
-		errors.Is(gerr, ckptstore.ErrCorrupt) && torn:
-		// Died before the first commit, or the entry we tore was
-		// detected: recover from scratch.
-		iopts.Mem = tg.prog.Mem
-		iopts.Regs = tg.prog.Regs
+		r.Correct++
+		if o.recovered {
+			r.Recovered++
+		}
+		return true
+	case o.class == "internal" && !o.injected:
+		r.violate(tag, "untyped error: %s", o.err)
+	case !errOK:
+		r.violate(tag, "not recovered (%s): %s", o.class, o.err)
 	default:
-		rep.NotRecovered = append(rep.NotRecovered,
-			fmt.Sprintf("%s: durable store get (torn=%v): %v", tag, torn, gerr))
-		opts.logf("chaos FAIL (not recovered): %s: %v", tag, gerr)
-		return
+		r.Typed++
+		r.ByClass[o.class]++
 	}
-
-	res, rerr := interp.Run(tg.prog.F, iopts)
-	if rerr != nil {
-		if isCancel(rerr) && canceled {
-			rep.Canceled++
-			return
-		}
-		rep.NotRecovered = append(rep.NotRecovered,
-			fmt.Sprintf("%s: durable recovery run: %v", tag, rerr))
-		opts.logf("chaos FAIL (not recovered): %s: %v", tag, rerr)
-		return
-	}
-	if cerr := validate.Compare(tag, tg.base, res); cerr != nil {
-		rep.WrongState++
-		opts.logf("chaos FAIL (wrong state after durable recovery): %v", cerr)
-		return
-	}
-	rep.Recovered++
-}
-
-// isCancel reports whether err is (or wraps) a context cancellation or
-// deadline error.
-func isCancel(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// typed reports whether err belongs to the supervised taxonomy — the
-// chaos contract requires every failure to be classifiable.
-func typed(err error) bool {
-	var (
-		de *rt.DeadlockError
-		te *rt.TimeoutError
-		se *rt.StepLimitError
-		sf *rt.StageFailure
-		qf *rt.QueueFaultError
-		ce *rt.CanceledError
-		me *validate.MismatchError
-	)
-	return errors.As(err, &de) || errors.As(err, &te) || errors.As(err, &se) ||
-		errors.As(err, &sf) || errors.As(err, &qf) || errors.As(err, &ce) ||
-		errors.As(err, &me) || isCancel(err)
-}
-
-// classOf names an error's class for the ByClass histogram.
-func classOf(err error) string {
-	var (
-		de *rt.DeadlockError
-		te *rt.TimeoutError
-		se *rt.StepLimitError
-		sf *rt.StageFailure
-		qf *rt.QueueFaultError
-		ce *rt.CanceledError
-	)
-	switch {
-	case errors.As(err, &sf):
-		return "stage-panic"
-	case errors.As(err, &qf):
-		return "queue-fault-" + qf.Class.String()
-	case errors.As(err, &de):
-		return "deadlock"
-	case errors.As(err, &te):
-		return "timeout"
-	case errors.As(err, &se):
-		return "step-limit"
-	case errors.As(err, &ce), isCancel(err):
-		return "canceled"
-	}
-	return "untyped"
+	return false
 }

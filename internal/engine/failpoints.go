@@ -8,7 +8,8 @@ import (
 
 // The engine's failpoint sites, one per service-layer decision point a
 // chaos schedule may want to perturb. All disarmed in production (one
-// atomic load each, see internal/failpoint); svcchaos arms them by name.
+// atomic load each, see internal/failpoint); the chaos soak's service
+// driver (internal/chaos) arms them by name.
 var (
 	// engine/admission/enqueue fails a request at admission, after the
 	// draining check and workload resolution but before it is queued.

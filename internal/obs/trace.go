@@ -108,17 +108,43 @@ func (t *Trace) Events() []Event {
 	return out
 }
 
-// chromeEvent is one entry of the Chrome trace-event format's JSON Array
-// (the subset Perfetto ingests: B/E duration events, i instants, C
-// counters, M metadata).
-type chromeEvent struct {
+// ChromeEvent is one entry of the Chrome trace-event format's JSON Array
+// (the subset Perfetto ingests: B/E duration events, X complete events
+// with a Dur, i instants, C counters, M metadata). Ts and Dur are in
+// microseconds.
+type ChromeEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
 	Ts    float64        `json:"ts"`
+	Dur   float64        `json:"dur,omitempty"`
 	Pid   int            `json:"pid"`
 	Tid   int            `json:"tid"`
 	Scope string         `json:"s,omitempty"`
 	Args  map[string]any `json:"args,omitempty"`
+}
+
+// WriteChromeEvents encodes events as one Chrome trace-event JSON
+// document ({"traceEvents": [...]}). It is the only Chrome-trace encoder:
+// pipeline traces (Trace.WriteChrome) and request traces
+// (telemetry.RequestTrace.WriteChrome) both build ChromeEvents and write
+// them here.
+func WriteChromeEvents(w io.Writer, events []ChromeEvent) error {
+	if _, err := io.WriteString(w, "{\"traceEvents\": [\n"); err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	for i, ce := range events {
+		if i > 0 {
+			if _, err := io.WriteString(w, ","); err != nil {
+				return err
+			}
+		}
+		if err := enc.Encode(ce); err != nil { // Encode appends the newline separator
+			return err
+		}
+	}
+	_, err := io.WriteString(w, "]}\n")
+	return err
 }
 
 // Process ids in the exported trace: threads render under one process,
@@ -138,126 +164,99 @@ const (
 // consumes, branches, and iterations render as instants.
 func (t *Trace) WriteChrome(w io.Writer, threadNames []string) error {
 	events := t.Events()
-	enc := json.NewEncoder(w)
 	name := func(ti int) string {
 		if ti < len(threadNames) && threadNames[ti] != "" {
 			return threadNames[ti]
 		}
 		return fmt.Sprintf("thread%d", ti)
 	}
-	if _, err := io.WriteString(w, "{\"traceEvents\": [\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(ce chromeEvent) error {
-		if !first {
-			if _, err := io.WriteString(w, ","); err != nil {
-				return err
-			}
-		}
-		first = false
-		return enc.Encode(ce) // Encode appends the newline separator
-	}
+	var out []ChromeEvent
+	emit := func(ce ChromeEvent) { out = append(out, ce) }
 
 	// Metadata: name the two processes and every thread track.
-	if err := emit(chromeEvent{Name: "process_name", Phase: "M", Pid: chromePidThreads,
-		Args: map[string]any{"name": "pipeline stages"}}); err != nil {
-		return err
-	}
-	if err := emit(chromeEvent{Name: "process_name", Phase: "M", Pid: chromePidQueues,
-		Args: map[string]any{"name": "synchronization array"}}); err != nil {
-		return err
-	}
+	emit(ChromeEvent{Name: "process_name", Phase: "M", Pid: chromePidThreads,
+		Args: map[string]any{"name": "pipeline stages"}})
+	emit(ChromeEvent{Name: "process_name", Phase: "M", Pid: chromePidQueues,
+		Args: map[string]any{"name": "synchronization array"}})
 	seenThreads := map[int]bool{}
-	seenQueues := map[int]bool{}
 	for _, e := range events {
 		ti := int(e.Thread)
 		if !seenThreads[ti] {
 			seenThreads[ti] = true
-			if err := emit(chromeEvent{Name: "thread_name", Phase: "M",
+			emit(ChromeEvent{Name: "thread_name", Phase: "M",
 				Pid: chromePidThreads, Tid: ti,
-				Args: map[string]any{"name": fmt.Sprintf("stage %d: %s", ti, name(ti))}}); err != nil {
-				return err
-			}
-		}
-		if e.Queue >= 0 && !seenQueues[int(e.Queue)] {
-			seenQueues[int(e.Queue)] = true
+				Args: map[string]any{"name": fmt.Sprintf("stage %d: %s", ti, name(ti))}})
 		}
 	}
 
 	for _, e := range events {
 		ts := float64(e.When) * t.MicrosPerTick
 		ti := int(e.Thread)
-		var ce chromeEvent
+		var ce ChromeEvent
 		switch e.Kind {
 		case KProduce, KConsume:
 			op := "produce"
 			if e.Kind == KConsume {
 				op = "consume"
 			}
-			ce = chromeEvent{Name: fmt.Sprintf("%s q%d", op, e.Queue), Phase: "i",
+			ce = ChromeEvent{Name: fmt.Sprintf("%s q%d", op, e.Queue), Phase: "i",
 				Ts: ts, Pid: chromePidThreads, Tid: ti, Scope: "t",
 				Args: map[string]any{"queue": e.Queue, "occupancy": e.Arg}}
-			if err := emit(ce); err != nil {
-				return err
-			}
+			emit(ce)
 			// The same sample feeds the queue's counter track.
-			ce = chromeEvent{Name: fmt.Sprintf("q%d occupancy", e.Queue), Phase: "C",
+			ce = ChromeEvent{Name: fmt.Sprintf("q%d occupancy", e.Queue), Phase: "C",
 				Ts: ts, Pid: chromePidQueues, Tid: int(e.Queue),
 				Args: map[string]any{"occupancy": e.Arg}}
 		case KStallFullBegin:
-			ce = chromeEvent{Name: fmt.Sprintf("stall-full q%d", e.Queue), Phase: "B",
+			ce = ChromeEvent{Name: fmt.Sprintf("stall-full q%d", e.Queue), Phase: "B",
 				Ts: ts, Pid: chromePidThreads, Tid: ti}
 		case KStallEmptyBegin:
-			ce = chromeEvent{Name: fmt.Sprintf("stall-empty q%d", e.Queue), Phase: "B",
+			ce = ChromeEvent{Name: fmt.Sprintf("stall-empty q%d", e.Queue), Phase: "B",
 				Ts: ts, Pid: chromePidThreads, Tid: ti}
 		case KStallFullEnd:
-			ce = chromeEvent{Name: fmt.Sprintf("stall-full q%d", e.Queue), Phase: "E",
+			ce = ChromeEvent{Name: fmt.Sprintf("stall-full q%d", e.Queue), Phase: "E",
 				Ts: ts, Pid: chromePidThreads, Tid: ti}
 		case KStallEmptyEnd:
-			ce = chromeEvent{Name: fmt.Sprintf("stall-empty q%d", e.Queue), Phase: "E",
+			ce = ChromeEvent{Name: fmt.Sprintf("stall-empty q%d", e.Queue), Phase: "E",
 				Ts: ts, Pid: chromePidThreads, Tid: ti}
 		case KBranch:
-			ce = chromeEvent{Name: "branch", Phase: "i", Ts: ts,
+			ce = ChromeEvent{Name: "branch", Phase: "i", Ts: ts,
 				Pid: chromePidThreads, Tid: ti, Scope: "t",
 				Args: map[string]any{"taken": e.Arg != 0}}
 		case KIteration:
-			ce = chromeEvent{Name: "iteration", Phase: "i", Ts: ts,
+			ce = ChromeEvent{Name: "iteration", Phase: "i", Ts: ts,
 				Pid: chromePidThreads, Tid: ti, Scope: "t"}
 		case KStageStart:
-			ce = chromeEvent{Name: "stage", Phase: "B", Ts: ts,
+			ce = ChromeEvent{Name: "stage", Phase: "B", Ts: ts,
 				Pid: chromePidThreads, Tid: ti}
 		case KStageDone:
-			ce = chromeEvent{Name: "stage", Phase: "E", Ts: ts,
+			ce = ChromeEvent{Name: "stage", Phase: "E", Ts: ts,
 				Pid: chromePidThreads, Tid: ti,
 				Args: map[string]any{"instrs": e.Arg}}
 		case KQueueCap:
-			ce = chromeEvent{Name: fmt.Sprintf("q%d capacity", e.Queue), Phase: "C",
+			ce = ChromeEvent{Name: fmt.Sprintf("q%d capacity", e.Queue), Phase: "C",
 				Ts: ts, Pid: chromePidQueues, Tid: int(e.Queue),
 				Args: map[string]any{"cap": e.Arg}}
 		case KCheckpoint:
-			ce = chromeEvent{Name: "checkpoint", Phase: "i", Ts: ts,
+			ce = ChromeEvent{Name: "checkpoint", Phase: "i", Ts: ts,
 				Pid: chromePidThreads, Tid: ti, Scope: "g",
 				Args: map[string]any{"iteration": e.Arg}}
 		case KRetry:
-			ce = chromeEvent{Name: fmt.Sprintf("retry q%d", e.Queue), Phase: "i", Ts: ts,
+			ce = ChromeEvent{Name: fmt.Sprintf("retry q%d", e.Queue), Phase: "i", Ts: ts,
 				Pid: chromePidThreads, Tid: ti, Scope: "t",
 				Args: map[string]any{"attempt": e.Arg}}
 		case KResume:
-			ce = chromeEvent{Name: "sequential-resume", Phase: "i", Ts: ts,
+			ce = ChromeEvent{Name: "sequential-resume", Phase: "i", Ts: ts,
 				Pid: chromePidThreads, Tid: ti, Scope: "g",
 				Args: map[string]any{"from_iteration": e.Arg}}
 		case KDurableCommit:
-			ce = chromeEvent{Name: "durable-commit", Phase: "i", Ts: ts,
+			ce = ChromeEvent{Name: "durable-commit", Phase: "i", Ts: ts,
 				Pid: chromePidThreads, Tid: ti, Scope: "g",
 				Args: map[string]any{"micros": e.Arg}}
 		default:
 			continue
 		}
-		if err := emit(ce); err != nil {
-			return err
-		}
+		emit(ce)
 	}
-	_, err := io.WriteString(w, "]}\n")
-	return err
+	return WriteChromeEvents(w, out)
 }

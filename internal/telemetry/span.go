@@ -26,6 +26,8 @@ import (
 	"io"
 	"strings"
 	"time"
+
+	"dswp/internal/obs"
 )
 
 // Attr is one key/value annotation on a span. Values are rendered with
@@ -230,64 +232,36 @@ func writeSpanText(w io.Writer, s *Span, depth int) error {
 	return nil
 }
 
-// WriteChrome exports the trace in Chrome trace-event JSON (the subset
-// Perfetto ingests), one pid for the request, request-phase spans on
-// tid 0 and bridged pipeline stages on tid 1+stage.
+// WriteChrome exports the trace in Chrome trace-event JSON through
+// obs.WriteChromeEvents: one pid for the request, request-phase spans as
+// X events on tid 0 and bridged pipeline stages on tid 1+stage.
 func (t *RequestTrace) WriteChrome(w io.Writer) error {
-	if _, err := io.WriteString(w, "{\"traceEvents\": [\n"); err != nil {
-		return err
-	}
-	first := true
-	emit := func(format string, args ...any) error {
-		if !first {
-			if _, err := io.WriteString(w, ",\n"); err != nil {
-				return err
-			}
-		}
-		first = false
-		_, err := fmt.Fprintf(w, format, args...)
-		return err
-	}
-	if err := emit(`{"name":"process_name","ph":"M","pid":1,"args":{"name":%q}}`,
-		fmt.Sprintf("request %s (%s)", t.ID, t.Workload)); err != nil {
-		return err
-	}
-	var walk func(s *Span, tid int) error
-	walk = func(s *Span, tid int) error {
+	events := []obs.ChromeEvent{{Name: "process_name", Phase: "M", Pid: 1,
+		Args: map[string]any{"name": fmt.Sprintf("request %s (%s)", t.ID, t.Workload)}}}
+	var walk func(s *Span, tid int)
+	walk = func(s *Span, tid int) {
 		// Bridged stage spans carry their tid in the name ("stage 1");
 		// everything else renders on the request track.
 		id := tid
 		if n, ok := stageTID(s.Name); ok {
 			id = 1 + n
 		}
-		end := s.EndNS
-		if end < s.StartNS {
-			end = s.StartNS
-		}
-		args := ""
+		end := max(s.EndNS, s.StartNS)
+		ev := obs.ChromeEvent{Name: s.Name, Phase: "X", Pid: 1, Tid: id,
+			Ts: float64(s.StartNS) / 1e3, Dur: float64(end-s.StartNS) / 1e3}
 		if len(s.Attrs) > 0 {
-			parts := make([]string, 0, len(s.Attrs))
+			ev.Args = make(map[string]any, len(s.Attrs))
 			for _, a := range s.Attrs {
-				parts = append(parts, fmt.Sprintf("%q:%q", a.Key, fmt.Sprint(a.Value)))
+				ev.Args[a.Key] = fmt.Sprint(a.Value)
 			}
-			args = fmt.Sprintf(`,"args":{%s}`, strings.Join(parts, ","))
 		}
-		if err := emit(`{"name":%q,"ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d%s}`,
-			s.Name, float64(s.StartNS)/1e3, float64(end-s.StartNS)/1e3, id, args); err != nil {
-			return err
-		}
+		events = append(events, ev)
 		for _, c := range s.Children {
-			if err := walk(c, id); err != nil {
-				return err
-			}
+			walk(c, id)
 		}
-		return nil
 	}
-	if err := walk(t.Root, 0); err != nil {
-		return err
-	}
-	_, err := io.WriteString(w, "\n]}\n")
-	return err
+	walk(t.Root, 0)
+	return obs.WriteChromeEvents(w, events)
 }
 
 // stageTID recognizes bridged stage span names ("stage 0", "stage 1", ...)

@@ -1,9 +1,10 @@
 // Package testutil holds reusable test infrastructure: currently the
 // goroutine-leak checker the engine, HTTP, supervisor, and telemetry
-// suites (and the service-chaos harness) run after every scenario. It
-// deliberately does not import "testing", so non-test binaries like
-// cmd/dswpchaos can use Snapshot/Leaked directly; tests pass *testing.T,
-// which satisfies TB structurally.
+// suites (and the chaos soak's service driver, internal/chaos) run after
+// every scenario. It deliberately does not import "testing", so non-test
+// code like internal/chaos, which cmd/dswpchaos runs, can use
+// Snapshot/Leaked directly; tests pass *testing.T, which satisfies TB
+// structurally.
 package testutil
 
 import (

@@ -174,18 +174,6 @@ func Compare(tag string, base, got *interp.Result) error {
 	return nil
 }
 
-// sweepRNG is the xorshift64* generator shared with the workload builders.
-type sweepRNG struct{ s uint64 }
-
-func (r *sweepRNG) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
-}
-
-func (r *sweepRNG) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // Program validates one workload differentially. It never returns an
 // error for divergence — that is recorded in the report — only the report.
 func Program(p *workloads.Program, opts Options) *Report {
@@ -322,19 +310,19 @@ func Program(p *workloads.Program, opts Options) *Report {
 
 	// (c) Randomized fault/schedule runs: seed-derived fault plans,
 	// random capacities, random queue kind and packing, random GOMAXPROCS.
-	rng := &sweepRNG{s: opts.Seed | 1}
+	rng := workloads.NewRNG(opts.Seed | 1)
 	for i := 0; i < opts.FaultRuns; i++ {
 		if expired() {
 			return rep
 		}
-		fseed := rng.next()
-		cap := opts.Caps[rng.intn(len(opts.Caps))]
-		kind := queue.Kind(rng.intn(2))
-		v := variants[rng.intn(len(variants))]
+		fseed := rng.Next()
+		cap := opts.Caps[rng.Index(len(opts.Caps))]
+		kind := queue.Kind(rng.Index(2))
+		v := variants[rng.Index(len(variants))]
 		plan := rt.RandomFaults(fseed, len(v.tr.Threads), v.tr.NumQueues)
 		procs := 0
 		if !opts.PinProcs {
-			procs = 1 + rng.intn(stdruntime.NumCPU())
+			procs = 1 + rng.Index(stdruntime.NumCPU())
 		}
 		tag := fmt.Sprintf("runtime %s%s cap=%d faultseed=%d procs=%d", v.tag, kind, cap, fseed, procs)
 		var old int

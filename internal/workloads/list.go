@@ -66,7 +66,7 @@ func ListTraversal(n int64) *Program {
 
 	// Memory: sentinel at base, then n nodes in shuffled order.
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(41)
+	r := NewRNG(41)
 	order := r.Perm(n)
 	addrOf := func(i int64) int64 { return base + 2 + 2*order[i] }
 	prev := base
@@ -149,7 +149,7 @@ func ListOfLists(nOuter, innerLen int64) *Program {
 	// Memory: outer list of nOuter nodes, each with an inner list of
 	// innerLen value nodes.
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(43)
+	r := NewRNG(43)
 	outerBase, innerBase := bases[0], bases[1]
 	innerNext := innerBase
 	for i := int64(0); i < nOuter; i++ {

@@ -111,7 +111,7 @@ func adpcm(spurious bool) *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(131)
+	r := NewRNG(131)
 	for k := int64(0); k < n; k++ {
 		mem.Set(bases[0]+k, r.Intn(16))
 	}
@@ -213,7 +213,7 @@ func Epic() *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(137)
+	r := NewRNG(137)
 	for k := int64(0); k < n; k++ {
 		mem.Set(base+k, ir.F2I(r.Float64()*80-10))
 	}
@@ -276,7 +276,7 @@ func Jpeg() *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(139)
+	r := NewRNG(139)
 	for k := int64(0); k < n; k++ {
 		mem.Set(bases[0]+k, r.Intn(2048)-1024)
 	}
@@ -366,7 +366,7 @@ func WC() *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(149)
+	r := NewRNG(149)
 	for k := int64(0); k < n; k++ {
 		switch r.Intn(7) {
 		case 0:
@@ -421,7 +421,7 @@ func Gzip() *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(151)
+	r := NewRNG(151)
 	for k := int64(0); k < n+8; k++ {
 		mem.Set(base+k, 1+r.Intn(4))
 	}

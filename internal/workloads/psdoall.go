@@ -62,7 +62,7 @@ func hashRed(n, rounds int64) *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(271)
+	r := NewRNG(271)
 	for i := int64(0); i < n; i++ {
 		mem.Set(bases[0]+i, r.Intn(1<<30))
 	}

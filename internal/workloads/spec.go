@@ -60,7 +60,7 @@ func Compress() *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(101)
+	r := NewRNG(101)
 	for i := int64(0); i < n; i++ {
 		mem.Set(bases[0]+i, r.Intn(256))
 	}
@@ -147,7 +147,7 @@ func art(accumExpanded bool) *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(103)
+	r := NewRNG(103)
 	for i := int64(0); i < numf; i++ {
 		mem.Set(bases[0]+i, ir.F2I(r.Float64()))
 		mem.Set(bases[1]+i, ir.F2I(r.Float64()))
@@ -230,7 +230,7 @@ func MCF() *Program {
 
 	// Shuffled node placement: the chase misses constantly, as mcf does.
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(107)
+	r := NewRNG(107)
 	order := r.Perm(n)
 	addrOf := func(i int64) int64 { return base + 4 + 4*order[i] }
 	prev := base
@@ -299,7 +299,7 @@ func Equake() *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(109)
+	r := NewRNG(109)
 	for i := int64(0); i < nnz; i++ {
 		mem.Set(bases[0]+i, r.Intn(m))
 		mem.Set(bases[1]+i, ir.F2I(r.Float64()))
@@ -382,7 +382,7 @@ func Ammp() *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(113)
+	r := NewRNG(113)
 	for i := int64(0); i < n; i++ {
 		mem.Set(bases[0]+i, r.Intn(m))
 	}
@@ -465,7 +465,7 @@ func Bzip2() *Program {
 	b.F.MustVerify()
 
 	mem := interp.MemoryFor(b.F)
-	r := newRNG(127)
+	r := NewRNG(127)
 	for k := int64(0); k < n; k++ {
 		mem.Set(bases[0]+k, r.Intn(4096))
 	}

@@ -90,18 +90,21 @@ type Builder struct {
 	Build func() *Program
 }
 
-// rng is a small deterministic PRNG (xorshift64*), so workload inputs are
-// reproducible without seeding from the clock.
-type rng struct{ s uint64 }
+// RNG is the repo's deterministic PRNG (xorshift64*): workload inputs,
+// the validation sweep and the chaos soak all draw from it, so every
+// seeded choice reproduces without seeding from the clock.
+type RNG struct{ s uint64 }
 
-func newRNG(seed uint64) *rng {
+// NewRNG seeds a generator; seed 0 is remapped to a fixed nonzero value.
+func NewRNG(seed uint64) *RNG {
 	if seed == 0 {
 		seed = 0x9E3779B97F4A7C15
 	}
-	return &rng{s: seed}
+	return &RNG{s: seed}
 }
 
-func (r *rng) next() uint64 {
+// Next returns the next 64 bits of the stream.
+func (r *RNG) Next() uint64 {
 	r.s ^= r.s >> 12
 	r.s ^= r.s << 25
 	r.s ^= r.s >> 27
@@ -109,20 +112,23 @@ func (r *rng) next() uint64 {
 }
 
 // Intn returns a value in [0, n).
-func (r *rng) Intn(n int64) int64 {
+func (r *RNG) Intn(n int64) int64 {
 	if n <= 0 {
 		panic(fmt.Sprintf("workloads: Intn(%d)", n))
 	}
-	return int64(r.next() % uint64(n))
+	return int64(r.Next() % uint64(n))
 }
 
+// Index returns a value in [0, n) as an int, for picking from a slice.
+func (r *RNG) Index(n int) int { return int(r.Intn(int64(n))) }
+
 // Float64 returns a value in [0, 1).
-func (r *rng) Float64() float64 {
-	return float64(r.next()>>11) / float64(1<<53)
+func (r *RNG) Float64() float64 {
+	return float64(r.Next()>>11) / float64(1<<53)
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
-func (r *rng) Perm(n int64) []int64 {
+func (r *RNG) Perm(n int64) []int64 {
 	p := make([]int64, n)
 	for i := range p {
 		p[i] = int64(i)

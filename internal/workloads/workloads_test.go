@@ -228,16 +228,16 @@ func TestGzipAdvancesThroughWindow(t *testing.T) {
 }
 
 func TestRNGDeterminism(t *testing.T) {
-	a, b := newRNG(5), newRNG(5)
+	a, b := NewRNG(5), NewRNG(5)
 	for i := 0; i < 100; i++ {
-		if a.next() != b.next() {
+		if a.Next() != b.Next() {
 			t.Fatal("rng not deterministic")
 		}
 	}
-	if newRNG(0).s == 0 {
+	if NewRNG(0).s == 0 {
 		t.Fatal("zero seed must be remapped")
 	}
-	p := newRNG(9).Perm(50)
+	p := NewRNG(9).Perm(50)
 	seen := map[int64]bool{}
 	for _, v := range p {
 		if v < 0 || v >= 50 || seen[v] {
@@ -245,7 +245,7 @@ func TestRNGDeterminism(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	f := newRNG(11).Float64()
+	f := NewRNG(11).Float64()
 	if f < 0 || f >= 1 {
 		t.Fatalf("Float64 = %f", f)
 	}
