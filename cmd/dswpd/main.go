@@ -46,7 +46,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":7537", "listen address")
 		workers    = flag.Int("workers", 0, "concurrent pipeline runs (0 = GOMAXPROCS)")
-		shards     = flag.Int("shards", 0, "independent serving shards (0 = GOMAXPROCS, clamped to workers)")
 		queueDepth = flag.Int("queue-depth", 0, "pending-request bound (0 = 4*workers)")
 		cacheCap   = flag.Int("cache-cap", 32, "max cached compiled pipelines")
 		poolSize   = flag.Int("pool", 0, "warm instances per pipeline (0 = workers)")
@@ -98,7 +97,6 @@ func main() {
 	}
 	eng := engine.New(engine.Options{
 		Workers:          *workers,
-		Shards:           *shards,
 		QueueDepth:       *queueDepth,
 		CacheCap:         *cacheCap,
 		PoolSize:         *poolSize,

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -93,7 +92,7 @@ func (b *breaker) record(wl string, ok, probe bool) {
 	}
 	if ok {
 		if st.open {
-			atomic.AddInt64(&b.met.breakerOpen, -1)
+			b.met.breakerOpen.Add(-1)
 			if b.onTransition != nil {
 				b.onTransition(wl)
 			}
@@ -117,8 +116,8 @@ func (b *breaker) record(wl string, ok, probe bool) {
 		st.open = true
 		st.openedAt = b.now()
 		st.trips++
-		atomic.AddInt64(&b.met.breakerTrips, 1)
-		atomic.AddInt64(&b.met.breakerOpen, 1)
+		b.met.breakerTrips.Add(1)
+		b.met.breakerOpen.Add(1)
 		if b.onTransition != nil {
 			b.onTransition(wl)
 		}

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"dswp/internal/core"
 	rt "dswp/internal/runtime"
@@ -51,10 +50,10 @@ type cache struct {
 	// lru orders *resident* pipelines by recency; front = most recent.
 	// Entries still compiling are not in the list yet.
 	lru list.List
-	met *shardMetrics
+	met *Metrics
 }
 
-func newCache(cap int, met *shardMetrics) *cache {
+func newCache(cap int, met *Metrics) *cache {
 	return &cache{cap: cap, entries: map[string]*cacheEntry{}, met: met}
 }
 
@@ -77,7 +76,7 @@ func (c *cache) acquire(ctx context.Context, key string, compile func() (*pipeli
 			}
 			ent.p.refs++
 			c.lru.MoveToFront(ent.p.elem)
-			atomic.AddInt64(&c.met.cacheHits, 1)
+			c.met.cacheHits.Add(1)
 			c.mu.Unlock()
 			return ent.p, true, nil
 		default:
@@ -100,7 +99,7 @@ func (c *cache) acquire(ctx context.Context, key string, compile func() (*pipeli
 			if ent.p.elem != nil {
 				c.lru.MoveToFront(ent.p.elem)
 			}
-			atomic.AddInt64(&c.met.cacheHits, 1)
+			c.met.cacheHits.Add(1)
 			c.mu.Unlock()
 			return ent.p, true, nil
 		}
@@ -108,7 +107,7 @@ func (c *cache) acquire(ctx context.Context, key string, compile func() (*pipeli
 
 	ent := &cacheEntry{key: key, ready: make(chan struct{})}
 	c.entries[key] = ent
-	atomic.AddInt64(&c.met.cacheMisses, 1)
+	c.met.cacheMisses.Add(1)
 	c.mu.Unlock()
 
 	p, err = compile()
@@ -147,7 +146,7 @@ func (c *cache) evictLocked() {
 			c.lru.Remove(e)
 			p.elem = nil
 			delete(c.entries, p.key)
-			atomic.AddInt64(&c.met.cacheEvicts, 1)
+			c.met.cacheEvicts.Add(1)
 			over--
 		}
 		e = prev

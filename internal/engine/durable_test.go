@@ -233,7 +233,7 @@ func TestPoolQuarantineNeverReissues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.compile(req, build, key, e.shards[0].met)
+	p, err := e.compile(req, build, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestEngineRecoverFinishesOrphans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := prep.compile(req, build, key, prep.shards[0].met)
+	p, err := prep.compile(req, build, key)
 	if err != nil {
 		t.Fatal(err)
 	}

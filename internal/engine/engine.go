@@ -100,15 +100,6 @@ type Options struct {
 	// PoolSize bounds warm instances kept per compiled pipeline
 	// (default Workers — at most Workers runs touch one pipeline at once).
 	PoolSize int
-	// Shards splits the engine into independent serving lanes, each with
-	// its own compiled-pipeline cache, pending queue, worker slice, and
-	// metrics block on a distinct cache line (default
-	// min(GOMAXPROCS, Workers); always clamped to Workers so every shard
-	// has at least one worker — a Workers:1 engine therefore behaves
-	// exactly like the pre-sharding single queue). Workload keys route to
-	// shards by consistent hashing; a saturated shard spills execution
-	// (never compilation) to its least-loaded peer.
-	Shards int
 	// Replicate defaults every request to parallel-stage replication
 	// (psdswp): workloads with a replicable stage compile to a fan-out/
 	// fan-in pipeline at the planner's width. Requests still carry their
@@ -180,12 +171,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PoolSize <= 0 {
 		o.PoolSize = o.Workers
-	}
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards > o.Workers {
-		o.Shards = o.Workers
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = rt.DefaultQueueCap
@@ -314,11 +299,6 @@ type Response struct {
 	ResumeIter int64 `json:"resume_iter,omitempty"`
 	// DurableCheckpoints counts commits written to the checkpoint store.
 	DurableCheckpoints int64 `json:"durable_checkpoints,omitempty"`
-	// Shard is the id of the shard whose worker executed this request;
-	// Spilled is true when that differs from the key's home shard (the
-	// home queue was saturated and execution moved to an idle peer).
-	Shard   int  `json:"shard"`
-	Spilled bool `json:"spilled,omitempty"`
 	// Timing breakdown, microseconds.
 	QueueMicros   int64 `json:"queue_us"`
 	CompileMicros int64 `json:"compile_us"`
@@ -329,12 +309,14 @@ type Response struct {
 // Engine is the serving runtime. Create with New, serve with Run (or the
 // HTTP layer in http.go), stop with Shutdown.
 type Engine struct {
-	opts   Options
-	met    *Metrics
-	shards []*shard
-	ring   *hashRing
-	stop   chan struct{}
-	wg     sync.WaitGroup
+	opts  Options
+	met   *Metrics
+	cache *cache
+	// pending is the one admission queue, QueueDepth deep: when it is
+	// full, Run sheds with ErrOverloaded instead of queueing unboundedly.
+	pending chan *job
+	stop    chan struct{}
+	wg      sync.WaitGroup
 
 	// Durable checkpoint plumbing: every supervised run commits under a
 	// unique key; terminal outcomes delete it, so only a crash leaves
@@ -381,7 +363,6 @@ type job struct {
 	req       Request
 	build     func() *workloads.Program
 	key       string
-	home      *shard // the shard the key hashes to; owns the compiled artifact
 	submitted time.Time
 	res       *Response
 	err       error
@@ -400,16 +381,18 @@ type job struct {
 	reaped atomic.Bool
 }
 
-// New starts an engine: opts.Shards independent serving lanes, with
-// opts.Workers goroutines split across their bounded pending queues.
+// New starts an engine: opts.Workers goroutines consuming one bounded
+// pending queue, in front of one compiled-pipeline cache.
 func New(opts Options) *Engine {
 	opts = opts.withDefaults()
+	met := &Metrics{}
 	e := &Engine{
-		opts:   opts,
-		met:    newMetrics(opts.Shards),
-		ring:   newHashRing(opts.Shards),
-		stop:   make(chan struct{}),
-		wlInfo: make(map[string]wlCompileInfo),
+		opts:    opts,
+		met:     met,
+		cache:   newCache(opts.CacheCap, met),
+		pending: make(chan *job, opts.QueueDepth),
+		stop:    make(chan struct{}),
+		wlInfo:  make(map[string]wlCompileInfo),
 	}
 	e.store = opts.Store
 	if e.store == nil {
@@ -432,29 +415,9 @@ func New(opts Options) *Engine {
 		e.reaper.onReap = func() { e.window.ObserveReap() }
 	}
 	e.base, e.cancelBase = context.WithCancel(context.Background())
-
-	// Shard geometry: the engine-wide queue depth and cache capacity
-	// split across shards (ceil, so small configured values still give
-	// every shard a working queue and cache); Workers split evenly with
-	// the remainder going to the lowest shard ids.
-	depth := (opts.QueueDepth + opts.Shards - 1) / opts.Shards
-	ccap := (opts.CacheCap + opts.Shards - 1) / opts.Shards
-	e.shards = make([]*shard, opts.Shards)
-	for i := range e.shards {
-		s := &shard{id: i, pending: make(chan *job, depth), met: &e.met.shards[i]}
-		s.cache = newCache(ccap, s.met)
-		e.shards[i] = s
-	}
-	base, rem := opts.Workers/opts.Shards, opts.Workers%opts.Shards
-	for i, s := range e.shards {
-		w := base
-		if i < rem {
-			w++
-		}
-		for k := 0; k < w; k++ {
-			e.wg.Add(1)
-			go e.worker(s)
-		}
+	for i := 0; i < opts.Workers; i++ {
+		e.wg.Add(1)
+		go e.worker()
 	}
 	return e
 }
@@ -503,27 +466,22 @@ func (e *Engine) RunTraced(ctx context.Context, req Request) (*Response, string,
 	if tr != nil {
 		id = tr.ID
 	}
-	// Requests that fail before their key resolves have no home shard;
-	// their counters land on shard 0 so the engine-wide sums stay exact.
+	// A request that never reaches the queue records its outcome here;
+	// a queued one is finished, and counted, by whoever dequeues it.
+	e.met.requests.Add(1)
 	if e.draining.Load() {
-		sm := &e.met.shards[0]
-		atomic.AddInt64(&sm.requests, 1)
-		atomic.AddInt64(&sm.drained, 1)
+		e.met.drained.Add(1)
 		e.observe(tr, req.Workload, false, 0, ErrDraining, false)
 		return nil, id, ErrDraining
 	}
 	build, key, err := resolve(req)
 	if err != nil {
-		sm := &e.met.shards[0]
-		atomic.AddInt64(&sm.requests, 1)
-		atomic.AddInt64(&sm.failed, 1)
+		e.met.failed.Add(1)
 		e.observe(tr, req.Workload, false, 0, err, false)
 		return nil, id, err
 	}
-	home := e.shards[e.ring.shardFor(key)]
-	atomic.AddInt64(&home.met.requests, 1)
 	if err := fpAdmit.Fail(); err != nil {
-		atomic.AddInt64(&home.met.failed, 1)
+		e.met.failed.Add(1)
 		e.observe(tr, req.Workload, true, 0, err, false)
 		return nil, id, err
 	}
@@ -541,25 +499,31 @@ func (e *Engine) RunTraced(ctx context.Context, req Request) (*Response, string,
 	}
 
 	adm := tr.Begin("admission")
-	adm.Attr("shard", int64(home.id))
-	adm.Attr("queue_depth", int64(len(home.pending)))
-	j := &job{ctx: ctx, req: req, build: build, key: key, home: home,
+	adm.Attr("queue_depth", int64(len(e.pending)))
+	j := &job{ctx: ctx, req: req, build: build, key: key,
 		tr: tr, adm: adm, submitted: time.Now(), done: make(chan struct{})}
-	if placed := e.dispatch(j); placed == nil {
-		atomic.AddInt64(&home.met.shed, 1)
+	select {
+	case e.pending <- j:
+		e.met.queued.Add(1)
+	default:
+		e.met.shed.Add(1)
 		tr.End(adm)
 		e.observe(tr, req.Workload, true, 0, ErrOverloaded, false)
 		return nil, id, ErrOverloaded
+	}
+	// A Shutdown that began after the draining check above may already
+	// have run its last drain; drain again so the job is not stranded.
+	if e.draining.Load() {
+		e.failQueued()
 	}
 	select {
 	case <-j.done:
 		return j.res, id, j.err
 	case <-ctx.Done():
 		// The worker that eventually dequeues the job sees the expired
-		// context and fails it fast; the caller need not wait for that.
-		// The worker also owns finishing the trace — it may still be
-		// mutating it after we return.
-		atomic.AddInt64(&home.met.failed, 1)
+		// context, fails it fast and records its outcome; the caller
+		// need not wait for that. The worker also owns finishing the
+		// trace — it may still be mutating it after we return.
 		return nil, id, ctx.Err()
 	}
 }
@@ -575,41 +539,39 @@ func (e *Engine) observe(tr *telemetry.RequestTrace, wl string, known bool,
 		class, msg = ErrorClass(err), err.Error()
 	}
 	e.tracer.Finish(tr, msg, class)
-	occ := e.queuedTotal()
+	occ := int64(len(e.pending))
 	e.window.Observe(class, latUS, occ)
 	if known {
 		e.registry.Observe(wl, class, latUS, occ, degraded)
 	}
 }
 
-// worker consumes one shard's pending queue; a shard's workers never
-// touch another shard's queue (spill happens at dispatch, not here).
-func (e *Engine) worker(s *shard) {
+// worker consumes the pending queue until Shutdown.
+func (e *Engine) worker() {
 	defer e.wg.Done()
 	for {
 		select {
-		case j := <-s.pending:
-			e.serve(s, j)
+		case j := <-e.pending:
+			e.serve(j)
 		case <-e.stop:
 			return
 		}
 	}
 }
 
-func (e *Engine) serve(s *shard, j *job) {
-	sm := s.met
-	atomic.AddInt64(&sm.queued, -1)
-	atomic.AddInt64(&sm.inflight, 1)
-	defer atomic.AddInt64(&sm.inflight, -1)
+func (e *Engine) serve(j *job) {
+	m := e.met
+	m.queued.Add(-1)
+	m.inflight.Add(1)
+	defer m.inflight.Add(-1)
 	defer close(j.done)
 
 	queueWait := time.Since(j.submitted)
-	sm.latQueue.Add(queueWait.Microseconds())
-	atomic.AddInt64(&sm.latQueueSum, queueWait.Microseconds())
+	m.latQueue.Add(queueWait.Microseconds())
 	j.tr.End(j.adm)
 	if err := j.ctx.Err(); err != nil {
 		j.err = err
-		atomic.AddInt64(&sm.expired, 1)
+		m.expired.Add(1)
 		e.observe(j.tr, j.req.Workload, true, queueWait.Microseconds(), err, false)
 		return
 	}
@@ -623,14 +585,14 @@ func (e *Engine) serve(s *shard, j *job) {
 		defer e.reaper.forget(e.reaper.add(j.req.Workload, cancel, &j.reaped))
 	}
 
-	j.res, j.err = e.execute(ctx, s, j)
+	j.res, j.err = e.execute(ctx, j)
 	if j.err != nil && j.reaped.Load() {
 		j.err = fmt.Errorf("%w: %s ran past %s: %w",
 			ErrReaped, j.req.Workload, e.opts.ReapAfter, j.err)
 	}
 	total := time.Since(j.submitted)
 	if j.err != nil {
-		atomic.AddInt64(&sm.failed, 1)
+		m.failed.Add(1)
 		e.observe(j.tr, j.req.Workload, true, total.Microseconds(), j.err, false)
 		return
 	}
@@ -639,29 +601,22 @@ func (e *Engine) serve(s *shard, j *job) {
 	}
 	j.res.QueueMicros = queueWait.Microseconds()
 	j.res.TotalMicros = total.Microseconds()
-	sm.latTotal.Add(j.res.TotalMicros)
-	atomic.AddInt64(&sm.latTotalSum, j.res.TotalMicros)
-	sm.latRun.Add(j.res.RunMicros)
-	atomic.AddInt64(&sm.latRunSum, j.res.RunMicros)
-	atomic.AddInt64(&sm.complete, 1)
+	m.latTotal.Add(j.res.TotalMicros)
+	m.latRun.Add(j.res.RunMicros)
+	m.complete.Add(1)
 	e.observe(j.tr, j.req.Workload, true, j.res.TotalMicros, nil, j.res.Degraded)
 }
 
 // execute compiles (or fetches) the pipeline and runs it in the
-// requested mode. s is the executing shard (the worker's own); the
-// compiled artifact always comes from the *home* shard's cache, so a
-// spilled execution shares the home shard's single-flight compile and
-// warm pool instead of duplicating them.
-func (e *Engine) execute(ctx context.Context, s *shard, j *job) (*Response, error) {
+// requested mode.
+func (e *Engine) execute(ctx context.Context, j *job) (*Response, error) {
 	req := j.req
 	tr := j.tr
-	home := j.home
-	resp := &Response{Workload: req.Workload, Key: j.key,
-		Shard: s.id, Spilled: s != home}
+	resp := &Response{Workload: req.Workload, Key: j.key}
 
 	cs := tr.Begin("cache")
-	p, hit, err := home.cache.acquire(ctx, j.key, func() (*pipeline, error) {
-		return e.compile(req, j.build, j.key, home.met)
+	p, hit, err := e.cache.acquire(ctx, j.key, func() (*pipeline, error) {
+		return e.compile(req, j.build, j.key)
 	})
 	if hit {
 		resp.Cache = "hit"
@@ -672,7 +627,7 @@ func (e *Engine) execute(ctx context.Context, s *shard, j *job) (*Response, erro
 		}
 	}
 	if err == nil {
-		defer home.cache.release(p)
+		defer e.cache.release(p)
 	}
 	cs.Attr("outcome", resp.Cache)
 	if resp.CompileMicros > 0 {
@@ -690,7 +645,7 @@ func (e *Engine) execute(ctx context.Context, s *shard, j *job) (*Response, erro
 		if topo := p.plan.Topology(); topo.Replicated() {
 			resp.ReplicatedStage = topo.Stage
 			resp.ReplicaWidth = topo.Width
-			atomic.AddInt64(&e.met.replicaRuns, 1)
+			e.met.replicaRuns.Add(1)
 		}
 	}
 
@@ -725,7 +680,7 @@ func (e *Engine) execute(ctx context.Context, s *shard, j *job) (*Response, erro
 			Ctx: ctx, Mem: p.prog.Mem, Regs: p.prog.Regs,
 		})
 	case req.Mode == "concurrent":
-		inst, warm := e.acquireInstance(tr, p, home.met, kind, qcap, faults)
+		inst, warm := e.acquireInstance(tr, p, kind, qcap, faults)
 		resp.Warm = warm
 		res, err = rt.RunCtx(ctx, p.tr.Threads, rt.Options{
 			Plan: p.plan, Instance: inst, Queue: kind, QueueCap: qcap,
@@ -824,7 +779,7 @@ func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
 		resp.Degraded = true
 		resp.Pipelined = false
 		resp.Attempts = 1
-		atomic.AddInt64(&e.met.degraded, 1)
+		e.met.degraded.Add(1)
 		tr.Event("breaker-degraded")
 		return interp.Run(p.prog.F, interp.Options{
 			Ctx: ctx, Mem: p.prog.Mem, Regs: p.prog.Regs,
@@ -835,7 +790,7 @@ func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
 	meta, _ := json.Marshal(req)
 	defer e.store.Delete(ckey)
 
-	inst, warm := e.acquireInstance(tr, p, j.home.met, kind, qcap, faults)
+	inst, warm := e.acquireInstance(tr, p, kind, qcap, faults)
 	resp.Warm = warm
 	res, srep, err := supervisor.Run(ctx, supervisor.Pipeline{
 		Threads: p.tr.Threads, Original: p.prog.F,
@@ -852,8 +807,8 @@ func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
 	if srep != nil {
 		resp.Checkpoints = srep.Checkpoints
 		resp.DurableCheckpoints = srep.DurableCommits
-		atomic.AddInt64(&e.met.durableCommits, srep.DurableCommits)
-		atomic.AddInt64(&e.met.storeErrors, srep.StoreErrors)
+		e.met.durableCommits.Add(srep.DurableCommits)
+		e.met.storeErrors.Add(srep.StoreErrors)
 	}
 	if err == nil {
 		e.breaker.record(req.Workload, true, probe)
@@ -872,7 +827,7 @@ func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
 	chain := []error{err}
 	for attempt := 1; attempt <= e.opts.Retries; attempt++ {
 		resp.Attempts++
-		atomic.AddInt64(&e.met.retries, 1)
+		e.met.retries.Add(1)
 		rspan := tr.Begin("retry")
 		rspan.Attr("attempt", attempt)
 		rres, iter, rerr := e.resumeFromStore(ctx, p, ckey)
@@ -884,7 +839,7 @@ func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
 		if rerr == nil {
 			resp.Resumed = true
 			resp.ResumeIter = iter
-			atomic.AddInt64(&e.met.resumes, 1)
+			e.met.resumes.Add(1)
 			return rres, nil
 		}
 		if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
@@ -972,13 +927,11 @@ func faultsOf(req Request, p *pipeline) *rt.FaultPlan {
 }
 
 // acquireInstance is instanceFor wrapped in a "pool-acquire" span, so a
-// retained trace shows whether the run paid an allocation. sm is the
-// home shard's metrics block — pools belong to cached pipelines, which
-// belong to home shards.
+// retained trace shows whether the run paid an allocation.
 func (e *Engine) acquireInstance(tr *telemetry.RequestTrace, p *pipeline,
-	sm *shardMetrics, kind queue.Kind, qcap int, faults *rt.FaultPlan) (*rt.Instance, bool) {
+	kind queue.Kind, qcap int, faults *rt.FaultPlan) (*rt.Instance, bool) {
 	ps := tr.Begin("pool-acquire")
-	inst, warm := e.instanceFor(p, sm, kind, qcap, faults)
+	inst, warm := e.instanceFor(p, kind, qcap, faults)
 	ps.Attr("warm", warm)
 	tr.End(ps)
 	return inst, warm
@@ -988,23 +941,23 @@ func (e *Engine) acquireInstance(tr *telemetry.RequestTrace, p *pipeline,
 // the pool's; otherwise the run allocates fresh state. Fault-injecting
 // requests always run on fresh state (Faults are incompatible with warm
 // instances at the runtime layer).
-func (e *Engine) instanceFor(p *pipeline, sm *shardMetrics, kind queue.Kind, qcap int, faults *rt.FaultPlan) (*rt.Instance, bool) {
+func (e *Engine) instanceFor(p *pipeline, kind queue.Kind, qcap int, faults *rt.FaultPlan) (*rt.Instance, bool) {
 	// An injected error forces the cold path (fresh allocation); a sleep
 	// action delays acquisition. Neither may change results.
 	if fpPool.Fail() != nil {
-		atomic.AddInt64(&sm.poolMisses, 1)
+		e.met.poolMisses.Add(1)
 		return nil, false
 	}
 	if p.pool == nil || faults != nil ||
 		kind != e.opts.Queue || qcap != e.opts.QueueCap {
-		atomic.AddInt64(&sm.poolMisses, 1)
+		e.met.poolMisses.Add(1)
 		return nil, false
 	}
 	if inst := p.pool.get(); inst != nil {
-		atomic.AddInt64(&sm.poolHits, 1)
+		e.met.poolHits.Add(1)
 		return inst, true
 	}
-	atomic.AddInt64(&sm.poolMisses, 1)
+	e.met.poolMisses.Add(1)
 	return p.pool.make(), false
 }
 
@@ -1020,12 +973,12 @@ func (e *Engine) releaseInstance(p *pipeline, inst *rt.Instance, poisoned bool) 
 // compile builds the workload and applies the DSWP transformation; a
 // single-SCC or unprofitable loop yields a sequential-only pipeline
 // (tr == nil) rather than an error, so the cache remembers the outcome.
-func (e *Engine) compile(req Request, build func() *workloads.Program, key string, sm *shardMetrics) (*pipeline, error) {
+func (e *Engine) compile(req Request, build func() *workloads.Program, key string) (*pipeline, error) {
 	if err := fpCompile.Fail(); err != nil {
 		return nil, fmt.Errorf("engine: compile %s: %w", req.Workload, err)
 	}
 	start := time.Now()
-	atomic.AddInt64(&sm.compiles, 1)
+	e.met.compiles.Add(1)
 	prog := build()
 	prof, err := profile.Collect(prog.F, prog.Options())
 	if err != nil {
@@ -1058,7 +1011,7 @@ func (e *Engine) compile(req Request, build func() *workloads.Program, key strin
 			}
 			tr = res.Tr
 			topo = rt.ReplicatedTopology(len(tr.Threads), res.Stage, res.Width)
-			atomic.AddInt64(&e.met.replicatedCompiles, 1)
+			e.met.replicatedCompiles.Add(1)
 		}
 	}
 	plan, err := rt.NewPlan(tr.Threads)
@@ -1068,8 +1021,8 @@ func (e *Engine) compile(req Request, build func() *workloads.Program, key strin
 	plan.SetTopology(topo)
 	p := &pipeline{key: key, prog: prog, tr: tr, plan: plan,
 		compileMicros: time.Since(start).Microseconds()}
-	e.met.RecordCompile(p.compileMicros)
-	p.pool = newPool(plan, e.opts.Queue, e.opts.QueueCap, e.opts.PoolSize, sm)
+	e.met.latCompile.Add(p.compileMicros)
+	p.pool = newPool(plan, e.opts.Queue, e.opts.QueueCap, e.opts.PoolSize, e.met)
 	return p, nil
 }
 
@@ -1118,18 +1071,15 @@ func (e *Engine) Shutdown(ctx context.Context) error {
 
 // failQueued fails every pending-but-unstarted job with ErrDraining.
 func (e *Engine) failQueued() {
-	for _, s := range e.shards {
-	drain:
-		for {
-			select {
-			case j := <-s.pending:
-				atomic.AddInt64(&s.met.queued, -1)
-				atomic.AddInt64(&s.met.drained, 1)
-				j.err = ErrDraining
-				close(j.done)
-			default:
-				break drain
-			}
+	for {
+		select {
+		case j := <-e.pending:
+			e.met.queued.Add(-1)
+			e.met.drained.Add(1)
+			j.err = ErrDraining
+			close(j.done)
+		default:
+			return
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/testutil"
 	"dswp/internal/workloads"
@@ -180,6 +181,75 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 	if s.Shed != 0 {
 		t.Errorf("%d requests shed with queue depth 128", s.Shed)
 	}
+}
+
+// TestShardSpillSingleFlight keeps its name from the sharded engine,
+// where overflowing requests spilled to a peer shard. With one queue the
+// overflow is shed instead, and the contract that remains is the same:
+// concurrent same-key arrivals against a saturated engine compile the
+// program exactly once, every served response is correct, and every
+// refusal is ErrOverloaded.
+func TestShardSpillSingleFlight(t *testing.T) {
+	testutil.VerifyNone(t)
+	e := New(Options{Workers: 4, QueueDepth: 4, CacheCap: 8})
+	req := Request{Workload: "list-of-lists", Outer: 50, Inner: 6, InjectStallUS: 500}
+	want := seqDigest(t, Request{Workload: "list-of-lists", Outer: 50, Inner: 6})
+	const n = 16
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var completed, shed int64
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := e.Run(context.Background(), req)
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case err == nil:
+				if resp.Digest != want {
+					t.Errorf("served response has digest %s, want %s", resp.Digest, want)
+				}
+				completed++
+			case errors.Is(err, ErrOverloaded):
+				shed++
+			default:
+				t.Errorf("unexpected error class: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	s := e.Metrics().Snapshot()
+	shutdown(t, e)
+	if completed == 0 {
+		t.Fatal("no request completed")
+	}
+	if s.Compiles != 1 {
+		t.Fatalf("Compiles = %d across %d concurrent same-key requests, want exactly 1", s.Compiles, n)
+	}
+	if s.Completed != completed || s.Shed != shed {
+		t.Fatalf("snapshot completed/shed = %d/%d, callers saw %d/%d", s.Completed, s.Shed, completed, shed)
+	}
+}
+
+// TestShardLifecycleNoLeaks keeps its name from the sharded engine: a
+// multi-worker engine serving concurrent distinct keys must leave no
+// goroutine behind after Shutdown.
+func TestShardLifecycleNoLeaks(t *testing.T) {
+	testutil.VerifyNone(t)
+	e := New(Options{Workers: 8, QueueDepth: 32, CacheCap: 8})
+	var wg sync.WaitGroup
+	for i := 0; i < 12; i++ {
+		wg.Add(1)
+		go func(n int64) {
+			defer wg.Done()
+			if _, err := e.Run(context.Background(), Request{Workload: "list-traversal", N: 64 + n}); err != nil {
+				t.Errorf("run: %v", err)
+			}
+		}(int64(i))
+	}
+	wg.Wait()
+	shutdown(t, e)
 }
 
 // TestOverloadShedding saturates a deliberately tiny engine and checks
@@ -385,7 +455,7 @@ func TestCacheLRUEviction(t *testing.T) {
 			if _, err := e.Run(context.Background(), Request{Workload: "list-traversal", N: n}); err != nil {
 				t.Fatal(err)
 			}
-			if got := e.cacheLen(); got > 2 {
+			if got := e.cache.len(); got > 2 {
 				t.Fatalf("cache holds %d entries, cap 2", got)
 			}
 		}
@@ -459,6 +529,128 @@ func TestRequestDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	<-blocker
+}
+
+// TestOutcomeConservation pins that every request's outcome is recorded
+// exactly once, wherever it finishes: after Shutdown returns, requests
+// equals completed+failed+shed+drained+expired on every path — including
+// those where the caller stops waiting before a worker finishes the job.
+func TestOutcomeConservation(t *testing.T) {
+	bg := context.Background()
+	// slow keeps the single worker busy for tens of milliseconds.
+	slow := Request{Workload: "list-of-lists", Outer: 50, Inner: 6, InjectStallUS: 500}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		// drive sends the case's requests and returns how many it sent.
+		drive func(t *testing.T, e *Engine) int64
+	}{
+		{"queued-expiry", Options{Workers: 1, QueueDepth: 4}, func(t *testing.T, e *Engine) int64 {
+			busy := runAsync(e, bg, slow)
+			waitFor(t, func() bool { return e.Metrics().Snapshot().InFlight == 1 })
+			_, err := e.Run(bg, Request{Workload: "list-traversal", N: 100, DeadlineMillis: 1})
+			wantErr(t, err, context.DeadlineExceeded)
+			wantErr(t, <-busy, nil)
+			return 2
+		}},
+		{"mid-run-deadline", Options{Workers: 1, QueueDepth: 4}, func(t *testing.T, e *Engine) int64 {
+			_, err := e.Run(bg, slow) // compiles, so the next run starts at once
+			wantErr(t, err, nil)
+			req := slow
+			req.DeadlineMillis = 5
+			_, err = e.Run(bg, req)
+			wantErr(t, err, context.DeadlineExceeded)
+			return 2
+		}},
+		{"caller-cancel", Options{Workers: 1, QueueDepth: 4}, func(t *testing.T, e *Engine) int64 {
+			ctx, cancel := context.WithCancel(bg)
+			run := runAsync(e, ctx, slow)
+			waitFor(t, func() bool { return e.Metrics().Snapshot().InFlight == 1 })
+			cancel()
+			wantErr(t, <-run, context.Canceled)
+			return 1
+		}},
+		{"admission-failpoint", Options{Workers: 1}, func(t *testing.T, e *Engine) int64 {
+			failpoint.Reset()
+			defer failpoint.Reset()
+			if err := failpoint.Enable("engine/admission/enqueue", "error(x):once"); err != nil {
+				t.Fatal(err)
+			}
+			_, err := e.Run(bg, Request{Workload: "list-traversal", N: 64})
+			wantErr(t, err, failpoint.ErrInjected)
+			return 1
+		}},
+		{"shed", Options{Workers: 1, QueueDepth: 1}, func(t *testing.T, e *Engine) int64 {
+			busy := runAsync(e, bg, slow)
+			waitFor(t, func() bool { return e.Metrics().Snapshot().InFlight == 1 })
+			queued := runAsync(e, bg, slow)
+			waitFor(t, func() bool { return e.Metrics().Snapshot().Queued == 1 })
+			_, err := e.Run(bg, slow)
+			wantErr(t, err, ErrOverloaded)
+			wantErr(t, <-busy, nil)
+			wantErr(t, <-queued, nil)
+			return 3
+		}},
+		{"drain", Options{Workers: 1, QueueDepth: 4}, func(t *testing.T, e *Engine) int64 {
+			busy := runAsync(e, bg, slow)
+			waitFor(t, func() bool { return e.Metrics().Snapshot().InFlight == 1 })
+			queued := runAsync(e, bg, slow)
+			waitFor(t, func() bool { return e.Metrics().Snapshot().Queued == 1 })
+			shutdown(t, e)
+			wantErr(t, <-busy, nil)
+			wantErr(t, <-queued, ErrDraining)
+			_, err := e.Run(bg, slow)
+			wantErr(t, err, ErrDraining)
+			return 3
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(tc.opts)
+			sent := tc.drive(t, e)
+			shutdown(t, e) // waits for every worker, so the counters are final
+			s := e.Metrics().Snapshot()
+			if s.Requests != sent {
+				t.Errorf("requests = %d, want %d", s.Requests, sent)
+			}
+			if sum := s.Completed + s.Failed + s.Shed + s.Drained + s.Expired; sum != s.Requests {
+				t.Errorf("requests = %d but completed %d + failed %d + shed %d + drained %d + expired %d = %d",
+					s.Requests, s.Completed, s.Failed, s.Shed, s.Drained, s.Expired, sum)
+			}
+			if s.InFlight != 0 || s.Queued != 0 {
+				t.Errorf("in_flight = %d, queued = %d after shutdown, want 0", s.InFlight, s.Queued)
+			}
+		})
+	}
+}
+
+// runAsync runs req on a goroutine and delivers its error.
+func runAsync(e *Engine, ctx context.Context, req Request) <-chan error {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.Run(ctx, req)
+		errc <- err
+	}()
+	return errc
+}
+
+// waitFor polls until cond holds.
+func waitFor(t *testing.T, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatal("engine never reached the awaited state")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// wantErr fails unless err matches want (nil means success).
+func wantErr(t *testing.T, err, want error) {
+	t.Helper()
+	if !errors.Is(err, want) {
+		t.Fatalf("err = %v, want %v", err, want)
+	}
 }
 
 func shutdown(t *testing.T, e *Engine) {

@@ -79,21 +79,21 @@ func newGovernor(maxInFlight, maxRequest int64, met *Metrics) *governor {
 // admit reserves n estimated bytes, or explains why it will not.
 func (g *governor) admit(n int64) error {
 	if g.maxRequest > 0 && n > g.maxRequest {
-		atomic.AddInt64(&g.met.requestTooLarge, 1)
+		g.met.requestTooLarge.Add(1)
 		return &RequestTooLargeError{Estimated: n, Limit: g.maxRequest}
 	}
 	for {
-		cur := atomic.LoadInt64(&g.met.inflightBytes)
+		cur := g.met.inflightBytes.Load()
 		if g.maxInFlight > 0 && cur+n > g.maxInFlight {
-			atomic.AddInt64(&g.met.shedResource, 1)
+			g.met.shedResource.Add(1)
 			return fmt.Errorf("%w: %d in flight + %d requested > %d budget",
 				ErrResourceExhausted, cur, n, g.maxInFlight)
 		}
-		if atomic.CompareAndSwapInt64(&g.met.inflightBytes, cur, cur+n) {
+		if g.met.inflightBytes.CompareAndSwap(cur, cur+n) {
 			now := cur + n
 			for {
-				hw := atomic.LoadInt64(&g.met.inflightBytesHW)
-				if now <= hw || atomic.CompareAndSwapInt64(&g.met.inflightBytesHW, hw, now) {
+				hw := g.met.inflightBytesHW.Load()
+				if now <= hw || g.met.inflightBytesHW.CompareAndSwap(hw, now) {
 					break
 				}
 			}
@@ -107,13 +107,13 @@ func (g *governor) admit(n int64) error {
 
 // release returns n bytes to the budget.
 func (g *governor) release(n int64) {
-	atomic.AddInt64(&g.met.inflightBytes, -n)
+	g.met.inflightBytes.Add(-n)
 }
 
 // InFlightBytes reports the governor's current byte estimate of running
 // work (the value the inflight_bytes gauge exports).
 func (e *Engine) InFlightBytes() int64 {
-	return atomic.LoadInt64(&e.met.inflightBytes)
+	return e.met.inflightBytes.Load()
 }
 
 // reaper force-cancels runs that exceed a wall-clock bound. Deadlines
@@ -199,7 +199,7 @@ func (r *reaper) loop() {
 				w.reaped.Store(true)
 				w.cancel()
 				delete(r.watch, id)
-				atomic.AddInt64(&r.met.reaped, 1)
+				r.met.reaped.Add(1)
 				if r.onReap != nil {
 					r.onReap()
 				}

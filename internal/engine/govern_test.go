@@ -10,7 +10,7 @@ import (
 )
 
 func TestGovernorAccounting(t *testing.T) {
-	met := newMetrics(1)
+	met := &Metrics{}
 	g := newGovernor(1000, 0, met)
 	if err := g.admit(600); err != nil {
 		t.Fatalf("first admit: %v", err)
@@ -31,7 +31,7 @@ func TestGovernorAccounting(t *testing.T) {
 }
 
 func TestGovernorPerRequestCap(t *testing.T) {
-	met := newMetrics(1)
+	met := &Metrics{}
 	g := newGovernor(0, 100, met)
 	err := g.admit(101)
 	var rtl *RequestTooLargeError
@@ -46,7 +46,7 @@ func TestGovernorPerRequestCap(t *testing.T) {
 		t.Fatal("refused request left bytes reserved")
 	}
 	// With no caps at all, large admissions are accounted but never shed.
-	g2 := newGovernor(0, 0, newMetrics(1))
+	g2 := newGovernor(0, 0, &Metrics{})
 	if err := g2.admit(1 << 40); err != nil {
 		t.Fatalf("uncapped admit: %v", err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	rt "dswp/internal/runtime"
@@ -179,7 +178,7 @@ func (e *Engine) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			atomic.AddInt64(&e.met.bodyTooLarge, 1)
+			e.met.bodyTooLarge.Add(1)
 			writeJSON(w, http.StatusRequestEntityTooLarge,
 				errorBody{Error: fmt.Sprintf("request body exceeds %d bytes", mbe.Limit),
 					Class: "body-too-large"})
@@ -330,7 +329,6 @@ type debugVars struct {
 	UptimeSeconds float64                             `json:"uptime_seconds"`
 	Window        telemetry.WindowSnapshot            `json:"window"`
 	Workloads     map[string]telemetry.WindowSnapshot `json:"workloads,omitempty"`
-	Shards        []ShardSnapshot                     `json:"shards"`
 	Tracer        telemetry.TracerStats               `json:"tracer"`
 }
 
@@ -343,7 +341,6 @@ func (e *Engine) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 		UptimeSeconds: time.Since(e.started).Seconds(),
 		Window:        e.window.Snapshot(includeSeries),
 		Workloads:     e.registry.Profiles(false),
-		Shards:        e.met.Snapshot().Shards,
 		Tracer:        e.tracer.Stats(),
 	})
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"dswp/internal/queue"
 	rt "dswp/internal/runtime"
@@ -28,13 +27,13 @@ type pool struct {
 	plan *rt.Plan
 	kind queue.Kind
 	qcap int
-	met  *shardMetrics
+	met  *Metrics
 
 	mu   sync.Mutex
 	free []*rt.Instance
 }
 
-func newPool(plan *rt.Plan, kind queue.Kind, qcap, size int, met *shardMetrics) *pool {
+func newPool(plan *rt.Plan, kind queue.Kind, qcap, size int, met *Metrics) *pool {
 	return &pool{plan: plan, kind: kind, qcap: qcap, met: met,
 		free: make([]*rt.Instance, 0, size)}
 }
@@ -55,7 +54,7 @@ func (p *pool) get() *rt.Instance {
 // make allocates a fresh instance with the pool's geometry; it will join
 // the free list when its run returns it.
 func (p *pool) make() *rt.Instance {
-	atomic.AddInt64(&p.met.poolMakes, 1)
+	p.met.poolMakes.Add(1)
 	return p.plan.NewInstance(p.kind, p.qcap)
 }
 
@@ -66,18 +65,18 @@ func (p *pool) make() *rt.Instance {
 // full pool drops the instance as ordinary overflow.
 func (p *pool) release(inst *rt.Instance, poisoned bool) {
 	if poisoned {
-		atomic.AddInt64(&p.met.poolQuarantined, 1)
+		p.met.poolQuarantined.Add(1)
 		return
 	}
 	inst.Reset()
 	if err := inst.Verify(); err != nil {
-		atomic.AddInt64(&p.met.poolQuarantined, 1)
+		p.met.poolQuarantined.Add(1)
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) >= cap(p.free) {
-		atomic.AddInt64(&p.met.poolDrops, 1)
+		p.met.poolDrops.Add(1)
 		return
 	}
 	p.free = append(p.free, inst)

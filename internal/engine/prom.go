@@ -2,8 +2,6 @@ package engine
 
 import (
 	"sort"
-	"strconv"
-	"sync/atomic"
 	"time"
 
 	"dswp/internal/telemetry"
@@ -34,9 +32,6 @@ func (e *Engine) PromText() string {
 		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("outcome", "expired")}, Value: float64(s.Expired)})
 	p.Gauge("dswp_inflight", "Requests executing right now.", one(s.InFlight)...)
 	p.Gauge("dswp_queued", "Requests admitted but not yet picked up.", one(s.Queued)...)
-	p.Counter("dswp_spilled_total",
-		"Requests executed on a peer shard because the home shard's queue was full.",
-		one(s.Spilled)...)
 
 	p.Counter("dswp_cache_total",
 		"Compiled-pipeline cache events.",
@@ -53,48 +48,6 @@ func (e *Engine) PromText() string {
 		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "make")}, Value: float64(s.PoolMakes)},
 		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "drop")}, Value: float64(s.PoolDrops)},
 		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "quarantine")}, Value: float64(s.PoolQuarantined)})
-
-	// Per-shard labeled series: one sample per serving lane, so dashboards
-	// can spot routing imbalance and spill hot-spots. Cardinality is the
-	// shard count (bounded by GOMAXPROCS at engine construction).
-	if len(s.Shards) > 0 {
-		type col struct {
-			name, help string
-			gauge      bool
-			val        func(ShardSnapshot) int64
-		}
-		cols := []col{
-			{"dswp_shard_requests_total", "Requests routed to each home shard.", false,
-				func(sh ShardSnapshot) int64 { return sh.Requests }},
-			{"dswp_shard_completed_total", "Requests completed by each executing shard.", false,
-				func(sh ShardSnapshot) int64 { return sh.Completed }},
-			{"dswp_shard_spilled_total", "Requests spilled off each home shard.", false,
-				func(sh ShardSnapshot) int64 { return sh.Spilled }},
-			{"dswp_shard_queued", "Requests waiting in each shard's queue.", true,
-				func(sh ShardSnapshot) int64 { return sh.Queued }},
-			{"dswp_shard_inflight", "Requests executing on each shard right now.", true,
-				func(sh ShardSnapshot) int64 { return sh.InFlight }},
-			{"dswp_shard_cache_hits_total", "Compiled-pipeline cache hits per home shard.", false,
-				func(sh ShardSnapshot) int64 { return sh.CacheHits }},
-			{"dswp_shard_cache_misses_total", "Compiled-pipeline cache misses per home shard.", false,
-				func(sh ShardSnapshot) int64 { return sh.CacheMisses }},
-			{"dswp_shard_compiles_total", "core.Apply compilations per home shard.", false,
-				func(sh ShardSnapshot) int64 { return sh.Compiles }},
-		}
-		for _, c := range cols {
-			samples := make([]telemetry.Sample, 0, len(s.Shards))
-			for _, sh := range s.Shards {
-				samples = append(samples, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("shard", strconv.Itoa(sh.ID))},
-					Value:  float64(c.val(sh))})
-			}
-			if c.gauge {
-				p.Gauge(c.name, c.help, samples...)
-			} else {
-				p.Counter(c.name, c.help, samples...)
-			}
-		}
-	}
 
 	p.Counter("dswp_resumes_total",
 		"Runs finished by checkpoint-seeded sequential resume.", one(s.Resumes)...)
@@ -149,17 +102,12 @@ func (e *Engine) PromText() string {
 			"Injected-fault triggers by failpoint site.", samples...)
 	}
 
-	totalSum, queueSum, runSum := e.met.latSums()
 	p.Histogram("dswp_latency_us",
 		"Serving latency in microseconds by path segment (log2 buckets).",
-		telemetry.HistSample{Labels: []telemetry.Label{telemetry.L("path", "total")},
-			Buckets: s.LatencyTotalUS.Buckets, Sum: totalSum},
-		telemetry.HistSample{Labels: []telemetry.Label{telemetry.L("path", "queue")},
-			Buckets: s.LatencyQueueUS.Buckets, Sum: queueSum},
-		telemetry.HistSample{Labels: []telemetry.Label{telemetry.L("path", "run")},
-			Buckets: s.LatencyRunUS.Buckets, Sum: runSum},
-		telemetry.HistSample{Labels: []telemetry.Label{telemetry.L("path", "compile")},
-			Buckets: s.LatencyCompileUS.Buckets, Sum: atomic.LoadInt64(&e.met.latCompileSum)})
+		e.met.latTotal.Snapshot(telemetry.L("path", "total")),
+		e.met.latQueue.Snapshot(telemetry.L("path", "queue")),
+		e.met.latRun.Snapshot(telemetry.L("path", "run")),
+		e.met.latCompile.Snapshot(telemetry.L("path", "compile")))
 
 	// Per-workload labeled series. Only workloads that resolved are in the
 	// registry, so label cardinality is bounded by the workload registry.

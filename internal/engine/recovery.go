@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"sort"
-	"sync/atomic"
 
 	"dswp/internal/ckptstore"
 	"dswp/internal/interp"
@@ -85,7 +84,7 @@ func (e *Engine) Recover(ctx context.Context) (*RecoveryStats, error) {
 		}
 		stats.Resumed++
 		stats.Runs = append(stats.Runs, *run)
-		atomic.AddInt64(&e.met.recovered, 1)
+		e.met.recovered.Add(1)
 		e.store.Delete(key)
 	}
 	// Torn files the store already skipped (and GC'd) at open count too:
