@@ -57,16 +57,19 @@ crash-smoke:
 metrics-smoke:
 	RACE=1 scripts/metrics_smoke.sh
 
-# The chaos soak under the race detector, both drivers at the pinned CI
-# seeds: the supervisor driver (faults, panics, stalls, cancellation and
-# crash recovery on plain, packed and replicated pipelines) and the
-# service driver (seeded failpoint schedules against live engines with
-# concurrent mixed traffic). Contract: correct digest or typed error,
-# no hang, empty checkpoint store after drain, no leaked goroutines.
+# The chaos soak under the race detector, both drivers at the pinned
+# seeds; CI's chaos job runs this target, so the seeds live here only.
+# The supervisor driver (queue errors, panics, stalls, cancellation and
+# crash recovery on plain, packed and replicated pipelines) soaks two
+# seeds; the service driver (seeded failpoint schedules against live
+# engines with concurrent mixed traffic) soaks one at GOMAXPROCS=4.
+# Contract: correct digest or typed error, no hang, empty checkpoint
+# store after drain, no leaked goroutines.
 # `go run ./cmd/dswpchaos -driver D -seed N` replays a schedule.
 chaos:
 	$(GO) run -race ./cmd/dswpchaos -driver supervisor -seed 20250806 -timeout 30s
-	$(GO) run -race ./cmd/dswpchaos -driver service -seed 20260808 -runs 8 -v
+	$(GO) run -race ./cmd/dswpchaos -driver supervisor -seed 20250807 -timeout 30s
+	GOMAXPROCS=4 $(GO) run -race ./cmd/dswpchaos -driver service -seed 20260808 -runs 8 -v
 
 clean:
 	$(GO) clean ./...

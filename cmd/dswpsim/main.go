@@ -39,9 +39,9 @@
 //	dswpsim -runtime=goroutine -trace out.json -metrics listsum
 //
 // -runtime=supervised runs the fault-tolerant supervisor: cooperative
-// cancellation (-deadline), in-place retry of transient injected faults
-// (-retries), iteration checkpointing, and sequential resume from the last
-// checkpoint on any unrecoverable failure (disable with -resume=false).
+// cancellation (-deadline), iteration checkpointing (-ckpt), and sequential
+// resume from the last checkpoint on any failure of the concurrent attempt
+// (disable with -resume=false).
 // The chaos soak lives in cmd/dswpchaos.
 //
 //	dswpsim -runtime=supervised -faults=42 -deadline=10s 181.mcf
@@ -91,7 +91,6 @@ func main() {
 	metrics := flag.Bool("metrics", false, "print the pipeline metrics report for the functional run")
 	stats := flag.Bool("stats", false, "print the transformation's compile-time pass statistics")
 	deadline := flag.Duration("deadline", 0, "overall wall-clock budget for the supervised runtime (0 = none)")
-	retries := flag.Int("retries", 4, "retry budget for transient injected queue faults (supervised runtime)")
 	resume := flag.Bool("resume", true, "sequentially resume from the last checkpoint on unrecoverable failure (supervised runtime)")
 	ckptEvery := flag.Int64("ckpt", 0, "checkpoint period in outer-loop iterations (supervised runtime; 0 = default)")
 	flag.Usage = usage
@@ -122,7 +121,7 @@ func main() {
 	runner := &runner{
 		engine: *engine, queueCap: *queuecap, queueKind: kind, pack: *pack, faultSeed: *faults,
 		instrument: *metrics || *traceOut != "",
-		deadline:   *deadline, retries: *retries, resume: *resume, ckptEvery: *ckptEvery,
+		deadline:   *deadline, resume: *resume, ckptEvery: *ckptEvery,
 	}
 	traces, passStats, err := buildTraces(p, *scheme, *threads, runner)
 	if err != nil {
@@ -265,11 +264,10 @@ type runner struct {
 	pack      bool
 	faultSeed uint64
 
-	// Supervised-runtime policy knobs (-deadline, -retries, -resume,
-	// -ckpt); regOwner is filled by buildTraces from the transformation so
+	// Supervised-runtime policy knobs (-deadline, -resume, -ckpt);
+	// regOwner is filled by buildTraces from the transformation so
 	// the supervisor can checkpoint.
 	deadline  time.Duration
-	retries   int
 	resume    bool
 	ckptEvery int64
 	regOwner  []int
@@ -338,7 +336,6 @@ func (r *runner) execute(fns []*ir.Function, p *workloads.Program, numQueues int
 			QueueCap:        r.queueCap,
 			Queue:           r.queueKind,
 			Deadline:        r.deadline,
-			Retry:           rt.RetryPolicy{MaxAttempts: r.retries},
 			CheckpointEvery: r.ckptEvery,
 			DisableResume:   !r.resume,
 			RecordTrace:     true,

@@ -102,12 +102,11 @@ type (
 	// Go channels or the lock-free SPSC ring buffer.
 	QueueKind = queue.Kind
 	// FaultPlan describes deterministic fault injection for a concurrent
-	// run; ThreadStall, QueueFaultSpec, and FaultClass are its building
-	// blocks; FallbackReport says whether a run degraded to sequential.
+	// run as per-queue and per-thread FaultPolicy values (build one with
+	// ParseFaultPolicy); FallbackReport says whether a run degraded to
+	// sequential.
 	FaultPlan      = rt.FaultPlan
-	ThreadStall    = rt.ThreadStall
-	QueueFaultSpec = rt.QueueFaultSpec
-	FaultClass     = rt.FaultClass
+	FaultPolicy    = failpoint.Policy
 	FallbackReport = rt.FallbackReport
 	// DeadlockError and TimeoutError are the watchdog's structured
 	// failures; StageFailure is a captured stage panic; QueueFaultError is
@@ -118,12 +117,10 @@ type (
 	StageFailure    = rt.StageFailure
 	QueueFaultError = rt.QueueFaultError
 	CanceledError   = rt.CanceledError
-	// RetryPolicy bounds in-place retry of transient queue faults;
 	// Checkpoint is a committed consistent cut of a concurrent run.
-	RetryPolicy = rt.RetryPolicy
-	Checkpoint  = rt.Checkpoint
+	Checkpoint = rt.Checkpoint
 
-	// Policy bounds a supervised execution (deadline, retries, checkpoint
+	// Policy bounds a supervised execution (deadline, checkpoint
 	// period); SupervisorReport says how the run went (what failed,
 	// whether and from which iteration it resumed).
 	Policy           = supervisor.Policy
@@ -216,13 +213,6 @@ var (
 	ErrReaped            = engine.ErrReaped
 	ErrDurabilityLost    = ckptstore.ErrDurabilityLost
 	ErrFailpointInjected = failpoint.ErrInjected
-)
-
-// Fault classes for FaultPlan.QueueFault: transient faults recover under
-// retry, permanent faults force a checkpoint resume.
-const (
-	FaultTransient = rt.FaultTransient
-	FaultPermanent = rt.FaultPermanent
 )
 
 // Communication substrates for RuntimeOptions.Queue and Policy.Queue.
@@ -398,17 +388,23 @@ func RandomFaults(seed uint64, tr *Transformed) *FaultPlan {
 	return rt.RandomFaults(seed, len(tr.Threads), tr.NumQueues)
 }
 
+// ParseFaultPolicy compiles the failpoint grammar
+// (ACTION[:TRIGGER...], e.g. "error(x):every(64)", "panic(boom):nth(300)",
+// "sleep(50us):every(256)") into a policy for FaultPlan.Queue or
+// FaultPlan.Thread.
+func ParseFaultPolicy(spec string) (FaultPolicy, error) { return failpoint.Parse(spec) }
+
 // ExecResult is the functional outcome of a supervised execution: the
 // final memory image, per-thread traces, and thread 0's live-outs.
 type ExecResult = interp.Result
 
 // RunSupervised executes the pipelined threads under the fault-tolerant
 // supervisor: the caller's context cancels cooperatively, stage panics are
-// captured as *StageFailure, transient injected queue faults retry in
-// place under pol.Retry, and on any unrecoverable failure the original
-// loop is resumed sequentially from the last committed checkpoint. The
-// returned result is bit-identical to sequential execution of p.F, or the
-// error is typed — never a hang, never a wrong answer.
+// captured as *StageFailure, and on any unrecoverable failure (a
+// *QueueFaultError included) the original loop is resumed sequentially
+// from the last committed checkpoint. The returned result is
+// bit-identical to sequential execution of p.F, or the error is typed —
+// never a hang, never a wrong answer.
 func RunSupervised(ctx context.Context, tr *Transformed, p *Program, pol Policy) (*ExecResult, *SupervisorReport, error) {
 	return supervisor.Run(ctx, supervisor.Pipeline{
 		Threads:    tr.Threads,

@@ -9,6 +9,7 @@ import (
 	"dswp/internal/ckptstore"
 	"dswp/internal/core"
 	"dswp/internal/engine"
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/profile"
 	"dswp/internal/psdswp"
@@ -22,15 +23,14 @@ import (
 // Supervisor fault modes. Mid-run cancellation composes on top of any mode.
 const (
 	modeClean     = iota // RandomFaults timing perturbation only
-	modeTransient        // transient queue fault within the retry budget
-	modePermanent        // permanent queue fault -> sequential resume
+	modePermanent        // queue error fault -> sequential resume
 	modePanic            // stage panic (one replica, if replicated) -> sequential resume
 	modeStarve           // forced stalls under a tiny attempt timeout
 	modeDurable          // crash: the durable store is all that survives
 	numModes
 )
 
-var modeNames = [numModes]string{"clean", "transient", "permanent", "panic", "starve", "durable"}
+var modeNames = [numModes]string{"clean", "permanent", "panic", "starve", "durable"}
 
 // target is a pipeline prepared for soaking.
 type target struct {
@@ -120,9 +120,7 @@ func (d *supervisorDriver) scenario(seed uint64, i int) scenario {
 		Queue:           queue.Kind(rng.Index(2)),
 		CheckpointEvery: []int64{4, 16, 64}[rng.Index(3)],
 		AttemptTimeout:  10 * time.Second,
-		Retry: rt.RetryPolicy{MaxAttempts: 4,
-			Backoff: 5 * time.Microsecond, MaxBackoff: 100 * time.Microsecond},
-		Faults: plan,
+		Faults:          plan,
 	}
 	panicOne := func() string {
 		t := rng.Index(nt)
@@ -130,21 +128,16 @@ func (d *supervisorDriver) scenario(seed uint64, i int) scenario {
 			t = tg.replicas[rng.Index(len(tg.replicas))]
 		}
 		at := int64(50 + rng.Index(2000))
-		plan.ThreadPanic = map[int]int64{t: at}
+		plan.Thread[t] = failpoint.Policy{Action: failpoint.ActPanic, Nth: at}
 		return fmt.Sprintf("panic t%d@%d", t, at)
 	}
 	permanent := func() string {
 		q, every := rng.Index(nq), int64(32+rng.Index(512))
-		plan.QueueFault = map[int]rt.QueueFaultSpec{q: {Class: rt.FaultPermanent, Every: every}}
+		plan.Queue[q] = failpoint.Policy{Action: failpoint.ActError, Every: every}
 		return fmt.Sprintf("permanent q%d/%d", q, every)
 	}
 	fault := "timing"
 	switch s.mode {
-	case modeTransient:
-		q, every, fails := rng.Index(nq), int64(16+rng.Index(256)), 1+rng.Index(3)
-		plan.QueueFault = map[int]rt.QueueFaultSpec{q: {
-			Class: rt.FaultTransient, Every: every, Fails: fails}}
-		fault = fmt.Sprintf("transient q%d/%d x%d", q, every, fails)
 	case modePermanent:
 		fault = permanent()
 	case modePanic:
@@ -153,7 +146,8 @@ func (d *supervisorDriver) scenario(seed uint64, i int) scenario {
 		// Stall one thread hard enough that the watchdog's wall-clock
 		// bound fires, forcing the timeout -> resume path.
 		t, every := rng.Index(nt), int64(64+rng.Index(192))
-		plan.ThreadStall = map[int]rt.ThreadStall{t: {Every: every, Delay: 2 * time.Millisecond}}
+		plan.Thread[t] = failpoint.Policy{Action: failpoint.ActSleep, Every: every,
+			Sleep: 2 * time.Millisecond}
 		s.pol.AttemptTimeout = 50 * time.Millisecond
 		s.pol.Poll = time.Millisecond
 		fault = fmt.Sprintf("stall t%d/%d", t, every)

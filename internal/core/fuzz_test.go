@@ -2,18 +2,17 @@ package core
 
 import (
 	"context"
-	"time"
-
-	"dswp/internal/supervisor"
 	"fmt"
 	"testing"
 	"testing/quick"
 
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/ir"
 	"dswp/internal/profile"
 	"dswp/internal/queue"
 	rt "dswp/internal/runtime"
+	"dswp/internal/supervisor"
 )
 
 // Random-loop fuzzing: generate structured random loops (counted, with
@@ -302,8 +301,9 @@ func TestFuzzGeneratorIsDeterministic(t *testing.T) {
 //
 // FuzzSupervised drives the fault-tolerant supervisor over the same random
 // loop generator the equivalence fuzz uses, with the failure mode and its
-// trigger point fuzzed alongside the program shape: clean runs, transient
-// faults inside the retry budget, permanent faults, and stage panics. The
+// trigger point fuzzed alongside the program shape: clean runs, queue
+// errors drawn per value from a seeded probability stream, queue errors
+// every N values, and stage panics. The
 // invariant is the supervisor's whole contract: a nil error and the
 // bit-identical sequential state, whatever was injected.
 
@@ -333,8 +333,8 @@ func fuzzSupervisedOne(t *testing.T, seed uint64, mode uint8, knob uint16) {
 	}
 	// Two knob bits pick the interop corner: communication substrate and
 	// compiler-side flow packing, crossed with every fault mode below —
-	// ring queues must survive fault plans, retry, checkpoint barriers,
-	// stage panics, and sequential resume exactly like channels do.
+	// ring queues must survive fault plans, checkpoint barriers, stage
+	// panics, and sequential resume exactly like channels do.
 	kind := queue.KindChannel
 	if knob&1 != 0 {
 		kind = queue.KindRing
@@ -347,13 +347,16 @@ func fuzzSupervisedOne(t *testing.T, seed uint64, mode uint8, knob uint16) {
 	plan := &rt.FaultPlan{Seed: seed}
 	switch mode % 4 {
 	case 1:
-		plan.QueueFault = map[int]rt.QueueFaultSpec{int(knob) % tr.NumQueues: {
-			Class: rt.FaultTransient, Every: int64(1 + knob%128), Fails: 1 + int(knob%3)}}
+		// prob(P,SEED): each value at either end of the queue fails with
+		// probability P, drawn from the plan seed's stream.
+		plan.Queue = map[int]failpoint.Policy{int(knob) % tr.NumQueues: {
+			Action: failpoint.ActError, Prob: float64(1+knob%64) / 1024, Seed: seed}}
 	case 2:
-		plan.QueueFault = map[int]rt.QueueFaultSpec{int(knob) % tr.NumQueues: {
-			Class: rt.FaultPermanent, Every: int64(1 + knob%256)}}
+		plan.Queue = map[int]failpoint.Policy{int(knob) % tr.NumQueues: {
+			Action: failpoint.ActError, Every: int64(1 + knob%256)}}
 	case 3:
-		plan.ThreadPanic = map[int]int64{int(knob) % len(tr.Threads): int64(1 + knob%2048)}
+		plan.Thread = map[int]failpoint.Policy{int(knob) % len(tr.Threads): {
+			Action: failpoint.ActPanic, Nth: int64(1 + knob%2048)}}
 	}
 
 	res, rep, err := supervisor.Run(context.Background(), supervisor.Pipeline{
@@ -364,9 +367,7 @@ func fuzzSupervisedOne(t *testing.T, seed uint64, mode uint8, knob uint16) {
 		Queue:           kind,
 		CheckpointEvery: int64(1 + knob%16),
 		MaxSteps:        50_000_000,
-		Retry: rt.RetryPolicy{MaxAttempts: 4,
-			Backoff: time.Microsecond, MaxBackoff: 20 * time.Microsecond},
-		Faults: plan,
+		Faults:          plan,
 	})
 	if err != nil {
 		t.Fatalf("seed %d mode %d knob %d: supervised run failed: %v (attempt failure: %v)",

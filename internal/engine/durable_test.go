@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dswp/internal/ckptstore"
+	"dswp/internal/failpoint"
 	rt "dswp/internal/runtime"
 	"dswp/internal/supervisor"
 )
@@ -370,7 +371,8 @@ func TestEngineRecoverFinishesOrphans(t *testing.T) {
 	}, supervisor.Policy{
 		CheckpointEvery: 4, DisableResume: true,
 		Store: store, StoreKey: "list-traversal.r000007", StoreMeta: meta,
-		Faults: &rt.FaultPlan{ThreadPanic: map[int]int64{len(p.tr.Threads) - 1: 400}},
+		Faults: &rt.FaultPlan{Thread: map[int]failpoint.Policy{
+			len(p.tr.Threads) - 1: {Action: failpoint.ActPanic, Nth: 400}}},
 	})
 	shutdown(t, prep)
 	if serr == nil || srep.DurableCommits == 0 {

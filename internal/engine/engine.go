@@ -36,6 +36,7 @@ import (
 
 	"dswp/internal/ckptstore"
 	"dswp/internal/core"
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/profile"
 	"dswp/internal/psdswp"
@@ -907,7 +908,7 @@ func faultsOf(req Request, p *pipeline) *rt.FaultPlan {
 	if p.tr == nil || (req.InjectPanic <= 0 && req.InjectStallUS <= 0) {
 		return nil
 	}
-	f := &rt.FaultPlan{}
+	f := &rt.FaultPlan{Thread: map[int]failpoint.Policy{}}
 	if req.InjectPanic > 0 {
 		target := len(p.tr.Threads) - 1
 		if topo := p.plan.Topology(); topo.Replicated() {
@@ -917,11 +918,11 @@ func faultsOf(req Request, p *pipeline) *rt.FaultPlan {
 			rth := topo.ReplicaThreads()
 			target = rth[len(rth)-1]
 		}
-		f.ThreadPanic = map[int]int64{target: req.InjectPanic}
+		f.Thread[target] = failpoint.Policy{Action: failpoint.ActPanic, Nth: req.InjectPanic}
 	}
 	if req.InjectStallUS > 0 {
-		f.ThreadStall = map[int]rt.ThreadStall{0: {Every: 64,
-			Delay: time.Duration(req.InjectStallUS) * time.Microsecond}}
+		f.Thread[0] = failpoint.Policy{Action: failpoint.ActSleep, Every: 64,
+			Sleep: time.Duration(req.InjectStallUS) * time.Microsecond}
 	}
 	return f
 }

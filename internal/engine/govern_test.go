@@ -101,6 +101,50 @@ func TestEngineBytesReturnToZero(t *testing.T) {
 	}
 }
 
+// TestInjectedStallHonorsDeadline: inject_stall_us comes straight from
+// the /run body, so an hour-long stall must not outlive its request. The
+// caller gets its deadline error, the stalled stage wakes on the run's
+// cancellation (so in-flight drops back to 0), and Shutdown returns
+// within its own deadline. Every wait is
+// bounded by a timer so a regression fails the test instead of hanging
+// the package.
+func TestInjectedStallHonorsDeadline(t *testing.T) {
+	e := New(Options{Workers: 1, ReapAfter: 200 * time.Millisecond})
+	errc := make(chan error, 1)
+	go func() {
+		_, err := e.Run(context.Background(), Request{Workload: "list-traversal",
+			DeadlineMillis: 100, InjectStallUS: 3_600_000_000})
+		errc <- err
+	}()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("got %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the request outlived its 100ms deadline by 10s")
+	}
+	for give := time.Now().Add(5 * time.Second); e.Metrics().Snapshot().InFlight != 0; {
+		if time.Now().After(give) {
+			t.Fatalf("in_flight = %d 5s after the deadline: the stalled stage never woke",
+				e.Metrics().Snapshot().InFlight)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- e.Shutdown(ctx) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown with a 2s deadline had not returned after 5s")
+	}
+}
+
 func TestReaperKillsHungRun(t *testing.T) {
 	testutil.VerifyNone(t)
 	// A run stalling 2ms every 64 instructions over a long list runs for

@@ -1,7 +1,8 @@
-// Package failpoint is a deterministic, seeded fault-injection framework
-// for the service layers: named sites compiled into IO and lifecycle
-// paths, armed at run time with per-site trigger policies, and provably
-// near-zero-cost when disarmed.
+// Package failpoint is the one fault-injection system: deterministic,
+// seeded policies evaluated at global named sites compiled into the
+// service layers' IO and lifecycle paths (armed at run time, provably
+// near-zero-cost when disarmed), or by run-scoped evaluators (Eval) that
+// one pipeline run owns, outside the registry.
 //
 // A site is declared once, at package scope, next to the code it guards:
 //
@@ -41,8 +42,10 @@
 package failpoint
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,23 +115,11 @@ func (s *Site) Fail() error {
 // evaluate runs the armed policy for one hit. Split from Fail so the
 // disarmed path stays small enough to inline.
 func (s *Site) evaluate(p *policy) error {
-	hit := s.hits.Add(1)
-	if !p.fires(hit) {
+	if !p.fires(s.hits.Add(1)) {
 		return nil
-	}
-	if p.Times > 0 && p.fired.Add(1) > p.Times {
-		return nil // budget exhausted; site stays armed but inert
 	}
 	s.triggers.Add(1)
-	switch p.Action {
-	case ActSleep:
-		time.Sleep(p.Sleep)
-		return nil
-	case ActPanic:
-		panic(fmt.Sprintf("failpoint %s: %s", s.name, p.Msg))
-	default:
-		return p.Err
-	}
+	return p.act(context.Background(), "failpoint "+s.name)
 }
 
 // Triggers reports how many faults the site has injected since the last
@@ -181,7 +172,43 @@ type policy struct {
 	fired atomic.Int64
 }
 
-// fires evaluates the trigger conditions for hit number `hit`.
+// newPolicy arms pol: a default injected error for a bare error action
+// (where names the site) and the seeded xorshift64* stream.
+func newPolicy(pol Policy, where string) *policy {
+	if pol.Action == ActError && pol.Err == nil {
+		pol.Err = fmt.Errorf("%w at %s", ErrInjected, where)
+	}
+	p := &policy{Policy: pol}
+	seed := pol.Seed
+	if seed == 0 {
+		seed = 1
+	}
+	p.rng.Store(seed)
+	return p
+}
+
+// act performs a triggered policy's action. A sleep returns nil after
+// Sleep or as soon as ctx is done, whichever comes first; a panic carries
+// where and Msg; an error action returns Err.
+func (p *policy) act(ctx context.Context, where string) error {
+	switch p.Action {
+	case ActSleep:
+		t := time.NewTimer(p.Sleep)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+		}
+		return nil
+	case ActPanic:
+		panic(fmt.Sprintf("%s: %s", where, p.Msg))
+	default:
+		return p.Err
+	}
+}
+
+// fires reports whether hit number `hit` injects a fault: every trigger
+// condition holds and the Times budget is not spent.
 func (p *policy) fires(hit int64) bool {
 	if p.Nth > 0 && hit != p.Nth {
 		return false
@@ -201,7 +228,7 @@ func (p *policy) fires(hit int64) bool {
 			return false
 		}
 	}
-	return true
+	return p.Times <= 0 || p.fired.Add(1) <= p.Times
 }
 
 // Arm activates a policy on the named site, replacing any previous one
@@ -214,16 +241,7 @@ func Arm(name string, pol Policy) error {
 	if s == nil {
 		return fmt.Errorf("failpoint: unknown site %q", name)
 	}
-	if pol.Action == ActError && pol.Err == nil {
-		pol.Err = fmt.Errorf("%w at %s", ErrInjected, name)
-	}
-	p := &policy{Policy: pol}
-	seed := pol.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	p.rng.Store(seed)
-	if s.pol.Swap(p) == nil {
+	if s.pol.Swap(newPolicy(pol, name)) == nil {
 		armed.Add(1)
 	}
 	return nil
@@ -265,6 +283,50 @@ func Reset() {
 		s.hits.Store(0)
 		s.triggers.Store(0)
 	}
+}
+
+// Eval is a run-scoped evaluation of one Policy: the same triggers,
+// actions and seeded stream as a global site, with its own hit count,
+// Times budget and random state, outside the registry and the global
+// gate. It is safe for concurrent use.
+type Eval struct {
+	p    *policy
+	hits atomic.Int64
+}
+
+// NewEval builds a fresh run-scoped evaluator for pol.
+func NewEval(pol Policy) *Eval { return &Eval{p: newPolicy(pol, "a run-scoped site")} }
+
+// Hit counts one hit and reports whether the policy triggers on it.
+func (ev *Eval) Hit() bool { return ev.p.fires(ev.hits.Add(1)) }
+
+// Next is for callers that count hits themselves: it returns the first
+// hit number in (after, limit] on which the policy triggers, or
+// math.MaxInt64 when none does. It draws the random stream exactly as
+// Hit would for every hit it passes over, so a caller that jumps from
+// trigger to trigger sees the schedule a hit-by-hit caller would.
+func (ev *Eval) Next(after, limit int64) int64 {
+	p, step := ev.p, int64(1)
+	if p.Nth > 0 {
+		after, limit = max(after, p.Nth-1), min(limit, p.Nth)
+	} else if p.Every > 0 {
+		after, step = after/p.Every*p.Every, p.Every
+	}
+	for h := after + step; h <= limit; h += step {
+		if p.fires(h) {
+			return h
+		}
+		if p.Times > 0 && p.fired.Load() >= p.Times {
+			break
+		}
+	}
+	return math.MaxInt64
+}
+
+// Act performs the triggered action: a sleep that ends early when ctx is
+// done (returning nil), a panic naming where, or the policy's error.
+func (ev *Eval) Act(ctx context.Context, where string) error {
+	return ev.p.act(ctx, where)
 }
 
 // Sites lists every registered site name, sorted.

@@ -1,7 +1,11 @@
 package failpoint
 
 import (
+	"context"
 	"errors"
+	"math"
+	"reflect"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -199,5 +203,98 @@ func TestParseErrors(t *testing.T) {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)
 		}
+	}
+}
+
+// hits returns the 1-based hit numbers in [1,n] on which a fresh
+// evaluator of spec triggers, counted hit by hit.
+func hits(t *testing.T, spec string, n int64) []int64 {
+	t.Helper()
+	pol, err := Parse(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEval(pol)
+	var out []int64
+	for h := int64(1); h <= n; h++ {
+		if ev.Hit() {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// TestEvalNextMatchesHit: a caller that jumps from trigger to trigger
+// with Next sees exactly the schedule Hit produces hit by hit, random
+// stream included.
+func TestEvalNextMatchesHit(t *testing.T) {
+	const n = 2000
+	for _, spec := range []string{
+		"panic:nth(700)", "sleep(1us):every(64)", "error(x):prob(0.02,7)",
+		"error(x):every(5):prob(0.5,3)", "error(x):every(3):times(4)",
+		"error(x):nth(12):every(4)", "error(x):nth(13):every(4)", "error(x)",
+	} {
+		pol, _ := Parse(spec)
+		ev := NewEval(pol)
+		var jumped []int64
+		for h := ev.Next(0, n); h != math.MaxInt64; h = ev.Next(h, n) {
+			jumped = append(jumped, h)
+		}
+		if want := hits(t, spec, n); !reflect.DeepEqual(jumped, want) {
+			t.Errorf("%s: Next visits %v, Hit fires at %v", spec, jumped, want)
+		}
+	}
+}
+
+// TestEvalRunScoped: evaluators never touch the global registry or gate,
+// and two evaluators of one policy share no hits, budget or random state.
+func TestEvalRunScoped(t *testing.T) {
+	Reset()
+	pol, _ := Parse("error(x):prob(0.3,42):times(5)")
+	a, b := NewEval(pol), NewEval(pol)
+	var fa, fb []int64
+	var wg sync.WaitGroup
+	for _, c := range []struct {
+		ev  *Eval
+		out *[]int64
+	}{{a, &fa}, {b, &fb}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for h := int64(1); h <= 500; h++ {
+				if c.ev.Hit() {
+					*c.out = append(*c.out, h)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if len(fa) != 5 || !reflect.DeepEqual(fa, fb) {
+		t.Fatalf("evaluators interfered: %v vs %v", fa, fb)
+	}
+	if armed.Load() != 0 {
+		t.Fatal("a run-scoped evaluator armed the global gate")
+	}
+	if err := a.Act(context.Background(), "a"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("default error %v does not wrap ErrInjected", err)
+	}
+}
+
+// TestEvalSleepEndsOnCancel: a run-scoped sleep returns as soon as the
+// run's context is done. The wait is bounded so a regression fails
+// instead of hanging the package.
+func TestEvalSleepEndsOnCancel(t *testing.T) {
+	ev := NewEval(Policy{Action: ActSleep, Sleep: time.Hour})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() { done <- ev.Act(ctx, "test") }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("sleep returned %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("an hour-long sleep ignored cancellation for 5s")
 	}
 }

@@ -189,10 +189,9 @@ type Metrics struct {
 	queues  []QueueMetrics
 	dropped int64
 
-	// Recovery counters (KCheckpoint/KRetry/KResume from the supervisor
-	// and the fault-tolerant runtime).
+	// Recovery counters (KCheckpoint/KResume from the supervisor and the
+	// fault-tolerant runtime).
 	checkpoints int64
-	retries     int64
 	resumes     int64
 }
 
@@ -228,9 +227,6 @@ func (m *Metrics) Dropped() int64 { return atomic.LoadInt64(&m.dropped) }
 
 // Checkpoints counts committed iteration-aligned checkpoints (KCheckpoint).
 func (m *Metrics) Checkpoints() int64 { return atomic.LoadInt64(&m.checkpoints) }
-
-// Retries counts in-place retried queue operations (KRetry).
-func (m *Metrics) Retries() int64 { return atomic.LoadInt64(&m.retries) }
 
 // Resumes counts sequential resumes after pipeline failures (KResume).
 func (m *Metrics) Resumes() int64 { return atomic.LoadInt64(&m.resumes) }
@@ -326,8 +322,6 @@ func (m *Metrics) Record(e Event) {
 		}
 	case KCheckpoint:
 		atomic.AddInt64(&m.checkpoints, 1)
-	case KRetry:
-		atomic.AddInt64(&m.retries, 1)
 	case KResume:
 		atomic.AddInt64(&m.resumes, 1)
 	}

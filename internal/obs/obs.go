@@ -53,9 +53,6 @@ const (
 	// while paused at an epoch barrier. Arg is the committed outer-loop
 	// iteration index; Thread is the committing (last-arriving) stage.
 	KCheckpoint
-	// KRetry: a stage retried a faulted queue operation in place. Queue is
-	// the faulted queue; Arg is the attempt number that failed.
-	KRetry
 	// KResume: the supervisor resumed sequentially after a pipeline
 	// failure. Arg is the checkpoint iteration resumed from (-1 = from
 	// scratch).
@@ -93,8 +90,6 @@ func (k Kind) String() string {
 		return "queue-cap"
 	case KCheckpoint:
 		return "checkpoint"
-	case KRetry:
-		return "retry"
 	case KResume:
 		return "resume"
 	case KDurableCommit:
@@ -130,7 +125,7 @@ type Recorder interface {
 // true is skipped at those four emission sites — which fire once per
 // retired flow op, the dominant recorder-on cost — while still
 // receiving every structural event (stage lifetimes, stall intervals,
-// checkpoints, retries, queue capacities). The serving tracer's run
+// checkpoints, queue capacities). The serving tracer's run
 // bridge uses this so enabled-but-unsampled tracing stays off the
 // per-instruction hot path.
 type CoarseRecorder interface {

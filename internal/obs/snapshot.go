@@ -17,7 +17,6 @@ type MetricsSnapshot struct {
 	Queues      []QueueMetrics
 	Dropped     int64
 	Checkpoints int64
-	Retries     int64
 	Resumes     int64
 }
 
@@ -37,7 +36,6 @@ func (m *Metrics) Snapshot() *MetricsSnapshot {
 		Queues:      make([]QueueMetrics, len(m.queues)),
 		Dropped:     atomic.LoadInt64(&m.dropped),
 		Checkpoints: atomic.LoadInt64(&m.checkpoints),
-		Retries:     atomic.LoadInt64(&m.retries),
 		Resumes:     atomic.LoadInt64(&m.resumes),
 	}
 	for i := range m.stages {

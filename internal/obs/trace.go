@@ -13,21 +13,41 @@ import (
 // that tracing a million-iteration loop stays bounded.
 const DefaultRingCap = 1 << 16
 
-// ring is a single-writer event ring: the owning thread appends, nobody
+// Ring is a single-writer event ring: the owning thread appends, nobody
 // reads until the run completes. When full it overwrites the oldest
-// events, keeping the most recent window.
-type ring struct {
+// events, keeping the most recent window. Trace keeps one per thread;
+// the serving tracer's run bridge keeps one per stage and pools them
+// across runs.
+type Ring struct {
 	buf []Event
 	n   uint64 // total events ever written
 }
 
-func (r *ring) add(e Event) {
+// Reset empties the ring and sizes it for capacity events, reusing the
+// buffer when its size already matches.
+func (r *Ring) Reset(capacity int) {
+	if len(r.buf) != capacity {
+		r.buf = make([]Event, capacity)
+	}
+	r.n = 0
+}
+
+// Add appends e, overwriting the oldest event when the ring is full.
+func (r *Ring) Add(e Event) {
 	r.buf[r.n%uint64(len(r.buf))] = e
 	r.n++
 }
 
-// events returns the retained events in emission order.
-func (r *ring) events() []Event {
+// Lost reports how many events wrap-around overwrote.
+func (r *Ring) Lost() int64 {
+	if c := uint64(len(r.buf)); r.n > c {
+		return int64(r.n - c)
+	}
+	return 0
+}
+
+// Events returns the retained events in emission order.
+func (r *Ring) Events() []Event {
 	c := uint64(len(r.buf))
 	if r.n <= c {
 		return r.buf[:r.n]
@@ -48,7 +68,7 @@ type Trace struct {
 	// 0.001 for the goroutine runtime (ticks are ns), 1.0 for the
 	// interpreter (one retired instruction renders as one microsecond).
 	MicrosPerTick float64
-	rings         []ring
+	rings         []Ring
 	dropped       int64
 }
 
@@ -61,9 +81,9 @@ func NewTrace(threads, capPerThread int) *Trace {
 	if threads < 0 {
 		threads = 0
 	}
-	t := &Trace{MicrosPerTick: 0.001, rings: make([]ring, threads)}
+	t := &Trace{MicrosPerTick: 0.001, rings: make([]Ring, threads)}
 	for i := range t.rings {
-		t.rings[i].buf = make([]Event, capPerThread)
+		t.rings[i].Reset(capPerThread)
 	}
 	return t
 }
@@ -73,14 +93,11 @@ func (t *Trace) Dropped() int64 { return atomic.LoadInt64(&t.dropped) }
 
 // Lost reports how many events were overwritten by ring wrap-around.
 func (t *Trace) Lost() int64 {
-	var lost uint64
+	var lost int64
 	for i := range t.rings {
-		r := &t.rings[i]
-		if c := uint64(len(r.buf)); r.n > c {
-			lost += r.n - c
-		}
+		lost += t.rings[i].Lost()
 	}
-	return int64(lost)
+	return lost
 }
 
 // Record implements Recorder.
@@ -89,7 +106,7 @@ func (t *Trace) Record(e Event) {
 		atomic.AddInt64(&t.dropped, 1)
 		return
 	}
-	t.rings[e.Thread].add(e)
+	t.rings[e.Thread].Add(e)
 }
 
 // Events returns all retained events merged across threads, ordered by
@@ -97,7 +114,7 @@ func (t *Trace) Record(e Event) {
 func (t *Trace) Events() []Event {
 	var out []Event
 	for i := range t.rings {
-		out = append(out, t.rings[i].events()...)
+		out = append(out, t.rings[i].Events()...)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].When != out[j].When {
@@ -241,10 +258,6 @@ func (t *Trace) WriteChrome(w io.Writer, threadNames []string) error {
 			ce = ChromeEvent{Name: "checkpoint", Phase: "i", Ts: ts,
 				Pid: chromePidThreads, Tid: ti, Scope: "g",
 				Args: map[string]any{"iteration": e.Arg}}
-		case KRetry:
-			ce = ChromeEvent{Name: fmt.Sprintf("retry q%d", e.Queue), Phase: "i", Ts: ts,
-				Pid: chromePidThreads, Tid: ti, Scope: "t",
-				Args: map[string]any{"attempt": e.Arg}}
 		case KResume:
 			ce = ChromeEvent{Name: "sequential-resume", Phase: "i", Ts: ts,
 				Pid: chromePidThreads, Tid: ti, Scope: "g",

@@ -159,18 +159,15 @@ func (e *StageFailure) Error() string {
 	return sb.String()
 }
 
-// QueueFaultError reports an injected queue fault that exhausted the
-// retry budget (transient faults outlasting RetryPolicy.MaxAttempts) or
-// was permanent. It is the fault-budget-exhaustion signal the supervisor
-// turns into a checkpoint resume.
+// QueueFaultError reports an injected queue fault: an error action fired
+// on a queue's run-scoped policy (FaultPlan.Queue) before the value it
+// caught moved. Nothing retries it in place; it is the permanent-fault
+// signal the supervisor turns into a checkpoint resume.
 type QueueFaultError struct {
-	Thread   int
-	Queue    int
-	Class    FaultClass
-	Attempts int
+	Thread int
+	Queue  int
 }
 
 func (e *QueueFaultError) Error() string {
-	return fmt.Sprintf("runtime: thread %d: %v fault on queue %d persists after %d attempt(s)",
-		e.Thread, e.Class, e.Queue, e.Attempts)
+	return fmt.Sprintf("runtime: thread %d: permanent fault on queue %d", e.Thread, e.Queue)
 }

@@ -1,97 +1,43 @@
 package runtime
 
-import "time"
+import (
+	"fmt"
+	"math"
+	"sync/atomic"
+	"time"
 
-// ThreadStall forces a thread to sleep for Delay every Every retired
-// instructions, perturbing the schedule the way an OS preemption or cache
-// miss storm would.
-type ThreadStall struct {
-	Every int64
-	Delay time.Duration
-}
-
-// FaultClass is the fault taxonomy: transient faults go away after a
-// bounded number of retries (a dropped synchronization-array message, a
-// momentary link error), permanent faults never succeed (a dead queue).
-// The distinction decides the recovery path — retry in place versus
-// abandoning the pipeline for a checkpoint resume.
-type FaultClass uint8
-
-const (
-	// FaultTransient faults succeed once retried enough times.
-	FaultTransient FaultClass = iota
-	// FaultPermanent faults fail every attempt.
-	FaultPermanent
+	"dswp/internal/failpoint"
+	"dswp/internal/queue"
+	"dswp/internal/workloads"
 )
 
-func (c FaultClass) String() string {
-	if c == FaultPermanent {
-		return "permanent"
-	}
-	return "transient"
-}
-
-// QueueFaultSpec injects operation failures on one queue: every Every-th
-// flow op on the queue (per thread) fails, and for transient faults the
-// next Fails attempts of the faulted op fail before it succeeds.
-type QueueFaultSpec struct {
-	Class FaultClass
-	// Every is the firing period in per-thread ops on this queue (<=0
-	// disables the fault).
-	Every int64
-	// Fails is how many consecutive attempts a transient fault rejects
-	// before the operation succeeds (<=0 = 1). Ignored for permanent
-	// faults, which reject every attempt.
-	Fails int
-}
-
 // FaultPlan describes deterministic (seed-derived) faults to inject into a
-// concurrent run. A correct DSWP transformation must produce identical
-// results under any plan: faults change timing, never values — and when a
-// fault is unrecoverable (permanent, or a panic), the failure is a typed
-// error the supervisor recovers from, never a wrong result.
+// concurrent run as failpoint policies evaluated at run-scoped sites: this
+// run's queues and threads. A correct DSWP transformation must produce
+// identical results under any plan: faults change timing, never values —
+// and when a fault is unrecoverable (an error action, or a panic), the
+// failure is a typed error the supervisor recovers from, never a wrong
+// result.
 type FaultPlan struct {
 	// Seed identifies the plan for reproduction in logs.
 	Seed uint64
-	// QueueDelay injects latency before operations on specific queues,
-	// applied on every DelayEvery-th flow op of each thread (so runs stay
-	// fast while schedules still shear).
-	QueueDelay map[int]time.Duration
-	// DelayEvery is the sampling period for QueueDelay (0 = default 64).
-	DelayEvery int64
-	// ThreadStall forces per-thread periodic stalls.
-	ThreadStall map[int]ThreadStall
+	// Queue carries one policy per faulted queue. Each end of the queue
+	// evaluates its own copy once per value it offers or asks for, so
+	// both ends see the same trigger sequence and a fault lands on the
+	// same value index whichever end reaches it first. A sleep delays the
+	// operation; an error fails the run with *QueueFaultError before the
+	// value moves; a panic becomes a *StageFailure.
+	Queue map[int]failpoint.Policy
+	// Thread carries one policy per faulted thread, its hits counted in
+	// retired instructions: sleep(d):every(n) stalls the thread, panic
+	// with nth(N) kills it at its N-th instruction (or the first
+	// instruction boundary past it, when a packed span retires several
+	// at once).
+	Thread map[int]failpoint.Policy
 	// QueueCap overrides individual queue capacities (e.g. forcing a
 	// single queue down to one slot while the rest keep the default).
 	QueueCap map[int]int
-	// QueueFault injects operation failures on specific queues, retried
-	// under Options.Retry. Transient faults that fit the retry budget
-	// recover in place; everything else surfaces as *QueueFaultError.
-	QueueFault map[int]QueueFaultSpec
-	// ThreadPanic makes a thread panic at its N-th retired instruction
-	// (value N > 0), exercising panic capture (*StageFailure).
-	ThreadPanic map[int]int64
 }
-
-func (p *FaultPlan) delayEvery() int64 {
-	if p == nil || p.DelayEvery <= 0 {
-		return 64
-	}
-	return p.DelayEvery
-}
-
-// faultRNG is the same xorshift64* generator the workload builders use, so
-// fault plans are reproducible without touching math/rand global state.
-type faultRNG struct{ s uint64 }
-
-func (r *faultRNG) next() uint64 {
-	r.s ^= r.s >> 12
-	r.s ^= r.s << 25
-	r.s ^= r.s >> 27
-	return r.s * 0x2545F4914F6CDD1D
-}
-
-func (r *faultRNG) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // RandomFaults derives a reproducible fault plan from seed for a pipeline
 // with the given thread and queue counts: a couple of delayed queues, an
@@ -101,56 +47,150 @@ func RandomFaults(seed uint64, numThreads, numQueues int) *FaultPlan {
 	// absorb only tens of milliseconds of injected latency per run while
 	// schedules still shear by thousands of instructions relative to the
 	// unfaulted interleaving.
-	rng := &faultRNG{s: seed | 1}
-	plan := &FaultPlan{
-		Seed:        seed,
-		QueueDelay:  map[int]time.Duration{},
-		ThreadStall: map[int]ThreadStall{},
-		QueueCap:    map[int]int{},
-		DelayEvery:  int64(256 + rng.intn(768)),
-	}
+	rng := workloads.NewRNG(seed | 1)
+	plan := &FaultPlan{Seed: seed, Queue: map[int]failpoint.Policy{},
+		Thread: map[int]failpoint.Policy{}, QueueCap: map[int]int{}}
+	every := int64(256 + rng.Index(768))
 	if numQueues > 0 {
-		for i, n := 0, 1+rng.intn(2); i < n; i++ {
-			q := rng.intn(numQueues)
-			plan.QueueDelay[q] = time.Duration(10+rng.intn(90)) * time.Microsecond
+		for i, n := 0, 1+rng.Index(2); i < n; i++ {
+			q := rng.Index(numQueues)
+			plan.Queue[q] = failpoint.Policy{Action: failpoint.ActSleep,
+				Sleep: time.Duration(10+rng.Index(90)) * time.Microsecond, Every: every}
 		}
-		if rng.intn(2) == 0 {
-			plan.QueueCap[rng.intn(numQueues)] = 1
+		if rng.Index(2) == 0 {
+			plan.QueueCap[rng.Index(numQueues)] = 1
 		}
 	}
-	if numThreads > 0 && rng.intn(2) == 0 {
-		plan.ThreadStall[rng.intn(numThreads)] = ThreadStall{
-			Every: int64(2048 + rng.intn(6144)),
-			Delay: time.Duration(20+rng.intn(80)) * time.Microsecond,
-		}
+	if numThreads > 0 && rng.Index(2) == 0 {
+		plan.Thread[rng.Index(numThreads)] = failpoint.Policy{Action: failpoint.ActSleep,
+			Every: int64(2048 + rng.Index(6144)),
+			Sleep: time.Duration(20+rng.Index(80)) * time.Microsecond}
 	}
 	return plan
 }
 
-// RetryPolicy bounds in-place retry of injected transient queue faults:
-// each failed attempt backs off exponentially (Backoff, doubling up to
-// MaxBackoff) before retrying, up to MaxAttempts retries. The zero value
-// disables retry — any injected queue fault is immediately fatal.
-type RetryPolicy struct {
-	// MaxAttempts is the retry budget per faulted operation (0 = no
-	// retries).
-	MaxAttempts int
-	// Backoff is the first retry's delay (0 = 50µs).
-	Backoff time.Duration
-	// MaxBackoff caps the exponential growth (0 = 2ms).
-	MaxBackoff time.Duration
+// faultQueue is a queue with a run-scoped policy at each end. Each value
+// is evaluated once, by the Try call that first offers (or asks for) it,
+// before any value of the batch moves; a value admitted but not moved is
+// owed to the blocking call the runtime always makes next. An error stops
+// admission at its value, so the end moves the values before it and then
+// fails the run instead of moving the faulted one: the fault lands on the
+// same value index on every schedule and never delivers or drops a value.
+type faultQueue struct {
+	queue.Queue
+	e          *engine
+	q          int
+	prod, cons faultEnd
 }
 
-func (p RetryPolicy) backoff() time.Duration {
-	if p.Backoff > 0 {
-		return p.Backoff
-	}
-	return 50 * time.Microsecond
+// faultEnd is one end of a faulted queue.
+type faultEnd struct {
+	ev      *failpoint.Eval
+	threads []int        // the end's threads; a fault is charged to the first
+	owed    atomic.Int64 // admitted values not yet moved
 }
 
-func (p RetryPolicy) maxBackoff() time.Duration {
-	if p.MaxBackoff > 0 {
-		return p.MaxBackoff
+// faultQueue wraps queue q in its policy.
+func (e *engine) faultQueue(q int, qu queue.Queue, pol failpoint.Policy) *faultQueue {
+	f := &faultQueue{Queue: qu, e: e, q: q}
+	f.prod.ev, f.prod.threads = failpoint.NewEval(pol), e.plan.prods[q]
+	f.cons.ev, f.cons.threads = failpoint.NewEval(pol), e.plan.cons[q]
+	return f
+}
+
+// admit evaluates the next n values at one end and returns how many may
+// move: all of them, or those before the value an error fired on.
+func (f *faultQueue) admit(end *faultEnd, n int) int {
+	for i := 0; i < n; i++ {
+		if end.ev.Hit() && end.ev.Act(f.e.ctx,
+			fmt.Sprintf("injected fault: thread %d queue %d", end.threads[0], f.q)) != nil {
+			return i
+		}
 	}
-	return 2 * time.Millisecond
+	return n
+}
+
+// block lets an owed value through; with none owed, the value is the
+// faulted one and the run fails.
+func (f *faultQueue) block(end *faultEnd) bool {
+	if end.owed.Add(-1) >= 0 {
+		return true
+	}
+	f.e.fail(&QueueFaultError{Thread: end.threads[0], Queue: f.q})
+	return false
+}
+
+func (f *faultQueue) TryProduce(v int64) bool {
+	if f.admit(&f.prod, 1) == 0 {
+		return false
+	}
+	ok := f.Queue.TryProduce(v)
+	if !ok {
+		f.prod.owed.Add(1)
+	}
+	return ok
+}
+
+func (f *faultQueue) TryConsume() (int64, bool) {
+	if f.admit(&f.cons, 1) == 0 {
+		return 0, false
+	}
+	v, ok := f.Queue.TryConsume()
+	if !ok {
+		f.cons.owed.Add(1)
+	}
+	return v, ok
+}
+
+func (f *faultQueue) TryProduceN(vs []int64) int {
+	a := f.admit(&f.prod, len(vs))
+	k := f.Queue.TryProduceN(vs[:a])
+	f.prod.owed.Add(int64(a - k))
+	return k
+}
+
+func (f *faultQueue) TryConsumeN(dst []int64) int {
+	a := f.admit(&f.cons, len(dst))
+	k := f.Queue.TryConsumeN(dst[:a])
+	f.cons.owed.Add(int64(a - k))
+	return k
+}
+
+func (f *faultQueue) Produce(v int64, done <-chan struct{}) bool {
+	return f.block(&f.prod) && f.Queue.Produce(v, done)
+}
+
+func (f *faultQueue) Consume(done <-chan struct{}) (int64, bool) {
+	if !f.block(&f.cons) {
+		return 0, false
+	}
+	return f.Queue.Consume(done)
+}
+
+// nextFault is the retired-instruction count at which thread ti's policy
+// next triggers after step after (math.MaxInt64 when it never does).
+func (e *engine) nextFault(ti int, after int64) int64 {
+	if ev := e.threads[ti].fault; ev != nil {
+		return ev.Next(after, e.maxSteps)
+	}
+	return math.MaxInt64
+}
+
+// threadFault performs thread ti's triggered policy once its retired
+// count reached the trigger point, after flushing its step count: a sleep
+// that cancellation cuts short, a panic the stage's recover turns into a
+// *StageFailure, or an error that fails the run. It returns the next
+// trigger point, or 0 when the thread must stop.
+func (e *engine) threadFault(ti int, flush func()) int64 {
+	flush()
+	th := e.threads[ti]
+	where := fmt.Sprintf("injected fault: thread %d at step %d (plan seed %d)",
+		ti, th.res.Steps, e.opts.Faults.Seed)
+	if err := th.fault.Act(e.ctx, where); err != nil {
+		e.fail(fmt.Errorf("runtime: %s: %w", where, err))
+	}
+	if e.ctx.Err() != nil {
+		return 0
+	}
+	return e.nextFault(ti, th.res.Steps)
 }

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/ir"
 	"dswp/internal/obs"
@@ -86,16 +87,14 @@ type Options struct {
 	Mem *interp.Memory
 	// RecordTrace enables per-thread event recording for the timing model.
 	RecordTrace bool
-	// Faults injects deterministic delays/stalls/capacity overrides.
+	// Faults injects deterministic run-scoped failpoint policies on
+	// queues and threads, and capacity overrides.
 	Faults *FaultPlan
 	// Recorder receives instrumentation events (flow ops, stalls,
 	// branches, iterations, stage boundaries) timestamped in nanoseconds
 	// since run start. nil disables instrumentation; the hot path then
 	// pays one nil check per site and nothing else.
 	Recorder obs.Recorder
-	// Retry bounds in-place retry of injected transient queue faults
-	// (zero value = no retries: any injected queue fault is fatal).
-	Retry RetryPolicy
 	// Checkpoint enables iteration-aligned checkpointing with an epoch
 	// barrier (see CheckpointSpec). nil disables it.
 	Checkpoint *CheckpointSpec
@@ -130,6 +129,9 @@ const (
 type threadState struct {
 	res  *interp.ThreadResult
 	regs []int64
+
+	// fault is the thread's run-scoped fault policy (nil = none).
+	fault *failpoint.Eval
 
 	// iters is the thread's completed outer-loop iteration count,
 	// published for failure diagnostics (-1 until the first back-edge of
@@ -182,7 +184,7 @@ func Run(fns []*ir.Function, opts Options) (*interp.Result, error) {
 
 // RunCtx is Run under a caller-supplied context: cancellation or deadline
 // expiry propagates to every stage goroutine (including blocking queue
-// operations and retry backoffs), and an interrupted run returns a
+// operations and injected sleeps), and an interrupted run returns a
 // *CanceledError wrapping the context's error — never a partial result
 // passed off as success.
 func RunCtx(parent context.Context, fns []*ir.Function, opts Options) (*interp.Result, error) {
@@ -303,6 +305,10 @@ func (e *engine) build() error {
 		return fmt.Errorf("runtime: Plan was built for different thread functions")
 	}
 	e.plan = plan
+	var faults FaultPlan
+	if e.opts.Faults != nil {
+		faults = *e.opts.Faults
+	}
 
 	if inst != nil {
 		// Reset here, not at pool-put time, so reuse is correct even if a
@@ -315,17 +321,21 @@ func (e *engine) build() error {
 		// (iterations of run-ahead) identical to the unpacked pipeline;
 		// without this, packing would silently shrink the window the
 		// paper's synchronization array provides and stall the producer
-		// more, not less. Fault-plan capacity overrides take precedence.
+		// more, not less. Fault-plan capacity overrides take precedence,
+		// and only faulted queues are wrapped in their policy.
 		e.queues = make([]queue.Queue, plan.numQueues)
 		for q := range e.queues {
 			c := plan.capFor(q, e.opts.QueueCap)
-			if e.opts.Faults != nil && e.opts.Faults.QueueCap[q] > 0 {
-				c = e.opts.Faults.QueueCap[q]
+			if faults.QueueCap[q] > 0 {
+				c = faults.QueueCap[q]
 				if w := plan.packWidth[q]; w > 1 {
 					c *= w
 				}
 			}
 			e.queues[q] = plan.newQueue(q, e.opts.Queue, c)
+			if pol, ok := faults.Queue[q]; ok {
+				e.queues[q] = e.faultQueue(q, e.queues[q], pol)
+			}
 		}
 	}
 
@@ -334,6 +344,9 @@ func (e *engine) build() error {
 		th := &threadState{
 			res:   &interp.ThreadResult{Fn: fn},
 			queue: -1,
+		}
+		if pol, ok := faults.Thread[i]; ok {
+			th.fault = failpoint.NewEval(pol)
 		}
 		if inst != nil {
 			th.res.Counts = inst.counts[i]
@@ -420,40 +433,6 @@ func (e *engine) failPanic(ti int, v any, stack []byte) {
 	e.mu.Unlock()
 }
 
-// retryFault handles one fired queue fault under the retry policy:
-// transient faults within the budget back off exponentially and succeed;
-// budget exhaustion and permanent faults fail the run with a typed
-// *QueueFaultError. Returns whether the operation may proceed.
-func (e *engine) retryFault(ti, q int, fs QueueFaultSpec) bool {
-	fails := fs.Fails
-	if fails <= 0 {
-		fails = 1
-	}
-	backoff := e.opts.Retry.backoff()
-	maxBackoff := e.opts.Retry.maxBackoff()
-	for tries := 1; ; tries++ {
-		if fs.Class == FaultTransient && tries > fails {
-			return true // the retried operation went through
-		}
-		if tries > e.opts.Retry.MaxAttempts {
-			e.fail(&QueueFaultError{Thread: ti, Queue: q, Class: fs.Class, Attempts: tries})
-			return false
-		}
-		if e.rec != nil {
-			e.rec.Record(obs.Event{Kind: obs.KRetry, Thread: int32(ti), Queue: int32(q),
-				When: e.now(), Arg: int64(tries)})
-		}
-		select {
-		case <-time.After(backoff):
-		case <-e.ctx.Done():
-			return false
-		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
-}
-
 func (e *engine) setBlocked(ti int, st blockState, block *ir.Block, pc int, in *ir.Instr) {
 	th := e.threads[ti]
 	e.mu.Lock()
@@ -489,20 +468,7 @@ func (e *engine) runThread(ti int) {
 	block := fn.Entry()
 	pc := 0
 	trace := e.opts.RecordTrace
-	faults := e.opts.Faults
-	delayEvery := faults.delayEvery()
-	var stall ThreadStall
-	var panicAt int64
-	var qFault map[int]QueueFaultSpec
-	var qOps map[int]int64
-	if faults != nil {
-		stall = faults.ThreadStall[ti]
-		panicAt = faults.ThreadPanic[ti]
-		if len(faults.QueueFault) > 0 {
-			qFault = faults.QueueFault
-			qOps = make(map[int]int64, len(qFault))
-		}
-	}
+	faultAt := e.nextFault(ti, 0)
 	rec := e.rec
 	// fine gates the per-value flow events (produce/consume/branch/
 	// iteration) separately: a CoarseRecorder opting out skips them —
@@ -537,7 +503,6 @@ func (e *engine) runThread(ti int) {
 	}
 
 	var local int64
-	var flowOps int64
 	ctxCheck := 0
 	flush := func() {
 		if local == 0 {
@@ -569,10 +534,8 @@ func (e *engine) runThread(ti int) {
 		}
 		// Packed-flow fast path: a run of same-queue produces/consumes
 		// (one packet from the flow-packing pass) retires with a single
-		// batched queue operation. Fault plans need per-op accounting
-		// (delays, fault counters, panic/stall step positions), so any
-		// active plan disables batching rather than approximating it.
-		if scratch != nil && faults == nil {
+		// batched queue operation.
+		if scratch != nil {
 			if block != spanBlock {
 				spanBlock, spanTab = block, spans[blockIdx[block]]
 			}
@@ -586,6 +549,11 @@ func (e *engine) runThread(ti int) {
 					if local >= flushEvery {
 						flush()
 					}
+					if th.res.Steps >= faultAt {
+						if faultAt = e.threadFault(ti, flush); faultAt == 0 {
+							return
+						}
+					}
 					continue
 				}
 			}
@@ -597,18 +565,6 @@ func (e *engine) runThread(ti int) {
 		switch in.Op {
 		case ir.OpConsume:
 			q := e.queues[in.Queue]
-			if faults != nil {
-				flowOps++
-				if d := faults.QueueDelay[in.Queue]; d > 0 && flowOps%delayEvery == 0 {
-					time.Sleep(d)
-				}
-				if fs, ok := qFault[in.Queue]; ok && fs.Every > 0 {
-					qOps[in.Queue]++
-					if qOps[in.Queue]%fs.Every == 0 && !e.retryFault(ti, in.Queue, fs) {
-						return
-					}
-				}
-			}
 			v, ok := q.TryConsume()
 			if !ok {
 				flush()
@@ -639,18 +595,6 @@ func (e *engine) runThread(ti int) {
 			pc++
 		case ir.OpProduce:
 			q := e.queues[in.Queue]
-			if faults != nil {
-				flowOps++
-				if d := faults.QueueDelay[in.Queue]; d > 0 && flowOps%delayEvery == 0 {
-					time.Sleep(d)
-				}
-				if fs, ok := qFault[in.Queue]; ok && fs.Every > 0 {
-					qOps[in.Queue]++
-					if qOps[in.Queue]%fs.Every == 0 && !e.retryFault(ti, in.Queue, fs) {
-						return
-					}
-				}
-			}
 			v := int64(0)
 			if len(in.Src) > 0 {
 				v = regs[in.Src[0]]
@@ -767,14 +711,10 @@ func (e *engine) runThread(ti int) {
 		if trace {
 			th.res.Trace = append(th.res.Trace, ev)
 		}
-		if panicAt > 0 && th.res.Steps == panicAt {
-			flush()
-			panic(fmt.Sprintf("injected fault: thread %d panics at step %d (plan seed %d)",
-				ti, panicAt, faults.Seed))
-		}
-		if stall.Every > 0 && th.res.Steps%stall.Every == 0 {
-			flush()
-			time.Sleep(stall.Delay)
+		if th.res.Steps >= faultAt {
+			if faultAt = e.threadFault(ti, flush); faultAt == 0 {
+				return
+			}
 		}
 		if in.Op == ir.OpRet {
 			flush()

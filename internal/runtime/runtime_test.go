@@ -2,10 +2,12 @@ package runtime
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"dswp/internal/core"
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/ir"
 	"dswp/internal/profile"
@@ -246,22 +248,40 @@ done:
 func TestRandomFaultsDeterministic(t *testing.T) {
 	a := RandomFaults(42, 3, 8)
 	b := RandomFaults(42, 3, 8)
-	if len(a.QueueDelay) != len(b.QueueDelay) || a.DelayEvery != b.DelayEvery {
-		t.Fatal("fault plans differ for the same seed")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("fault plans differ for the same seed:\n%+v\n%+v", a, b)
 	}
-	for q, d := range a.QueueDelay {
-		if b.QueueDelay[q] != d {
-			t.Fatalf("queue %d delay %v vs %v", q, d, b.QueueDelay[q])
-		}
+}
+
+// TestRandomFaultsPinned pins the plans three seeds draw, so `dswpsim
+// -faults N` and every seeded sweep keep reproducing the same schedule:
+// the delayed queues, their delay and period, the capacity override, and
+// the stalled thread.
+func TestRandomFaultsPinned(t *testing.T) {
+	us := time.Microsecond
+	sleep := func(d time.Duration, every int64) failpoint.Policy {
+		return failpoint.Policy{Action: failpoint.ActSleep, Sleep: d, Every: every}
 	}
-	for ti, s := range a.ThreadStall {
-		if b.ThreadStall[ti] != s {
-			t.Fatalf("thread %d stall differs", ti)
-		}
-	}
-	for q, c := range a.QueueCap {
-		if b.QueueCap[q] != c {
-			t.Fatalf("queue %d cap override differs", q)
+	for _, c := range []struct {
+		seed   uint64
+		nt, nq int
+		want   *FaultPlan
+	}{
+		{1, 2, 3, &FaultPlan{Seed: 1,
+			Queue:    map[int]failpoint.Policy{1: sleep(43*us, 797), 2: sleep(41*us, 797)},
+			Thread:   map[int]failpoint.Policy{},
+			QueueCap: map[int]int{}}},
+		{42, 3, 8, &FaultPlan{Seed: 42,
+			Queue:    map[int]failpoint.Policy{1: sleep(62*us, 701), 6: sleep(62*us, 701)},
+			Thread:   map[int]failpoint.Policy{1: sleep(31*us, 2283)},
+			QueueCap: map[int]int{}}},
+		{20250806, 4, 12, &FaultPlan{Seed: 20250806,
+			Queue:    map[int]failpoint.Policy{1: sleep(31*us, 870)},
+			Thread:   map[int]failpoint.Policy{1: sleep(83*us, 3935)},
+			QueueCap: map[int]int{5: 1}}},
+	} {
+		if got := RandomFaults(c.seed, c.nt, c.nq); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("seed %d: got %+v, want %+v", c.seed, got, c.want)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dswp/internal/core"
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/obs"
 	"dswp/internal/profile"
@@ -58,7 +59,8 @@ func TestRunCtxDeadline(t *testing.T) {
 	tr, _ := transformed(t, p)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	plan := &FaultPlan{ThreadStall: map[int]ThreadStall{0: {Every: 32, Delay: 5 * time.Millisecond}}}
+	plan := &FaultPlan{Thread: map[int]failpoint.Policy{
+		0: {Action: failpoint.ActSleep, Every: 32, Sleep: 5 * time.Millisecond}}}
 	start := time.Now()
 	_, err := RunCtx(ctx, tr.Threads, Options{QueueCap: 1, Mem: p.Mem, Regs: p.Regs, Faults: plan})
 	if err == nil {
@@ -76,7 +78,8 @@ func TestPanicCaptureStageFailure(t *testing.T) {
 	p := workloads.ListTraversal(500)
 	tr, _ := transformed(t, p)
 	victim := len(tr.Threads) - 1
-	plan := &FaultPlan{Seed: 7, ThreadPanic: map[int]int64{victim: 100}}
+	plan := &FaultPlan{Seed: 7, Thread: map[int]failpoint.Policy{
+		victim: {Action: failpoint.ActPanic, Nth: 100}}}
 	_, err := Run(tr.Threads, Options{QueueCap: 2, Mem: p.Mem, Regs: p.Regs, Faults: plan})
 	var sf *StageFailure
 	if !errors.As(err, &sf) {
@@ -100,64 +103,38 @@ func TestPanicCaptureStageFailure(t *testing.T) {
 	}
 }
 
-func TestTransientFaultRetryRecovers(t *testing.T) {
-	p := workloads.ListTraversal(300)
-	tr, base := transformed(t, p)
-	plan := &FaultPlan{Seed: 3, QueueFault: map[int]QueueFaultSpec{
-		0: {Class: FaultTransient, Every: 32, Fails: 2},
-	}}
-	m := obs.NewMetrics(len(tr.Threads), tr.NumQueues)
-	res, err := Run(tr.Threads, Options{
-		QueueCap: 2, Mem: p.Mem, Regs: p.Regs, Faults: plan,
-		Retry:    RetryPolicy{MaxAttempts: 3, Backoff: time.Microsecond, MaxBackoff: 10 * time.Microsecond},
-		Recorder: m,
-	})
-	if err != nil {
-		t.Fatalf("transient fault within retry budget must recover: %v", err)
-	}
-	if d := base.Mem.Diff(res.Mem); d != -1 {
-		t.Fatalf("memory diverges at word %d after retries", d)
-	}
-	if m.Retries() == 0 {
-		t.Fatal("no KRetry events recorded; fault never fired")
-	}
-}
-
-func TestTransientFaultBudgetExhausted(t *testing.T) {
-	p := workloads.ListTraversal(300)
-	tr, _ := transformed(t, p)
-	plan := &FaultPlan{Seed: 3, QueueFault: map[int]QueueFaultSpec{
-		0: {Class: FaultTransient, Every: 32, Fails: 5},
-	}}
-	_, err := Run(tr.Threads, Options{
-		QueueCap: 2, Mem: p.Mem, Regs: p.Regs, Faults: plan,
-		Retry: RetryPolicy{MaxAttempts: 2, Backoff: time.Microsecond},
-	})
-	var qf *QueueFaultError
-	if !errors.As(err, &qf) {
-		t.Fatalf("want *QueueFaultError, got %T: %v", err, err)
-	}
-	if qf.Class != FaultTransient || qf.Queue != 0 {
-		t.Fatalf("QueueFaultError = %+v", qf)
-	}
-}
-
 func TestPermanentFaultFails(t *testing.T) {
 	p := workloads.ListTraversal(300)
 	tr, _ := transformed(t, p)
-	plan := &FaultPlan{Seed: 3, QueueFault: map[int]QueueFaultSpec{
-		0: {Class: FaultPermanent, Every: 64},
+	plan := &FaultPlan{Seed: 3, Queue: map[int]failpoint.Policy{
+		0: {Action: failpoint.ActError, Every: 64},
 	}}
-	_, err := Run(tr.Threads, Options{
-		QueueCap: 2, Mem: p.Mem, Regs: p.Regs, Faults: plan,
-		Retry: RetryPolicy{MaxAttempts: 4, Backoff: time.Microsecond},
-	})
+	_, err := Run(tr.Threads, Options{QueueCap: 2, Mem: p.Mem, Regs: p.Regs, Faults: plan})
 	var qf *QueueFaultError
 	if !errors.As(err, &qf) {
 		t.Fatalf("want *QueueFaultError, got %T: %v", err, err)
 	}
-	if qf.Class != FaultPermanent {
-		t.Fatalf("class = %v, want permanent", qf.Class)
+	if qf.Queue != 0 {
+		t.Fatalf("QueueFaultError = %+v, want queue 0", qf)
+	}
+}
+
+// TestStallRespectsCancellation: an injected thread sleep far longer than
+// the run's deadline ends when the deadline does.
+func TestStallRespectsCancellation(t *testing.T) {
+	p := workloads.ListTraversal(500)
+	tr, _ := transformed(t, p)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	plan := &FaultPlan{Thread: map[int]failpoint.Policy{
+		0: {Action: failpoint.ActSleep, Every: 64, Sleep: time.Hour}}}
+	start := time.Now()
+	_, err := RunCtx(ctx, tr.Threads, Options{QueueCap: 2, Mem: p.Mem, Regs: p.Regs, Faults: plan})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("want context.DeadlineExceeded, got %v", err)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("an hour-long injected sleep held the run for %v past its deadline", el)
 	}
 }
 
@@ -237,8 +214,8 @@ func TestBlockInfoReportsIteration(t *testing.T) {
 	// A deadlocked pipeline's report should say how far each thread got.
 	p := workloads.ListTraversal(200)
 	tr, _ := transformed(t, p)
-	plan := &FaultPlan{Seed: 11, QueueFault: map[int]QueueFaultSpec{
-		0: {Class: FaultPermanent, Every: 100},
+	plan := &FaultPlan{Seed: 11, Queue: map[int]failpoint.Policy{
+		0: {Action: failpoint.ActError, Every: 100},
 	}}
 	_, err := Run(tr.Threads, Options{QueueCap: 1, Mem: p.Mem, Regs: p.Regs, Faults: plan})
 	var qf *QueueFaultError

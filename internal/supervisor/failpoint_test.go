@@ -28,8 +28,8 @@ func TestFailpointResumeStart(t *testing.T) {
 	}
 	_, rep, err := supervisor.Run(context.Background(), pipe, supervisor.Policy{
 		CheckpointEvery: 16,
-		Faults: &rt.FaultPlan{Seed: 9, QueueFault: map[int]rt.QueueFaultSpec{
-			0: {Class: rt.FaultPermanent, Every: 96}}},
+		Faults: &rt.FaultPlan{Seed: 9, Queue: map[int]failpoint.Policy{
+			0: {Action: failpoint.ActError, Every: 96}}},
 	})
 	if !errors.Is(err, failpoint.ErrInjected) {
 		t.Fatalf("armed resume: got %v", err)
@@ -41,8 +41,8 @@ func TestFailpointResumeStart(t *testing.T) {
 	pipe2, _ := prepare(t, workloads.ListTraversal(256), 2)
 	res, rep2, err := supervisor.Run(context.Background(), pipe2, supervisor.Policy{
 		CheckpointEvery: 16,
-		Faults: &rt.FaultPlan{Seed: 9, QueueFault: map[int]rt.QueueFaultSpec{
-			0: {Class: rt.FaultPermanent, Every: 96}}},
+		Faults: &rt.FaultPlan{Seed: 9, Queue: map[int]failpoint.Policy{
+			0: {Action: failpoint.ActError, Every: 96}}},
 	})
 	if err != nil {
 		t.Fatalf("resume after one-shot: %v", err)

@@ -1,6 +1,6 @@
 // Package supervisor is the fault-tolerant execution layer over the
 // concurrent DSWP pipeline runtime: it runs a transformed loop under a
-// policy (deadline, per-attempt timeout, retry budget, checkpoint period)
+// policy (deadline, per-attempt timeout, checkpoint period)
 // and guarantees that the caller sees either the bit-identical sequential
 // result or a typed error — never a hang, never a wrong answer.
 //
@@ -17,8 +17,8 @@
 // synchronization, and needs no inter-thread state beyond the checkpoint.
 //
 // Cancellation is cooperative and total: the caller's context threads
-// through every stage goroutine, every blocking queue operation, retry
-// backoff sleeps, checkpoint barriers, and the sequential resume itself.
+// through every stage goroutine, every blocking queue operation, injected
+// sleeps, checkpoint barriers, and the sequential resume itself.
 package supervisor
 
 import (
@@ -78,8 +78,6 @@ type Policy struct {
 	// (0 = runtime default 30s); the watchdog converts overruns into
 	// *runtime.TimeoutError, which the supervisor recovers from.
 	AttemptTimeout time.Duration
-	// Retry bounds in-place retry of transient injected queue faults.
-	Retry rt.RetryPolicy
 	// CheckpointEvery is the checkpoint period in outer-loop iterations
 	// (0 = runtime.DefaultCheckpointEvery).
 	CheckpointEvery int64
@@ -240,7 +238,6 @@ func Run(ctx context.Context, p Pipeline, pol Policy) (*interp.Result, *Report, 
 		Timeout:     pol.AttemptTimeout,
 		Poll:        pol.Poll,
 		Faults:      pol.Faults,
-		Retry:       pol.Retry,
 		Checkpoint:  spec,
 		Recorder:    pol.Recorder,
 		RecordTrace: pol.RecordTrace,

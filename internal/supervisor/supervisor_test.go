@@ -10,6 +10,7 @@ import (
 
 	"dswp/internal/ckptstore"
 	"dswp/internal/core"
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/profile"
 	rt "dswp/internal/runtime"
@@ -18,6 +19,12 @@ import (
 	"dswp/internal/validate"
 	"dswp/internal/workloads"
 )
+
+// panicPlan makes thread panic at its n-th retired instruction.
+func panicPlan(thread int, n int64) *rt.FaultPlan {
+	return &rt.FaultPlan{Seed: 5, Thread: map[int]failpoint.Policy{
+		thread: {Action: failpoint.ActPanic, Nth: n}}}
+}
 
 // prepare transforms a workload and returns the pipeline plus baseline, or
 // (zero, nil) when DSWP does not apply (single-SCC workloads).
@@ -51,26 +58,27 @@ func prepare(t *testing.T, p *workloads.Program, threads int) (supervisor.Pipeli
 // supervised run must land on the bit-identical sequential state.
 func TestCheckpointResumeEquivalenceAllWorkloads(t *testing.T) {
 	testutil.VerifyNone(t)
-	retry := rt.RetryPolicy{MaxAttempts: 4,
-		Backoff: 5 * time.Microsecond, MaxBackoff: 50 * time.Microsecond}
 	modes := []struct {
-		name      string
-		wantRsm   bool // failure mode forces a sequential resume
-		makePlan  func(threads, queues int) *rt.FaultPlan
-		makeRetry rt.RetryPolicy
+		name     string
+		wantRsm  bool // failure mode forces a sequential resume
+		makePlan func(threads, queues int) *rt.FaultPlan
 	}{
-		{"clean", false, func(_, _ int) *rt.FaultPlan { return nil }, rt.RetryPolicy{}},
+		{"clean", false, func(_, _ int) *rt.FaultPlan { return nil }},
+		// A transient fault is one the operation outlives: it is delayed,
+		// then goes through, so the attempt absorbs it in place with no
+		// resume. As a policy that is a sleep on every 48th value.
 		{"transient-retry", false, func(_, q int) *rt.FaultPlan {
-			return &rt.FaultPlan{Seed: 9, QueueFault: map[int]rt.QueueFaultSpec{
-				0: {Class: rt.FaultTransient, Every: 48, Fails: 2}}}
-		}, retry},
+			return &rt.FaultPlan{Seed: 9, Queue: map[int]failpoint.Policy{
+				0: {Action: failpoint.ActSleep, Every: 48, Sleep: 15 * time.Microsecond}}}
+		}},
 		{"permanent-resume", true, func(_, q int) *rt.FaultPlan {
-			return &rt.FaultPlan{Seed: 9, QueueFault: map[int]rt.QueueFaultSpec{
-				0: {Class: rt.FaultPermanent, Every: 96}}}
-		}, retry},
+			return &rt.FaultPlan{Seed: 9, Queue: map[int]failpoint.Policy{
+				0: {Action: failpoint.ActError, Every: 96}}}
+		}},
 		{"panic-resume", true, func(th, _ int) *rt.FaultPlan {
-			return &rt.FaultPlan{Seed: 9, ThreadPanic: map[int]int64{th - 1: 200}}
-		}, rt.RetryPolicy{}},
+			return &rt.FaultPlan{Seed: 9, Thread: map[int]failpoint.Policy{
+				th - 1: {Action: failpoint.ActPanic, Nth: 200}}}
+		}},
 	}
 	for _, p := range validate.AllPrograms() {
 		pipe, base := prepare(t, p, 2)
@@ -83,7 +91,6 @@ func TestCheckpointResumeEquivalenceAllWorkloads(t *testing.T) {
 					pol := supervisor.Policy{
 						QueueCap:        2,
 						CheckpointEvery: every,
-						Retry:           mode.makeRetry,
 						Faults:          mode.makePlan(len(pipe.Threads), 1),
 					}
 					res, rep, err := supervisor.Run(context.Background(), pipe, pol)
@@ -117,8 +124,7 @@ func TestResumeUsesCheckpoint(t *testing.T) {
 	pol := supervisor.Policy{
 		QueueCap:        2,
 		CheckpointEvery: 8,
-		Faults: &rt.FaultPlan{Seed: 5, ThreadPanic: map[int]int64{
-			len(pipe.Threads) - 1: 2000}},
+		Faults:          panicPlan(len(pipe.Threads)-1, 2000),
 	}
 	res, rep, err := supervisor.Run(context.Background(), pipe, pol)
 	if err != nil {
@@ -150,7 +156,7 @@ func TestResumeFromScratchWithoutCheckpoints(t *testing.T) {
 	pipe.RegOwner = nil // disable checkpointing entirely
 	pol := supervisor.Policy{
 		QueueCap: 2,
-		Faults:   &rt.FaultPlan{Seed: 5, ThreadPanic: map[int]int64{0: 100}},
+		Faults:   panicPlan(0, 100),
 	}
 	res, rep, err := supervisor.Run(context.Background(), pipe, pol)
 	if err != nil {
@@ -174,7 +180,7 @@ func TestDisableResumeSurfacesFailure(t *testing.T) {
 	pol := supervisor.Policy{
 		QueueCap:      2,
 		DisableResume: true,
-		Faults:        &rt.FaultPlan{Seed: 5, ThreadPanic: map[int]int64{0: 100}},
+		Faults:        panicPlan(0, 100),
 	}
 	_, rep, err := supervisor.Run(context.Background(), pipe, pol)
 	var sf *rt.StageFailure
@@ -195,8 +201,8 @@ func TestDeadlinePropagates(t *testing.T) {
 	pol := supervisor.Policy{
 		QueueCap: 1,
 		Deadline: 10 * time.Millisecond,
-		Faults: &rt.FaultPlan{ThreadStall: map[int]rt.ThreadStall{
-			0: {Every: 16, Delay: 2 * time.Millisecond}}},
+		Faults: &rt.FaultPlan{Thread: map[int]failpoint.Policy{
+			0: {Action: failpoint.ActSleep, Every: 16, Sleep: 2 * time.Millisecond}}},
 	}
 	start := time.Now()
 	_, rep, err := supervisor.Run(context.Background(), pipe, pol)
@@ -255,8 +261,7 @@ func TestDurableCommitsAndStoreSeededResume(t *testing.T) {
 		Store:           store,
 		StoreKey:        "list.r1",
 		StoreMeta:       []byte("req"),
-		Faults: &rt.FaultPlan{Seed: 5, ThreadPanic: map[int]int64{
-			len(pipe.Threads) - 1: 2000}},
+		Faults:          panicPlan(len(pipe.Threads)-1, 2000),
 	}
 	res, rep, err := supervisor.Run(context.Background(), pipe, pol)
 	if err != nil {
@@ -287,7 +292,7 @@ func TestDurableCommitsAndStoreSeededResume(t *testing.T) {
 		CheckpointEvery: 8,
 		Store:           store,
 		StoreKey:        "list.r1",
-		Faults:          &rt.FaultPlan{Seed: 5, ThreadPanic: map[int]int64{0: 1}},
+		Faults:          panicPlan(0, 1),
 	}
 	res2, rep2, err := supervisor.Run(context.Background(), pipe2, pol2)
 	if err != nil {

@@ -259,7 +259,7 @@ func (t *Tracer) Retained() int {
 }
 
 // RunRecorder arms tr with a bounded obs.Recorder bridging the pipeline
-// run's events (stage boundaries, stalls, checkpoints, retries, resume)
+// run's events (stage boundaries, stalls, checkpoints, resume)
 // into the trace. threads sizes the per-stage rings. labels, when it has
 // one entry per thread, overrides the default "stage N" span names — the
 // replicated-pipeline path passes "stage N rK" so each replica gets its
@@ -292,7 +292,7 @@ func (t *Tracer) recycle(b *runBridge) {
 // per stage, like obs.Trace) until the tail-sampling decision. Bounded:
 // each stage keeps its most recent capPerThread events.
 type runBridge struct {
-	rings []bridgeRing
+	rings []obs.Ring
 	// labels overrides per-thread span names when non-empty (replicated
 	// pipelines name spans "stage N rK").
 	labels  []string
@@ -304,22 +304,14 @@ type runBridge struct {
 	commits []obs.Event
 }
 
-type bridgeRing struct {
-	buf []obs.Event
-	n   uint64
-}
-
 func (b *runBridge) reset(threads, capPerThread int) {
 	if cap(b.rings) < threads {
-		b.rings = make([]bridgeRing, threads)
+		b.rings = make([]obs.Ring, threads)
 	}
 	b.rings = b.rings[:threads]
 	b.labels = b.labels[:0]
 	for i := range b.rings {
-		if len(b.rings[i].buf) != capPerThread {
-			b.rings[i].buf = make([]obs.Event, capPerThread)
-		}
-		b.rings[i].n = 0
+		b.rings[i].Reset(capPerThread)
 	}
 	b.mu.Lock()
 	b.commits = b.commits[:0]
@@ -351,14 +343,12 @@ func (b *runBridge) Record(e obs.Event) {
 		b.dropped.Add(1)
 		return
 	}
-	r := &b.rings[ti]
-	r.buf[r.n%uint64(len(r.buf))] = e
-	r.n++
+	b.rings[ti].Add(e)
 }
 
 // materialize converts the buffered events into spans under tr's run
 // span: one span per pipeline stage (its lifetime), stall intervals as
-// child spans, checkpoint/durable-commit/retry/resume markers as
+// child spans, checkpoint/durable-commit/resume markers as
 // zero-duration events, and flow/branch/iteration totals as attrs.
 // Event timestamps are engine ticks — nanoseconds under the goroutine
 // runtime — offset onto the run span's own start.
@@ -370,15 +360,7 @@ func (b *runBridge) materialize(tr *RequestTrace) {
 	base := run.StartNS
 	for ti := range b.rings {
 		r := &b.rings[ti]
-		evs := r.buf[:min64(r.n, uint64(len(r.buf)))]
-		if r.n > uint64(len(r.buf)) {
-			// Ring wrapped: replay in emission order.
-			ordered := make([]obs.Event, len(r.buf))
-			start := r.n % uint64(len(r.buf))
-			copy(ordered, r.buf[start:])
-			copy(ordered[len(r.buf)-int(start):], r.buf[:start])
-			evs = ordered
-		}
+		evs := r.Events()
 		if len(evs) == 0 {
 			continue
 		}
@@ -421,10 +403,6 @@ func (b *runBridge) materialize(tr *RequestTrace) {
 				c := st.child("checkpoint", ts)
 				c.EndNS = ts
 				c.Attr("iteration", e.Arg)
-			case obs.KRetry:
-				c := st.child(fmt.Sprintf("retry q%d", e.Queue), ts)
-				c.EndNS = ts
-				c.Attr("attempt", e.Arg)
 			case obs.KResume:
 				c := st.child("sequential-resume", ts)
 				c.EndNS = ts
@@ -442,8 +420,8 @@ func (b *runBridge) materialize(tr *RequestTrace) {
 			st.Attr("branches", branches)
 			st.Attr("iterations", iterations)
 		}
-		if lost := r.n - uint64(len(evs)); r.n > uint64(len(b.rings[ti].buf)) {
-			st.Attr("events_lost", int64(lost))
+		if lost := r.Lost(); lost > 0 {
+			st.Attr("events_lost", lost)
 		}
 	}
 	// Durable commits are run-level markers: they describe the request's
@@ -474,11 +452,4 @@ func findSpan(s *Span, name string) *Span {
 		}
 	}
 	return nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

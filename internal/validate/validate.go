@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"dswp/internal/core"
+	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/obs"
 	"dswp/internal/profile"
@@ -340,13 +341,6 @@ func Program(p *workloads.Program, opts Options) *Report {
 		check(tag, res, err)
 	}
 
-	// (d) Supervised execution with induced failures: transient faults
-	// must recover in place under retry, permanent faults and stage
-	// panics must recover via sequential resume from the last committed
-	// checkpoint — and every path must land on the bit-identical
-	// sequential state. The supervisor's contract (typed error or correct
-	// result, never a hang, never a wrong answer) is asserted here with
-	// the same check as every other engine.
 	// (e) Parallel-stage replication (psdswp): when the planner finds a
 	// replicable stage, replicate the plain and packed transforms at widths
 	// 2 and 4 and hold the replicated pipelines to the same bit-identical
@@ -407,8 +401,7 @@ func Program(p *workloads.Program, opts Options) *Report {
 			tag := fmt.Sprintf("supervised replicated %sw=%d replica-panic", v.tag, width)
 			sres, _, err := supervisor.Run(ctx, rpipe, supervisor.Policy{
 				CheckpointEvery: 16, MaxSteps: opts.MaxSteps, AttemptTimeout: opts.Timeout,
-				Faults: &rt.FaultPlan{Seed: opts.Seed, ThreadPanic: map[int]int64{
-					res.ReplicaThreads()[width-1]: 300}},
+				Faults: panicPlan(opts.Seed, res.ReplicaThreads()[width-1], 300),
 			})
 			check(tag, sres, err)
 		}
@@ -418,35 +411,32 @@ func Program(p *workloads.Program, opts Options) *Report {
 		Threads: tr.Threads, Original: p.F, LoopHeader: p.LoopHeader,
 		RegOwner: tr.RegOwner, Mem: p.Mem, Regs: p.Regs,
 	}
-	tinyRetry := rt.RetryPolicy{MaxAttempts: 4, Backoff: 5 * time.Microsecond, MaxBackoff: 50 * time.Microsecond}
+	// (d) Supervised execution with induced failures: queue error faults
+	// and stage panics must recover via sequential resume from the last
+	// committed checkpoint — and every path must land on the
+	// bit-identical sequential state. The supervisor's contract (typed
+	// error or correct result, never a hang, never a wrong answer) is
+	// asserted here with the same check as every other engine.
 	supRuns := []struct {
 		tag string
 		pol supervisor.Policy
 	}{
 		{"supervised clean", supervisor.Policy{
 			CheckpointEvery: 16, MaxSteps: opts.MaxSteps, AttemptTimeout: opts.Timeout}},
-		{"supervised transient-fault", supervisor.Policy{
-			CheckpointEvery: 16, MaxSteps: opts.MaxSteps, AttemptTimeout: opts.Timeout,
-			Retry: tinyRetry,
-			Faults: &rt.FaultPlan{Seed: opts.Seed, QueueFault: map[int]rt.QueueFaultSpec{
-				0: {Class: rt.FaultTransient, Every: 64, Fails: 2}}}}},
 		{"supervised permanent-fault", supervisor.Policy{
 			CheckpointEvery: 16, MaxSteps: opts.MaxSteps, AttemptTimeout: opts.Timeout,
-			Retry: tinyRetry,
-			Faults: &rt.FaultPlan{Seed: opts.Seed, QueueFault: map[int]rt.QueueFaultSpec{
-				0: {Class: rt.FaultPermanent, Every: 128}}}}},
+			Faults: &rt.FaultPlan{Seed: opts.Seed, Queue: map[int]failpoint.Policy{
+				0: {Action: failpoint.ActError, Every: 128}}}}},
 		{"supervised stage-panic", supervisor.Policy{
 			CheckpointEvery: 16, MaxSteps: opts.MaxSteps, AttemptTimeout: opts.Timeout,
-			Faults: &rt.FaultPlan{Seed: opts.Seed, ThreadPanic: map[int]int64{
-				len(tr.Threads) - 1: 300}}}},
+			Faults: panicPlan(opts.Seed, len(tr.Threads)-1, 300)}},
 		{"supervised ring clean", supervisor.Policy{
 			Queue:           queue.KindRing,
 			CheckpointEvery: 16, MaxSteps: opts.MaxSteps, AttemptTimeout: opts.Timeout}},
 		{"supervised ring stage-panic", supervisor.Policy{
 			Queue:           queue.KindRing,
 			CheckpointEvery: 16, MaxSteps: opts.MaxSteps, AttemptTimeout: opts.Timeout,
-			Faults: &rt.FaultPlan{Seed: opts.Seed, ThreadPanic: map[int]int64{
-				len(tr.Threads) - 1: 300}}}},
+			Faults: panicPlan(opts.Seed, len(tr.Threads)-1, 300)}},
 	}
 	for _, sr := range supRuns {
 		if expired() {
@@ -462,6 +452,12 @@ func Program(p *workloads.Program, opts Options) *Report {
 
 	opts.logf("validate %s: %s", p.Name, rep)
 	return rep
+}
+
+// panicPlan makes thread panic at its n-th retired instruction.
+func panicPlan(seed uint64, thread int, n int64) *rt.FaultPlan {
+	return &rt.FaultPlan{Seed: seed, Thread: map[int]failpoint.Policy{
+		thread: {Action: failpoint.ActPanic, Nth: n}}}
 }
 
 // AllPrograms returns every built-in workload the harness validates: the
