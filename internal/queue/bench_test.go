@@ -53,6 +53,7 @@ func benchPair(b *testing.B, kind Kind, capacity, batch, procs int) {
 			}
 			sent += n
 		}
+		q.Publish() // the last partial batch
 	}()
 	buf := make([]int64, batch)
 	b.ResetTimer()

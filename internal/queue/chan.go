@@ -71,6 +71,11 @@ func (q *chanQueue) Consume(done <-chan struct{}) (int64, bool) {
 	}
 }
 
+// Publish and Release are no-ops: a channel send or receive is visible
+// to the other end at once.
+func (q *chanQueue) Publish() {}
+func (q *chanQueue) Release() {}
+
 func (q *chanQueue) Len() int { return len(q.ch) }
 func (q *chanQueue) Cap() int { return cap(q.ch) }
 

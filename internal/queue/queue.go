@@ -3,20 +3,28 @@
 // array. Two interchangeable implementations exist behind the Queue
 // interface — a Go-channel reference implementation (KindChannel) and a
 // cache-line-padded lock-free single-producer/single-consumer ring buffer
-// (KindRing) with batched produce/consume that amortizes one atomic publish
-// over many values.
+// (KindRing) whose ends publish their indices lazily, once per batch of
+// values, so one atomic hand-off is amortized over many values.
 //
 // The contract mirrors what the runtime's hot loop needs:
 //
 //   - Try* operations never block; they are the fast path and report
 //     full/empty so the caller can publish a blocked state to the watchdog
 //     before committing to a blocking wait.
+//   - A value the producer has offered may stay invisible to the consumer
+//     until the producer calls Publish, and a consumed slot may stay
+//     unavailable to the producer until the consumer calls Release. Each
+//     end must publish before it waits on anything (this queue or any
+//     other) and at the end of its stream; Publish and Release never
+//     block. The ring publishes by itself once per batch, so the calls
+//     bound latency rather than carry every value.
 //   - Produce/Consume block until space/data is available or the done
 //     channel fires (cancellation), parking the goroutine so a stalled
 //     pipeline costs no CPU and the scheduler sees the thread as blocked.
+//     They publish their own end before they wait.
 //   - Len/Cap are safe to call from any goroutine (the watchdog reads
 //     occupancy concurrently with both endpoints); Len is a racy snapshot
-//     but always within [0, Cap].
+//     of published occupancy, always within [0, Cap].
 //
 // Ring queues are strictly SPSC: exactly one goroutine may produce and one
 // may consume. The runtime enforces this statically (DSWP queues have one
@@ -63,9 +71,12 @@ func ParseKind(s string) (Kind, error) {
 // Queue is the synchronization-array cell abstraction: a bounded FIFO of
 // int64 flow values between one producer thread and one consumer thread.
 type Queue interface {
-	// TryProduce appends v without blocking; false means the queue is full.
+	// TryProduce appends v without blocking; false means the queue is
+	// full. The consumer may not see v until the next Publish.
 	TryProduce(v int64) bool
-	// TryConsume removes the oldest value without blocking; false means empty.
+	// TryConsume removes the oldest published value without blocking;
+	// false means empty. The producer may not get the slot back until the
+	// next Release.
 	TryConsume() (int64, bool)
 
 	// TryProduceN appends a prefix of vs without blocking and returns how
@@ -75,13 +86,22 @@ type Queue interface {
 	// many values were read (0 when empty).
 	TryConsumeN(dst []int64) int
 
-	// Produce blocks until v is enqueued or done fires; false means canceled.
+	// Produce blocks until v is enqueued or done fires; false means
+	// canceled. It publishes the producer's end before it waits.
 	Produce(v int64, done <-chan struct{}) bool
 	// Consume blocks until a value is dequeued or done fires; ok=false means
-	// canceled.
+	// canceled. It releases the consumer's end before it waits.
 	Consume(done <-chan struct{}) (v int64, ok bool)
 
-	// Len is a concurrent-safe snapshot of occupancy, always in [0, Cap].
+	// Publish makes every value offered so far visible to the consumer
+	// and wakes it if parked. Producer end only; never blocks.
+	Publish()
+	// Release returns every consumed slot to the producer and wakes it if
+	// parked. Consumer end only; never blocks.
+	Release()
+
+	// Len is a concurrent-safe snapshot of published occupancy, always in
+	// [0, Cap].
 	Len() int
 	// Cap is the bounded logical capacity the queue was created with.
 	Cap() int

@@ -24,7 +24,8 @@ func TestKindString(t *testing.T) {
 }
 
 // TestExactCapacity checks the logical capacity is enforced exactly, even
-// when the ring rounds its buffer up to a power of two.
+// when the ring rounds its buffer up to a power of two. Len counts
+// published values only, so each end publishes before it is read.
 func TestExactCapacity(t *testing.T) {
 	for _, kind := range kinds {
 		for _, capacity := range []int{1, 2, 3, 5, 8, 13, 32} {
@@ -40,6 +41,7 @@ func TestExactCapacity(t *testing.T) {
 			if q.TryProduce(99) {
 				t.Fatalf("%v cap %d: TryProduce succeeded at capacity", kind, capacity)
 			}
+			q.Publish()
 			if q.Len() != capacity {
 				t.Fatalf("%v cap %d: Len()=%d at full", kind, capacity, q.Len())
 			}
@@ -52,6 +54,7 @@ func TestExactCapacity(t *testing.T) {
 			if _, ok := q.TryConsume(); ok {
 				t.Fatalf("%v cap %d: TryConsume succeeded on empty queue", kind, capacity)
 			}
+			q.Release()
 			if q.Len() != 0 {
 				t.Fatalf("%v cap %d: Len()=%d when empty", kind, capacity, q.Len())
 			}
@@ -61,9 +64,11 @@ func TestExactCapacity(t *testing.T) {
 
 // TestFIFOConcurrent is the core SPSC property test: one producer, one
 // consumer, every value arrives exactly once and in order (no loss, no
-// duplication, no reordering). Run with -race.
+// duplication, no reordering). Run with -race. The total is a multiple of
+// no batch size, so the stream ends with a partial batch only the
+// producer's end-of-stream Publish can deliver.
 func TestFIFOConcurrent(t *testing.T) {
-	const total = 200000
+	const total = 200003
 	for _, kind := range kinds {
 		for _, capacity := range []int{1, 3, 32, 256} {
 			q := New(kind, capacity)
@@ -78,6 +83,7 @@ func TestFIFOConcurrent(t *testing.T) {
 						return
 					}
 				}
+				q.Publish()
 			}()
 			for i := 0; i < total; i++ {
 				v, ok := q.Consume(done)
@@ -89,6 +95,7 @@ func TestFIFOConcurrent(t *testing.T) {
 				}
 			}
 			wg.Wait()
+			q.Release()
 			if q.Len() != 0 {
 				t.Fatalf("%v cap %d: %d values left over", kind, capacity, q.Len())
 			}
@@ -98,9 +105,10 @@ func TestFIFOConcurrent(t *testing.T) {
 
 // TestBatchedConcurrent drives the queue with randomized batch sizes on both
 // endpoints (mixing Try single ops, TryN batches, and blocking ops) and
-// checks the consumed sequence is exactly 0..total-1.
+// checks the consumed sequence is exactly 0..total-1. As in
+// TestFIFOConcurrent, the total ends the stream on a partial batch.
 func TestBatchedConcurrent(t *testing.T) {
-	const total = 100000
+	const total = 100003
 	for _, kind := range kinds {
 		for _, capacity := range []int{1, 8, 32} {
 			q := New(kind, capacity)
@@ -129,6 +137,7 @@ func TestBatchedConcurrent(t *testing.T) {
 					}
 					next += int64(n)
 				}
+				q.Publish()
 			}()
 			rng := rand.New(rand.NewSource(int64(capacity) + 2))
 			buf := make([]int64, 64)
@@ -152,6 +161,74 @@ func TestBatchedConcurrent(t *testing.T) {
 			}
 			wg.Wait()
 		}
+	}
+}
+
+// TestLazyPublication pins the ring's batch rule and the contract it
+// implies: values below a batch stay invisible to the consumer (and to
+// Len) until the producer publishes, and slots consumed below a batch
+// stay unavailable to the producer until the consumer releases.
+func TestLazyPublication(t *testing.T) {
+	for capacity, want := range map[int]uint64{1: 1, 2: 1, 3: 1, 4: 1, 7: 1, 8: 2, 13: 3, 16: 4, 32: 8, 256: 8} {
+		if got := New(KindRing, capacity).(*ring).batch; got != want {
+			t.Errorf("cap %d: batch %d, want %d", capacity, got, want)
+		}
+	}
+	for _, capacity := range []int{8, 13, 32, 256} {
+		q := New(KindRing, capacity)
+		below := int(batchFor(capacity)) - 1
+		for i := 0; i < below; i++ {
+			if !q.TryProduce(int64(i)) {
+				t.Fatalf("cap %d: TryProduce %d failed", capacity, i)
+			}
+		}
+		if n := q.Len(); n != 0 {
+			t.Fatalf("cap %d: Len()=%d before Publish, want 0", capacity, n)
+		}
+		if v, ok := q.TryConsume(); ok {
+			t.Fatalf("cap %d: TryConsume got %d before Publish", capacity, v)
+		}
+		q.Publish()
+		if n := q.Len(); n != below {
+			t.Fatalf("cap %d: Len()=%d after Publish, want %d", capacity, n, below)
+		}
+		for i := 0; i < below; i++ {
+			if v, ok := q.TryConsume(); !ok || v != int64(i) {
+				t.Fatalf("cap %d: TryConsume got (%d,%v), want (%d,true)", capacity, v, ok, i)
+			}
+		}
+		q.Release()
+
+		// Fill to capacity, take one value back: the producer stays full
+		// until the consumer releases the slot.
+		for i := 0; i < capacity; i++ {
+			if !q.TryProduce(int64(i)) {
+				t.Fatalf("cap %d: fill %d failed", capacity, i)
+			}
+		}
+		q.Publish()
+		if _, ok := q.TryConsume(); !ok {
+			t.Fatalf("cap %d: TryConsume failed on a full queue", capacity)
+		}
+		if q.TryProduce(-1) {
+			t.Fatalf("cap %d: TryProduce reused a slot before Release", capacity)
+		}
+		if n := q.Len(); n != capacity {
+			t.Fatalf("cap %d: Len()=%d before Release, want %d", capacity, n, capacity)
+		}
+		q.Release()
+		if n := q.Len(); n != capacity-1 {
+			t.Fatalf("cap %d: Len()=%d after Release, want %d", capacity, n, capacity-1)
+		}
+		if !q.TryProduce(-1) {
+			t.Fatalf("cap %d: TryProduce failed after Release", capacity)
+		}
+	}
+	// Capacities below 8 publish every value at once.
+	q := New(KindRing, 3)
+	q.TryProduce(1)
+	if n := q.Len(); n != 1 {
+		t.Fatalf("cap 3: Len()=%d after one TryProduce, want 1", n)
 	}
 }
 

@@ -20,41 +20,78 @@ var fpPark = failpoint.New("queue/ring/park")
 // buffer), so watchdog full/empty occupancy checks and fault-plan capacity
 // overrides see the same bound as the channel implementation.
 //
-// Memory layout groups fields by writer so the producer's hot line (tail +
-// its cached head snapshot) and the consumer's hot line (head + cached tail)
-// never false-share. All cross-thread accesses to head/tail go through
-// sync/atomic, which both the memory model and the race detector treat as
-// synchronization; slot reads/writes are plain, ordered by the index
-// publish.
+// Publication is lazy at both ends (FastForward / MCRingBuffer style).
+// Each endpoint advances a private index (ptail, chead) and stores it to
+// the shared atomic (tail, head) only once per batch of values, or when
+// its owner calls Publish/Release. So a pipelined loop pays one atomic
+// hand-off, and one cache-line transfer to the peer, per batch instead of
+// per value. The batch is min(8, cap/4) with a floor of 1, so capacities
+// below 8 keep per-value publication. Values an endpoint has not yet
+// published are invisible to its peer and to Len: the producer must
+// Publish at the end of a stream and the consumer must Release before it
+// waits on anything else, or the peer can wait forever on values or
+// slots that exist only in the private index.
 //
-// Blocking ops use a bounded spin → runtime.Gosched → park ladder. Parking
-// is a Dekker-style handshake: the waiter drains any stale wake token, arms
-// its waiting flag, re-checks the queue, and only then blocks on a cap-1
-// token channel; the opposite endpoint publishes its index first and then
-// checks the flag. Go atomics are sequentially consistent, so one side
-// always observes the other and wakeups cannot be lost. Spurious tokens
-// merely cause one extra loop iteration.
+// Memory layout groups fields by writer so the producer's private fields
+// (ptail + its cached head snapshot), the consumer's private fields (chead
+// + cached tail) and the two published indices never false-share: a full
+// 64-byte pad follows each group, so no two groups meet on one cache line
+// whatever the alignment of the allocation. All
+// cross-thread accesses to head/tail go through sync/atomic, which both
+// the memory model and the race detector treat as synchronization; slot
+// reads/writes are plain, ordered by the index publish.
+//
+// Blocking ops publish their own end first and then use a bounded spin →
+// runtime.Gosched → park ladder. Parking is a Dekker-style handshake: the
+// waiter drains any stale wake token, arms its waiting flag, re-checks the
+// queue, and only then blocks on a cap-1 token channel; the opposite
+// endpoint's Publish/Release stores its index first and then checks the
+// flag. Go atomics are sequentially consistent, so one side always
+// observes the other and wakeups cannot be lost. Spurious tokens merely
+// cause one extra loop iteration.
 type ring struct {
 	buf      []int64
 	mask     uint64
 	capacity uint64
+	batch    uint64 // values per publication at each end
 	_        [64]byte
 
-	// Producer-owned line.
-	tail       atomic.Uint64 // next slot to write; published after the slot store
-	cachedHead uint64        // producer's last-seen head, refreshed only when apparently full
-	_          [48]byte
+	// Producer-owned.
+	ptail      uint64 // next slot to write; private until published
+	pubTail    uint64 // the producer's last store to tail
+	cachedHead uint64 // producer's last-seen head, refreshed only when apparently full
+	_          [64]byte
 
-	// Consumer-owned line.
-	head       atomic.Uint64 // next slot to read; published after the slot load
-	cachedTail uint64        // consumer's last-seen tail, refreshed only when apparently empty
-	_          [48]byte
+	// Consumer-owned.
+	chead      uint64 // next slot to read; private until released
+	pubHead    uint64 // the consumer's last store to head
+	cachedTail uint64 // consumer's last-seen tail, refreshed only when apparently empty
+	_          [64]byte
+
+	// Published indices, each written by one end and read by the other.
+	tail atomic.Uint64 // every slot below it holds a value the consumer may read
+	_    [64]byte
+	head atomic.Uint64 // every slot below it is free for the producer to reuse
+	_    [64]byte
 
 	// Park/wake state; written only on the slow path, read-mostly otherwise.
 	prodWait atomic.Uint32 // producer is parked (or about to park) waiting for space
 	consWait atomic.Uint32 // consumer is parked (or about to park) waiting for data
 	prodWake chan struct{}
 	consWake chan struct{}
+}
+
+// maxBatch caps lazy publication. Eight values per index store already
+// amortize the hand-off; a larger batch would only delay visibility on
+// deep queues.
+const maxBatch = 8
+
+// batchFor is the publication batch of a ring of the given capacity:
+// min(maxBatch, capacity/4), at least 1. An end holds fewer than a batch
+// unpublished, so the quarter-capacity cap keeps lazy publication from
+// eating more than a quarter of the queue's decoupling slack.
+func batchFor(capacity int) uint64 {
+	return uint64(max(1, min(maxBatch, capacity/4)))
 }
 
 // spinBudget bounds the busy-wait phase of a blocking op before parking.
@@ -87,13 +124,14 @@ func newRing(capacity int) *ring {
 		buf:      make([]int64, n),
 		mask:     uint64(n - 1),
 		capacity: uint64(capacity),
+		batch:    batchFor(capacity),
 		prodWake: make(chan struct{}, 1),
 		consWake: make(chan struct{}, 1),
 	}
 }
 
 func (q *ring) TryProduce(v int64) bool {
-	t := q.tail.Load()
+	t := q.ptail
 	if t-q.cachedHead >= q.capacity {
 		q.cachedHead = q.head.Load()
 		if t-q.cachedHead >= q.capacity {
@@ -101,13 +139,15 @@ func (q *ring) TryProduce(v int64) bool {
 		}
 	}
 	q.buf[t&q.mask] = v
-	q.tail.Store(t + 1)
-	q.wakeConsumer()
+	q.ptail = t + 1
+	if t+1-q.pubTail >= q.batch {
+		q.Publish()
+	}
 	return true
 }
 
 func (q *ring) TryConsume() (int64, bool) {
-	h := q.head.Load()
+	h := q.chead
 	if h == q.cachedTail {
 		q.cachedTail = q.tail.Load()
 		if h == q.cachedTail {
@@ -115,62 +155,95 @@ func (q *ring) TryConsume() (int64, bool) {
 		}
 	}
 	v := q.buf[h&q.mask]
-	q.head.Store(h + 1)
-	q.wakeProducer()
+	q.chead = h + 1
+	if h+1-q.pubHead >= q.batch {
+		q.Release()
+	}
 	return v, true
 }
 
-// TryProduceN copies as many values as fit and publishes them with a single
-// tail store — the batched fast path that amortizes the atomic and the
-// consumer-side cache miss over the whole packet.
+// TryProduceN copies as many values as fit; they publish with the rest of
+// the batch they complete, so a packet pays at most one tail store.
 func (q *ring) TryProduceN(vs []int64) int {
-	t := q.tail.Load()
+	t := q.ptail
 	free := q.capacity - (t - q.cachedHead)
 	if free < uint64(len(vs)) {
 		q.cachedHead = q.head.Load()
 		free = q.capacity - (t - q.cachedHead)
 	}
-	n := uint64(len(vs))
-	if n > free {
-		n = free
-	}
+	n := min(uint64(len(vs)), free)
 	if n == 0 {
 		return 0
 	}
 	for i := uint64(0); i < n; i++ {
 		q.buf[(t+i)&q.mask] = vs[i]
 	}
-	q.tail.Store(t + n)
-	q.wakeConsumer()
+	q.ptail = t + n
+	if t+n-q.pubTail >= q.batch {
+		q.Publish()
+	}
 	return int(n)
 }
 
 func (q *ring) TryConsumeN(dst []int64) int {
-	h := q.head.Load()
+	h := q.chead
 	avail := q.cachedTail - h
 	if avail < uint64(len(dst)) {
 		q.cachedTail = q.tail.Load()
 		avail = q.cachedTail - h
 	}
-	n := uint64(len(dst))
-	if n > avail {
-		n = avail
-	}
+	n := min(uint64(len(dst)), avail)
 	if n == 0 {
 		return 0
 	}
 	for i := uint64(0); i < n; i++ {
 		dst[i] = q.buf[(h+i)&q.mask]
 	}
-	q.head.Store(h + n)
-	q.wakeProducer()
+	q.chead = h + n
+	if h+n-q.pubHead >= q.batch {
+		q.Release()
+	}
 	return int(n)
+}
+
+// Publish stores the producer's private tail and wakes a parked consumer.
+// With nothing unpublished it is one comparison.
+func (q *ring) Publish() {
+	if q.ptail == q.pubTail {
+		return
+	}
+	q.pubTail = q.ptail
+	q.tail.Store(q.pubTail)
+	if q.consWait.Load() != 0 {
+		q.consWait.Store(0)
+		select {
+		case q.consWake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// Release stores the consumer's private head and wakes a parked producer.
+func (q *ring) Release() {
+	if q.chead == q.pubHead {
+		return
+	}
+	q.pubHead = q.chead
+	q.head.Store(q.pubHead)
+	if q.prodWait.Load() != 0 {
+		q.prodWait.Store(0)
+		select {
+		case q.prodWake <- struct{}{}:
+		default:
+		}
+	}
 }
 
 func (q *ring) Produce(v int64, done <-chan struct{}) bool {
 	if q.TryProduce(v) { // uncontended fast path: no budget lookup
 		return true
 	}
+	q.Publish() // the consumer may be waiting on values we hold
 	for i, budget := 0, spinBudget(); i < budget; i++ {
 		if q.TryProduce(v) {
 			return true
@@ -203,6 +276,7 @@ func (q *ring) Consume(done <-chan struct{}) (int64, bool) {
 	if v, ok := q.TryConsume(); ok { // uncontended fast path: no budget lookup
 		return v, true
 	}
+	q.Release() // the producer may be waiting on slots we hold
 	for i, budget := 0, spinBudget(); i < budget; i++ {
 		if v, ok := q.TryConsume(); ok {
 			return v, true
@@ -231,29 +305,11 @@ func (q *ring) Consume(done <-chan struct{}) (int64, bool) {
 	}
 }
 
-func (q *ring) wakeConsumer() {
-	if q.consWait.Load() != 0 {
-		q.consWait.Store(0)
-		select {
-		case q.consWake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-func (q *ring) wakeProducer() {
-	if q.prodWait.Load() != 0 {
-		q.prodWait.Store(0)
-		select {
-		case q.prodWake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// Len is a racy but bounded snapshot: head is loaded before tail, so the
-// difference can only overshoot (never go negative), and it is clamped to
-// the logical capacity so watchdog occupancy-consistency checks stay sound.
+// Len is a racy but bounded snapshot of the published indices: head is
+// loaded before tail, so the difference can only overshoot (never go
+// negative), and it is clamped to the logical capacity so watchdog
+// occupancy-consistency checks stay sound. Values or slots an end holds
+// unpublished do not count until that end publishes them.
 func (q *ring) Len() int {
 	h := q.head.Load()
 	t := q.tail.Load()
@@ -267,15 +323,17 @@ func (q *ring) Len() int {
 func (q *ring) Cap() int { return int(q.capacity) }
 
 // Reset empties the ring and clears park/wake state. Indices stay
-// monotonic (head jumps to tail) so a reused ring is indistinguishable
+// monotonic (everything jumps to the producer's private tail, which
+// counts unpublished values too) so a reused ring is indistinguishable
 // from a fresh one to both endpoints. Quiescent callers only (see
-// Queue.Reset): the cached index fields are endpoint-owned and may only
+// Queue.Reset): the private index fields are endpoint-owned and may only
 // be touched when no endpoint is live.
 func (q *ring) Reset() {
-	t := q.tail.Load()
+	t := q.ptail
+	q.pubTail, q.cachedHead = t, t
+	q.chead, q.pubHead, q.cachedTail = t, t, t
+	q.tail.Store(t)
 	q.head.Store(t)
-	q.cachedHead = t
-	q.cachedTail = t
 	q.prodWait.Store(0)
 	q.consWait.Store(0)
 	select {

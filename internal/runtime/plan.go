@@ -10,11 +10,11 @@ import (
 // Plan is the static execution plan for one transformed pipeline: every
 // per-run-invariant analysis the engine's build step used to redo on each
 // Run — queue topology (static produce/consume sites), packed-flow span
-// tables, block layout indices, and outer-loop back-edge targets. A Plan
-// is immutable after construction and safe to share across any number of
-// concurrent runs of the same thread functions, which is what makes the
-// serving engine's compiled-pipeline cache pay: N requests for the same
-// loop do this work exactly once.
+// tables, each thread's queue ends, block layout indices, and outer-loop
+// back-edge targets. A Plan is immutable after construction and safe to
+// share across any number of concurrent runs of the same thread
+// functions, which is what makes the serving engine's compiled-pipeline
+// cache pay: N requests for the same loop do this work exactly once.
 type Plan struct {
 	fns       []*ir.Function
 	numQueues int
@@ -23,11 +23,17 @@ type Plan struct {
 	packWidth []int
 	prods     [][]int // queue -> producing thread indices
 	cons      [][]int // queue -> consuming thread indices
-	spans     [][][]int16
-	maxSpan   int
-	blockIdx  []map[*ir.Block]int
-	outerHdr  []*ir.Block
-	topo      *Topology
+	// produces[t] and consumes[t] are the queues thread t produces to
+	// and consumes from, ascending: the ends its flush publishes.
+	produces [][]int
+	consumes [][]int
+	spans    [][][]int16
+	maxSpan  int
+	// layout[t][b.ID] is block b's position in thread t's layout order
+	// (back edges go to an earlier or the same position).
+	layout   [][]int
+	outerHdr []*ir.Block
+	topo     *Topology
 }
 
 // NewPlan analyzes fns into a reusable static plan. It performs the same
@@ -67,9 +73,11 @@ func NewPlan(fns []*ir.Function) (*Plan, error) {
 	}
 	p.prods = make([][]int, p.numQueues)
 	p.cons = make([][]int, p.numQueues)
+	p.produces = make([][]int, len(fns))
+	p.consumes = make([][]int, len(fns))
 	for ti, fn := range fns {
-		prod := map[int]bool{}
-		cons := map[int]bool{}
+		prod := make([]bool, p.numQueues)
+		cons := make([]bool, p.numQueues)
 		fn.Instrs(func(in *ir.Instr) {
 			switch in.Op {
 			case ir.OpProduce:
@@ -79,21 +87,29 @@ func NewPlan(fns []*ir.Function) (*Plan, error) {
 			}
 		})
 		for q := range prod {
-			p.prods[q] = append(p.prods[q], ti)
-		}
-		for q := range cons {
-			p.cons[q] = append(p.cons[q], ti)
+			if prod[q] {
+				p.prods[q] = append(p.prods[q], ti)
+				p.produces[ti] = append(p.produces[ti], q)
+			}
+			if cons[q] {
+				p.cons[q] = append(p.cons[q], ti)
+				p.consumes[ti] = append(p.consumes[ti], q)
+			}
 		}
 	}
 	p.buildSpans()
-	p.blockIdx = make([]map[*ir.Block]int, len(fns))
+	p.layout = make([][]int, len(fns))
 	p.outerHdr = make([]*ir.Block, len(fns))
 	for i, fn := range fns {
-		idx := make(map[*ir.Block]int, len(fn.Blocks))
-		for bi, b := range fn.Blocks {
-			idx[b] = bi
+		n := 0
+		for _, b := range fn.Blocks {
+			n = max(n, b.ID+1)
 		}
-		p.blockIdx[i] = idx
+		pos := make([]int, n)
+		for bi, b := range fn.Blocks {
+			pos[b.ID] = bi
+		}
+		p.layout[i] = pos
 		p.outerHdr[i] = outerBackEdgeTarget(fn)
 	}
 	return p, nil

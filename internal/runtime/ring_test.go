@@ -179,6 +179,59 @@ loop:
 	}
 }
 
+// TestFlushBeforeBlockPingPong bounces one value per round trip between
+// two threads over two ring queues, fewer values than any publication
+// batch. Each thread holds its last value unpublished when it turns to
+// wait on the other queue, so the run finishes only if the stage loop
+// publishes every queue end it owns before it blocks; without that the
+// watchdog reports a *DeadlockError.
+func TestFlushBeforeBlockPingPong(t *testing.T) {
+	ping := ir.MustParse(`func ping {
+  liveout r1
+entry:
+    r1 = const 0
+    r3 = const 0
+    r5 = const 500
+    r6 = const 1
+    jump loop
+loop:
+    produce [0] = r1
+    consume r1 = [1]
+    r3 = add r3, r6
+    r4 = cmplt r3, r5
+    br r4, loop, done
+done:
+    ret
+}
+`)
+	pong := ir.MustParse(`func pong {
+entry:
+    r3 = const 0
+    r5 = const 500
+    r6 = const 1
+    jump loop
+loop:
+    consume r1 = [0]
+    r1 = add r1, r6
+    produce [1] = r1
+    r3 = add r3, r6
+    r4 = cmplt r3, r5
+    br r4, loop, done
+done:
+    ret
+}
+`)
+	for _, cap := range []int{1, 2, 8, 32, 256} {
+		res, err := Run([]*ir.Function{ping, pong}, Options{Queue: queue.KindRing, QueueCap: cap, Timeout: 10 * time.Second})
+		if err != nil {
+			t.Fatalf("cap %d: %v", cap, err)
+		}
+		if got := res.LiveOuts[ir.Reg(1)]; got != 500 {
+			t.Fatalf("cap %d: live-out r1 = %d, want 500", cap, got)
+		}
+	}
+}
+
 // TestPackedQueueCapacityScaling pins the width scaling in build: a block
 // that produces w values onto one queue per visit (the shape flow packing
 // emits) gets w times the configured capacity, so a packed pipeline keeps

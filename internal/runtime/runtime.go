@@ -54,7 +54,8 @@ const (
 	// result.
 	stalePolls = 15
 	// flushEvery batches the shared retired-step counter to keep atomic
-	// traffic off the hot path.
+	// traffic off the hot path, and bounds how many instructions a value
+	// or slot can stay unpublished in a ring queue.
 	flushEvery = 256
 	// ctxCheckEvery bounds how many instructions a thread retires between
 	// cancellation checks.
@@ -138,12 +139,14 @@ type threadState struct {
 	// a loop-free thread never fires).
 	iters atomic.Int64
 
-	// Guarded by engine.mu:
+	// Guarded by engine.mu. The blocking instruction is kept as is and
+	// formatted only when a snapshot is taken, so a stall costs no
+	// allocation.
 	state blockState
 	queue int
 	block string
 	pc    int
-	instr string
+	instr *ir.Instr
 }
 
 type engine struct {
@@ -440,7 +443,7 @@ func (e *engine) setBlocked(ti int, st blockState, block *ir.Block, pc int, in *
 	th.queue = in.Queue
 	th.block = block.Name
 	th.pc = pc
-	th.instr = in.String()
+	th.instr = in
 	e.mu.Unlock()
 }
 
@@ -477,13 +480,13 @@ func (e *engine) runThread(ti int) {
 	if rec != nil && !obs.FineEvents(rec) {
 		fine = nil
 	}
-	blockIdx := e.plan.blockIdx[ti]
+	layout := e.plan.layout[ti]
 	outerHdr := e.outerHdr[ti]
 	spans := e.plan.spans[ti]
 	var scratch []int64
-	// Span lookups are cached per block: the map lookup in blockIdx runs
-	// once per block entry, not once per retired instruction, so threads
-	// with packed flows pay no per-instruction dispatch tax.
+	// Span lookups are cached per block: the layout lookup runs once per
+	// block entry, not once per retired instruction, so threads with
+	// packed flows pay no per-instruction dispatch tax.
 	var spanBlock *ir.Block
 	var spanTab []int16
 	if e.plan.maxSpan > 0 {
@@ -502,9 +505,22 @@ func (e *engine) runThread(ti int) {
 		}()
 	}
 
+	// flush publishes every queue end this thread owns, then its retired
+	// step count. It runs before the thread can wait on anything — a
+	// stall, the checkpoint barrier, a thread fault — at OpRet, and every
+	// flushEvery instructions, so no thread waits while it holds values
+	// or slots its peer needs. It never blocks: unpublished values already
+	// sit in slots within capacity.
+	produces, consumes := e.plan.produces[ti], e.plan.consumes[ti]
 	var local int64
 	ctxCheck := 0
 	flush := func() {
+		for _, q := range produces {
+			e.queues[q].Publish()
+		}
+		for _, q := range consumes {
+			e.queues[q].Release()
+		}
 		if local == 0 {
 			return
 		}
@@ -537,7 +553,7 @@ func (e *engine) runThread(ti int) {
 		// batched queue operation.
 		if scratch != nil {
 			if block != spanBlock {
-				spanBlock, spanTab = block, spans[blockIdx[block]]
+				spanBlock, spanTab = block, spans[layout[block.ID]]
 			}
 			if spanTab != nil {
 				if n := int(spanTab[pc]); n >= 2 {
@@ -632,7 +648,7 @@ func (e *engine) runThread(ti int) {
 			} else {
 				block, pc = in.TargetFalse, 0
 			}
-			backEdge := blockIdx[block] <= blockIdx[prev]
+			backEdge := layout[block.ID] <= layout[prev.ID]
 			if fine != nil {
 				arg := int64(0)
 				if taken {
@@ -659,7 +675,7 @@ func (e *engine) runThread(ti int) {
 			ev.Taken = true
 			prev := block
 			block, pc = in.Target, 0
-			backEdge := blockIdx[block] <= blockIdx[prev]
+			backEdge := layout[block.ID] <= layout[prev.ID]
 			if fine != nil && backEdge {
 				fine.Record(obs.Event{Kind: obs.KIteration, Thread: int32(ti), Queue: -1, When: e.now()})
 			}
@@ -826,7 +842,7 @@ func (e *engine) blockInfoLocked() []BlockInfo {
 			info.Queue = th.queue
 			info.Block = th.block
 			info.PC = th.pc
-			info.Instr = th.instr
+			info.Instr = th.instr.String()
 		}
 		infos[i] = info
 	}
