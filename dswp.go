@@ -164,13 +164,15 @@ type (
 	// CheckpointStore persists committed checkpoints (Policy.Store,
 	// EngineOptions.Store) — MemCheckpointStore survives retries within a
 	// process, FileCheckpointStore survives the process itself;
-	// CheckpointEntry is one crash-safe encoded checkpoint.
+	// CheckpointEntry is one crash-safe encoded checkpoint and
+	// CheckpointEpoch one commit's record in a key's append-only log.
 	// FailedRequestError is the engine's exhausted-retry-budget failure
 	// (errors.As sees through its chain); RecoveryStats and RecoveredRun
 	// report the engine's startup crash-recovery pass; WorkloadInfo and
 	// EngineBreakerInfo are the /workloads serving-status shapes.
 	CheckpointStore     = ckptstore.Store
 	CheckpointEntry     = ckptstore.Entry
+	CheckpointEpoch     = ckptstore.Epoch
 	MemCheckpointStore  = ckptstore.MemStore
 	FileCheckpointStore = ckptstore.FileStore
 	FailedRequestError  = engine.FailedRequestError

@@ -25,6 +25,8 @@ type FS interface {
 	CreateTemp(dir, pattern string) (File, error)
 	// OpenDir opens a directory for fsync.
 	OpenDir(dir string) (File, error)
+	// OpenAppend opens an existing file for appending writes.
+	OpenAppend(path string) (File, error)
 }
 
 // File is the open-file surface FileStore needs.
@@ -55,6 +57,14 @@ func (osFS) CreateTemp(dir, pattern string) (File, error) {
 	return f, nil
 }
 
+func (osFS) OpenAppend(path string) (File, error) {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 func (osFS) OpenDir(dir string) (File, error) {
 	f, err := os.Open(dir)
 	if err != nil {
@@ -63,7 +73,8 @@ func (osFS) OpenDir(dir string) (File, error) {
 	return f, nil
 }
 
-// The FileStore IO failpoint sites. Error-action policies surface as the
+// The FileStore IO failpoint sites (ckptstore/file/append fails opening a
+// log for an epoch append). Error-action policies surface as the
 // operation's error (arm with error(ENOSPC) to simulate a full disk at
 // exactly the syscall that would report it); the two structured sites
 // below inject failure *shapes* rather than plain errors:
@@ -84,6 +95,7 @@ var (
 	fpRename = failpoint.New("ckptstore/file/rename")
 	fpTorn   = failpoint.New("ckptstore/file/torn-rename")
 	fpRead   = failpoint.New("ckptstore/file/read")
+	fpAppend = failpoint.New("ckptstore/file/append")
 )
 
 // hooked wraps an FS with the failpoint sites. FileStore installs it
@@ -126,6 +138,19 @@ func (h hooked) CreateTemp(dir, pattern string) (File, error) {
 		return nil, err
 	}
 	f, err := h.fs.CreateTemp(dir, pattern)
+	if err != nil {
+		return nil, err
+	}
+	return hookedFile{f}, nil
+}
+
+// OpenAppend returns a hooked file, so appends meet the same write,
+// short-write and sync faults as temp-file writes.
+func (h hooked) OpenAppend(path string) (File, error) {
+	if err := fpAppend.Fail(); err != nil {
+		return nil, err
+	}
+	f, err := h.fs.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}

@@ -89,6 +89,12 @@ func (m *Memory) Get(addr int64) int64 {
 // Size returns the image size in words.
 func (m *Memory) Size() int64 { return int64(len(m.words)) }
 
+// Words returns the image's backing slice, for callers that scan or copy
+// whole images (checkpoint commits and their delta encoding). Writes
+// through it bypass the bounds checks; the image is never resized, so the
+// slice stays valid for the image's lifetime.
+func (m *Memory) Words() []int64 { return m.words }
+
 // Clone copies the image.
 func (m *Memory) Clone() *Memory {
 	w := make([]int64, len(m.words))

@@ -1,10 +1,10 @@
 package runtime
 
 import (
+	"math/bits"
 	"sync"
 
 	"dswp/internal/interp"
-	"dswp/internal/ir"
 	"dswp/internal/obs"
 )
 
@@ -26,20 +26,37 @@ const DefaultCheckpointEvery = 64
 // first Iter iterations, all queues are provably empty and shared memory
 // equals the sequential image. Registers are merged per the ownership
 // rule: each register's in-loop definition lives in exactly one thread.
+//
+// Mem and Deltas are borrowed from the run: both are overwritten by the
+// next commit, so a caller that keeps a checkpoint past that must copy
+// them. Regs is the commit's own.
 type Checkpoint struct {
 	// Iter is the number of completed outer-loop iterations.
 	Iter int64
-	// Mem is a snapshot (clone) of shared memory at the boundary.
+	// Mem is the run's retained checkpoint image: shared memory as of
+	// this boundary, valid until the next commit.
 	Mem *interp.Memory
 	// Regs is the merged architectural register file of the original
 	// function, indexed by register number.
 	Regs []int64
+	// Deltas are the words this epoch changed, in ascending address
+	// order: every word that differs from the previous commit's image
+	// (from the run's initial image for the first commit). Replaying the
+	// deltas of every commit so far over the initial image rebuilds Mem.
+	Deltas []Delta
+}
+
+// Delta is one memory word a checkpoint epoch changed.
+type Delta struct {
+	Addr int64
+	Val  int64
 }
 
 // CheckpointSpec enables iteration-aligned checkpointing of a concurrent
 // run. All stage threads park on an epoch barrier every Every outer-loop
-// iterations; the last arriver commits the checkpoint (memory clone plus
-// merged register file) and releases the pipeline.
+// iterations; the last arriver commits the checkpoint (the epoch's dirty
+// words applied to the retained image, plus the merged register file) and
+// releases the pipeline.
 type CheckpointSpec struct {
 	// Every is the checkpoint period in outer-loop iterations
 	// (<=0 = DefaultCheckpointEvery).
@@ -61,7 +78,7 @@ type CheckpointSpec struct {
 	RegOwner []int
 	// OnCommit receives each committed checkpoint while the pipeline is
 	// paused at the boundary. It runs on a stage goroutine and must not
-	// block for long.
+	// block for long. A panic in it fails the run with a *StageFailure.
 	OnCommit func(Checkpoint)
 }
 
@@ -72,11 +89,26 @@ func (s *CheckpointSpec) every() int64 {
 	return s.Every
 }
 
+// pageShift sizes the dirty-tracking page: a store marks the page of
+// 1<<pageShift words holding its address, and a commit diffs only the
+// marked pages against the retained image.
+const pageShift = 6
+
 // ckptState is the engine's barrier: threads arrive at aligned iteration
 // boundaries and park until the last arrival commits and releases them.
 type ckptState struct {
 	spec  *CheckpointSpec
 	every int64
+
+	// image is the retained checkpoint image: shared memory as of the
+	// last commit, cloned once at run start. dirty[t] is thread t's
+	// bitmap of pages it stored to since the last commit, one bit per
+	// page; only thread t writes it, and only the committer reads and
+	// clears it, while t is parked at the barrier. deltas is the last
+	// commit's delta list, reused across commits.
+	image  *interp.Memory
+	dirty  [][]uint64
+	deltas []Delta
 
 	mu      sync.Mutex
 	arrived int
@@ -85,38 +117,14 @@ type ckptState struct {
 	commits int64
 }
 
-// outerBackEdgeTarget returns fn's outermost loop header: the earliest
-// block (in layout order) that is the target of any backward transfer.
-// Inner-loop headers appear later in layout, so counting transfers to this
-// block counts exactly the outer-loop iterations — robust against threads
-// replicating inner loops asymmetrically. Returns nil for loop-free
-// functions.
-func outerBackEdgeTarget(fn *ir.Function) *ir.Block {
-	idx := make(map[*ir.Block]int, len(fn.Blocks))
-	for bi, b := range fn.Blocks {
-		idx[b] = bi
+func newCkptState(spec *CheckpointSpec, mem *interp.Memory, threads int) *ckptState {
+	c := &ckptState{spec: spec, every: spec.every(), image: mem.Clone(),
+		dirty: make([][]uint64, threads), release: make(chan struct{})}
+	pages := (mem.Size() + 1<<pageShift - 1) >> pageShift
+	for t := range c.dirty {
+		c.dirty[t] = make([]uint64, (pages+63)/64)
 	}
-	var best *ir.Block
-	consider := func(from int, tg *ir.Block) {
-		if tg == nil {
-			return
-		}
-		if ti, ok := idx[tg]; ok && ti <= from && (best == nil || ti < idx[best]) {
-			best = tg
-		}
-	}
-	for bi, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpJump:
-				consider(bi, in.Target)
-			case ir.OpBranch:
-				consider(bi, in.Target)
-				consider(bi, in.TargetFalse)
-			}
-		}
-	}
-	return best
+	return c
 }
 
 // ckptArrive parks thread ti at the boundary after its iter-th completed
@@ -128,14 +136,7 @@ func (e *engine) ckptArrive(ti int, iter int64) {
 	c.mu.Lock()
 	c.arrived++
 	if c.arrived >= len(e.threads)-c.done {
-		if c.done == 0 {
-			e.commitLocked(ti, iter)
-		}
-		c.arrived = 0
-		ch := c.release
-		c.release = make(chan struct{})
-		c.mu.Unlock()
-		close(ch)
+		e.lastArrive(ti, iter)
 		return
 	}
 	ch := c.release
@@ -147,6 +148,21 @@ func (e *engine) ckptArrive(ti int, iter int64) {
 		e.setState(ti, stateRunning)
 	case <-e.ctx.Done():
 	}
+}
+
+// lastArrive commits (when the boundary is pipeline-wide) and releases the
+// barrier. The caller holds ckptState.mu; it is released on return, also
+// when OnCommit panics, so the failing stage's ckptLeave can take it while
+// the panic fails the run and its cancellation frees the waiters.
+func (e *engine) lastArrive(ti int, iter int64) {
+	c := e.ckpt
+	defer c.mu.Unlock()
+	if c.done == 0 {
+		e.commitLocked(ti, iter)
+	}
+	c.arrived = 0
+	close(c.release)
+	c.release = make(chan struct{})
 }
 
 // ckptLeave removes an exiting thread from the barrier population. If the
@@ -173,11 +189,36 @@ func (e *engine) ckptLeave(ti int) {
 
 // commitLocked builds and publishes the checkpoint; the caller holds
 // ckptState.mu, and every other live thread is parked at the barrier, so
-// reading their register files and cloning shared memory is safe (each
-// waiter's last writes happen-before its barrier lock acquisition).
+// reading their register files and dirty bitmaps and the shared image is
+// safe (each waiter's last writes happen-before its barrier lock
+// acquisition). The commit costs what the epoch wrote: it walks the union
+// of the threads' dirty pages, emits each word that differs from the
+// retained image as a delta, applies it, and clears the bitmaps.
 func (e *engine) commitLocked(ti int, iter int64) {
 	c := e.ckpt
-	cp := Checkpoint{Iter: iter, Mem: e.mem.Clone(), Regs: make([]int64, len(c.spec.RegOwner))}
+	cur, img := e.mem.Words(), c.image.Words()
+	c.deltas = c.deltas[:0]
+	for w := range c.dirty[0] {
+		var word uint64
+		for _, d := range c.dirty {
+			word |= d[w]
+			d[w] = 0
+		}
+		for word != 0 {
+			page := w*64 + bits.TrailingZeros64(word)
+			word &= word - 1
+			lo := page << pageShift
+			hi := min(lo+1<<pageShift, len(cur))
+			for a := lo; a < hi; a++ {
+				if v := cur[a]; v != img[a] {
+					img[a] = v
+					c.deltas = append(c.deltas, Delta{Addr: int64(a), Val: v})
+				}
+			}
+		}
+	}
+	cp := Checkpoint{Iter: iter, Mem: c.image, Regs: make([]int64, len(c.spec.RegOwner)),
+		Deltas: c.deltas}
 	for r := range cp.Regs {
 		t := c.spec.RegOwner[r]
 		if t < 0 || t >= len(e.threads) {

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 
+	"dswp/internal/interp"
 	"dswp/internal/ir"
 	"dswp/internal/queue"
 )
@@ -101,16 +102,8 @@ func NewPlan(fns []*ir.Function) (*Plan, error) {
 	p.layout = make([][]int, len(fns))
 	p.outerHdr = make([]*ir.Block, len(fns))
 	for i, fn := range fns {
-		n := 0
-		for _, b := range fn.Blocks {
-			n = max(n, b.ID+1)
-		}
-		pos := make([]int, n)
-		for bi, b := range fn.Blocks {
-			pos[b.ID] = bi
-		}
-		p.layout[i] = pos
-		p.outerHdr[i] = outerBackEdgeTarget(fn)
+		p.layout[i] = interp.BlockLayout(fn)
+		p.outerHdr[i] = interp.OuterBackEdgeTarget(fn, p.layout[i])
 	}
 	return p, nil
 }

@@ -401,7 +401,7 @@ func (e *engine) build() error {
 			}
 		}
 		if aligned {
-			e.ckpt = &ckptState{spec: spec, every: spec.every(), release: make(chan struct{})}
+			e.ckpt = newCkptState(spec, e.mem, len(e.fns))
 		}
 	}
 	return nil
@@ -494,8 +494,12 @@ func (e *engine) runThread(ti int) {
 	}
 	var iters int64
 	var ckptEvery int64
+	// dirty is this thread's dirty-page bitmap, nil unless the run
+	// checkpoints: an unchecked store pays one nil check for it.
+	var dirty []uint64
 	if e.ckpt != nil {
 		ckptEvery = e.ckpt.every
+		dirty = e.ckpt.dirty[ti]
 	}
 	if rec != nil {
 		rec.Record(obs.Event{Kind: obs.KStageStart, Thread: int32(ti), Queue: -1, When: e.now()})
@@ -708,6 +712,10 @@ func (e *engine) runThread(ti int) {
 			if err := e.mem.Store(addr, regs[in.Src[0]]); err != nil {
 				e.fail(fmt.Errorf("runtime: thread %d: %s: %w", ti, in, err))
 				return
+			}
+			if dirty != nil {
+				page := addr >> pageShift
+				dirty[page>>6] |= 1 << (page & 63)
 			}
 			pc++
 		case ir.OpCall:

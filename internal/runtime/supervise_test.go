@@ -147,7 +147,12 @@ func TestCheckpointCommits(t *testing.T) {
 		QueueCap: 4, Mem: p.Mem, Regs: p.Regs, Recorder: m,
 		Checkpoint: &CheckpointSpec{
 			Every: 16, Header: p.LoopHeader, RegOwner: tr.RegOwner,
-			OnCommit: func(cp Checkpoint) { commits = append(commits, cp) },
+			OnCommit: func(cp Checkpoint) {
+				// Mem is the run's retained image, overwritten by the
+				// next commit: keep a copy.
+				cp.Mem = cp.Mem.Clone()
+				commits = append(commits, cp)
+			},
 		},
 	})
 	if err != nil {
