@@ -10,8 +10,12 @@ check: vet build race
 vet:
 	$(GO) vet ./...
 
+# perfbench is its own module (BENCHMARK.json's harness) and imports the
+# engine, supervisor and runtime APIs: build it too, so an API edit that
+# breaks the benchmark fails here rather than only in CI.
 build:
 	$(GO) build ./...
+	cd perfbench && $(GO) build ./...
 
 test:
 	$(GO) test ./...

@@ -56,7 +56,6 @@ func main() {
 		drain      = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown grace for in-flight runs")
 		ckptDir    = flag.String("ckpt-dir", "", "directory for the durable checkpoint store (empty = in-memory)")
 		ckptEvery  = flag.Int64("ckpt-every", 0, "checkpoint commit period in iterations (0 = 64)")
-		retries    = flag.Int("retries", 0, "sequential retries per failed pipelined run (0 = 2, negative disables)")
 		breakerK   = flag.Int("breaker-k", 0, "consecutive failures tripping a workload to sequential (0 = 3, negative disables)")
 		breakerCD  = flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a half-open probe (0 = 5s)")
 
@@ -106,7 +105,6 @@ func main() {
 		DefaultDeadline:  *deadline,
 		Store:            store,
 		CheckpointEvery:  *ckptEvery,
-		Retries:          *retries,
 		BreakerThreshold: *breakerK,
 		BreakerCooldown:  *breakerCD,
 		MaxBodyBytes:     *maxBody,

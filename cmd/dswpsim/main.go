@@ -8,9 +8,9 @@
 // deterministic round-robin interpreter (-runtime=interp, optionally with a
 // bounded -queuecap), or the goroutine-backed concurrent runtime
 // (-runtime=goroutine) with bounded channel queues, watchdog deadlock
-// detection, and optional seed-derived fault injection (-faults N). On a
-// concurrent-runtime failure the run falls back to sequential execution of
-// the original loop and reports the event.
+// detection, and optional seed-derived fault injection (-faults N). A
+// concurrent-runtime failure ends the run with its typed error and exit
+// code; -runtime=supervised is the mode that recovers from one.
 //
 //	dswpsim -workload 181.mcf -runtime=goroutine -queuecap=1 -faults=42
 //
@@ -302,9 +302,9 @@ func (r *runner) recorder(nThreads, nQueues int) obs.Recorder {
 }
 
 // execute runs fns under the selected engine. p supplies live-ins, the
-// memory image, and (for the goroutine runtime) the original function for
-// the sequential fallback; numQueues feeds fault derivation and recorder
-// sizing.
+// memory image, and (for the supervised runtime) the original function a
+// failed run resumes; numQueues feeds fault derivation and recorder
+// sizing. The goroutine runtime reports its failure as an error.
 func (r *runner) execute(fns []*ir.Function, p *workloads.Program, numQueues int, opts interp.Options) ([]*interp.ThreadResult, error) {
 	switch r.engine {
 	case "", "interp":
@@ -322,13 +322,9 @@ func (r *runner) execute(fns []*ir.Function, p *workloads.Program, numQueues int
 		if r.faultSeed != 0 {
 			ropts.Faults = rt.RandomFaults(r.faultSeed, len(fns), numQueues)
 		}
-		res, report, err := rt.RunWithFallback(fns, p.F, ropts)
+		res, err := rt.Run(fns, ropts)
 		if err != nil {
 			return nil, err
-		}
-		if report.FellBack {
-			fmt.Fprintf(os.Stderr,
-				"dswpsim: concurrent runtime failed, fell back to sequential execution: %v\n", report.Cause)
 		}
 		return res.Threads, nil
 	case "supervised":

@@ -103,11 +103,9 @@ type (
 	QueueKind = queue.Kind
 	// FaultPlan describes deterministic fault injection for a concurrent
 	// run as per-queue and per-thread FaultPolicy values (build one with
-	// ParseFaultPolicy); FallbackReport says whether a run degraded to
-	// sequential.
-	FaultPlan      = rt.FaultPlan
-	FaultPolicy    = failpoint.Policy
-	FallbackReport = rt.FallbackReport
+	// ParseFaultPolicy).
+	FaultPlan   = rt.FaultPlan
+	FaultPolicy = failpoint.Policy
 	// DeadlockError and TimeoutError are the watchdog's structured
 	// failures; StageFailure is a captured stage panic; QueueFaultError is
 	// an unrecovered injected queue fault; CanceledError reports a
@@ -162,20 +160,18 @@ type (
 
 	// Durable serving (internal/ckptstore, engine recovery): a
 	// CheckpointStore persists committed checkpoints (Policy.Store,
-	// EngineOptions.Store) — MemCheckpointStore survives retries within a
+	// EngineOptions.Store) — MemCheckpointStore lives as long as its
 	// process, FileCheckpointStore survives the process itself;
 	// CheckpointEntry is one crash-safe encoded checkpoint and
 	// CheckpointEpoch one commit's record in a key's append-only log.
-	// FailedRequestError is the engine's exhausted-retry-budget failure
-	// (errors.As sees through its chain); RecoveryStats and RecoveredRun
-	// report the engine's startup crash-recovery pass; WorkloadInfo and
-	// EngineBreakerInfo are the /workloads serving-status shapes.
+	// RecoveryStats and RecoveredRun report the engine's startup
+	// crash-recovery pass; WorkloadInfo and EngineBreakerInfo are the
+	// /workloads serving-status shapes.
 	CheckpointStore     = ckptstore.Store
 	CheckpointEntry     = ckptstore.Entry
 	CheckpointEpoch     = ckptstore.Epoch
 	MemCheckpointStore  = ckptstore.MemStore
 	FileCheckpointStore = ckptstore.FileStore
-	FailedRequestError  = engine.FailedRequestError
 	RecoveryStats       = engine.RecoveryStats
 	RecoveredRun        = engine.RecoveredRun
 	WorkloadInfo        = engine.WorkloadInfo
@@ -349,21 +345,27 @@ func RunFunctions(threads []*Function, p *Program, m MachineConfig) (*MachineRes
 // RunConcurrent executes the pipelined threads under the goroutine-backed
 // concurrent runtime — real threads, bounded channel queues, watchdog
 // deadlock detection — validates the result against sequential execution
-// of the original program, and returns the timing. On runtime failure it
-// degrades gracefully: the sequential execution of the original loop is
-// timed instead and the returned FallbackReport carries the cause
-// (typically a *DeadlockError or *TimeoutError).
+// of the original program, and returns the timing. The run goes through
+// the supervisor without checkpoints, so a failed run (typically a
+// *DeadlockError or *TimeoutError) restarts the original loop
+// sequentially from scratch: that execution is timed instead, and the
+// returned report carries the cause in Failure with Resumed set.
 //
 // A zero opts.QueueCap inherits the machine configuration's QueueSize, so
 // the functional queues match the simulated synchronization array.
-func RunConcurrent(tr *Transformed, p *Program, m MachineConfig, opts RuntimeOptions) (*MachineResult, FallbackReport, error) {
-	opts.Regs = p.Regs
-	opts.Mem = p.Mem
-	opts.RecordTrace = true
+// opts.Checkpoint is ignored.
+func RunConcurrent(tr *Transformed, p *Program, m MachineConfig, opts RuntimeOptions) (*MachineResult, *SupervisorReport, error) {
 	if opts.QueueCap == 0 {
 		opts.QueueCap = m.QueueSize
 	}
-	res, report, err := rt.RunWithFallback(tr.Threads, p.F, opts)
+	res, report, err := supervisor.Run(context.Background(), supervisor.Pipeline{
+		Threads: tr.Threads, Original: p.F, Mem: p.Mem, Regs: p.Regs,
+	}, supervisor.Policy{
+		AttemptTimeout: opts.Timeout, MaxSteps: opts.MaxSteps,
+		QueueCap: opts.QueueCap, Queue: opts.Queue, Poll: opts.Poll,
+		Faults: opts.Faults, Recorder: opts.Recorder, RecordTrace: true,
+		Plan: opts.Plan, Instance: opts.Instance,
+	})
 	if err != nil {
 		return nil, report, err
 	}
@@ -473,7 +475,7 @@ func NewEngine(opts EngineOptions) *Engine { return engine.New(opts) }
 func NewServerMux(e *Engine) *http.ServeMux { return engine.NewMux(e) }
 
 // NewMemCheckpointStore builds an in-memory checkpoint store: durable
-// across engine retries within a process, gone with the process. Entries
+// across runs within a process, gone with the process. Entries
 // round-trip the binary codec on every Put/Get, so corruption detection
 // behaves exactly like the file-backed store.
 func NewMemCheckpointStore() *MemCheckpointStore { return ckptstore.NewMem() }

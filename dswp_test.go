@@ -47,8 +47,8 @@ func TestFacadeRunConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if report.FellBack {
-		t.Fatalf("unexpected fallback: %v", report.Cause)
+	if report.Failure != nil || report.Resumed {
+		t.Fatalf("unexpected fallback: %v", report.Failure)
 	}
 	if res.Cycles == 0 {
 		t.Fatal("no cycles reported")
@@ -56,6 +56,34 @@ func TestFacadeRunConcurrent(t *testing.T) {
 	// Queue capacity 1 must still produce a valid timed run.
 	if _, _, err := RunConcurrent(tr, p, m, RuntimeOptions{QueueCap: 1}); err != nil {
 		t.Fatalf("cap 1: %v", err)
+	}
+
+	// Sabotage: the last stage panics mid-run. RunConcurrent fails unless
+	// the timed run's memory image and live-outs equal the sequential
+	// ones, so a nil error means the fallback landed the sequential state.
+	pol, err := ParseFaultPolicy("panic(sabotage):nth(300)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := RuntimeOptions{Faults: &FaultPlan{Thread: map[int]FaultPolicy{len(tr.Threads) - 1: pol}}}
+	res, report, err = RunConcurrent(tr, p, m, opts)
+	if err != nil {
+		t.Fatalf("sabotaged run: %v", err)
+	}
+	var sf *StageFailure
+	if !errors.As(report.Failure, &sf) || !report.Resumed {
+		t.Fatalf("sabotaged run: failure=%v resumed=%v, want a *StageFailure and a resume",
+			report.Failure, report.Resumed)
+	}
+	// The fallback restarts from scratch, so it retires exactly the
+	// baseline's instruction stream and times to the baseline's cycles.
+	base, err := RunBaseline(p, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cycles == 0 || res.Cycles != base.Cycles {
+		t.Fatalf("sabotaged run timed %d cycles, want the sequential baseline's %d",
+			res.Cycles, base.Cycles)
 	}
 }
 
@@ -68,8 +96,8 @@ func TestFacadeRunConcurrentWithFaults(t *testing.T) {
 	opts := RuntimeOptions{Faults: RandomFaults(7, tr)}
 	if _, report, err := RunConcurrent(tr, p, FullWidth(), opts); err != nil {
 		t.Fatal(err)
-	} else if report.FellBack {
-		t.Fatalf("fault injection should perturb timing, not correctness: %v", report.Cause)
+	} else if report.Failure != nil {
+		t.Fatalf("fault injection should perturb timing, not correctness: %v", report.Failure)
 	}
 }
 

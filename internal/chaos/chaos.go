@@ -11,7 +11,7 @@
 //     PS-DSWP replicated pipelines of every replicable target;
 //   - service: one engine lifetime per scenario serving concurrent mixed
 //     traffic, in process and over HTTP, while seeded failpoint schedules
-//     inject storage, pool, compile, retry and HTTP faults.
+//     inject storage, pool, compile, resume and HTTP faults.
 //
 // The drivers share the core. Scenario i of a soak is a pure function of
 // (driver, seed, i), drawn from one workloads.RNG stream, so any failure
@@ -70,8 +70,7 @@ type Report struct {
 	// Correct counts checks whose final state matched the reference.
 	Correct int
 	// Recovered counts the Correct supervisor runs that survived an
-	// injected failure (in-place retry, sequential resume, or durable
-	// crash recovery).
+	// injected failure (sequential resume or durable crash recovery).
 	Recovered int
 	// Typed counts checks that ended in a typed error: a canceled run, or
 	// a request that was shed, timed out or failed by an injection.

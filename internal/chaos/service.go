@@ -82,7 +82,7 @@ var armMenu = []armChoice{
 	{site: "supervisor/ckpt/commit", spec: "error(EIO):prob(0.4,%d)"},
 	{site: "engine/pool/acquire", spec: "error(x):prob(0.5,%d)"},
 	{site: "engine/cache/compile", spec: "error(x):nth(3)"},
-	{site: "engine/retry/resume", spec: "error(x):prob(0.5,%d)"},
+	{site: "supervisor/resume/start", spec: "error(x):prob(0.5,%d)"},
 	{site: "queue/ring/park", spec: "sleep(200us):prob(0.05,%d)"},
 	{site: "engine/http/write-response", spec: "error(x):prob(0.2,%d)", httpOnly: true},
 }
@@ -137,7 +137,6 @@ func (d *serviceDriver) scenario(seed uint64, i int) scenario {
 		Workers:         1 + rng.Index(3),
 		QueueDepth:      4 + rng.Index(12),
 		Queue:           queue.Kind(rng.Index(2)),
-		Retries:         2,
 		CheckpointEvery: 16,
 		ReapAfter:       2 * time.Second, // hung-run backstop, far above normal latency
 	}
@@ -172,7 +171,7 @@ func (d *serviceDriver) scenario(seed uint64, i int) scenario {
 			cl.req.Threads = threads
 			name := d.shapes[k].name
 			switch rng.Index(8) {
-			case 0: // stage panic: retries must still land the digest
+			case 0: // stage panic: the supervisor's resume must land the digest
 				cl.req.InjectPanic = 50 + rng.Intn(100)
 				name += fmt.Sprintf("!panic@%d", cl.req.InjectPanic)
 			case 1: // sub-millisecond deadline: typed deadline error

@@ -225,7 +225,7 @@ func (s *supervisorRun) run(ctx context.Context, rep *Report) {
 	case s.mode == modeDurable && class != "internal" && !(canceled && class == "deadline"):
 		// The attempt crashed with resume disabled: play the restarted
 		// process, which only a cancel may stop.
-		res, err := s.recoverDurable(ctx, store)
+		res, err := s.recoverDurable(ctx, store, pipe)
 		if err != nil {
 			o = failure(err)
 			errOK = canceled && o.class == "deadline"
@@ -242,27 +242,26 @@ func (s *supervisorRun) run(ctx context.Context, rep *Report) {
 
 // recoverDurable plays the restarted process after a durable-mode crash:
 // read the committed entry back, rebuild its checkpoint against the
-// pristine memory image, and re-run the original loop sequentially from
+// pristine memory image, and take the supervisor's sequential resume from
 // that cut. A quarter of recoveries first tear the entry: the store must
 // then report ckptstore.ErrCorrupt, never a wrong checkpoint, and
 // recovery starts from scratch, as it does when nothing was committed.
-func (s *supervisorRun) recoverDurable(ctx context.Context, store *ckptstore.MemStore) (*interp.Result, error) {
+func (s *supervisorRun) recoverDurable(ctx context.Context, store *ckptstore.MemStore, pipe supervisor.Pipeline) (*interp.Result, error) {
 	if s.torn {
 		store.Corrupt(s.pol.StoreKey)
 	}
-	p := s.tg.prog
-	opts := interp.Options{Ctx: ctx, Mem: p.Mem, Regs: p.Regs}
+	var cp *rt.Checkpoint
 	e, err := store.Get(s.pol.StoreKey)
 	switch {
 	case err == nil:
-		cp, err := e.Checkpoint(p.Mem)
+		rc, err := e.Checkpoint(pipe.Mem)
 		if err != nil {
 			return nil, fmt.Errorf("rebuilding durable checkpoint: %w", err)
 		}
-		opts = interp.Options{Ctx: ctx, StartBlock: p.LoopHeader, RegFile: cp.Regs, Mem: cp.Mem}
+		cp = &rc
 	case errors.Is(err, ckptstore.ErrNotFound), errors.Is(err, ckptstore.ErrCorrupt) && s.torn:
 	default:
 		return nil, fmt.Errorf("durable store get (torn=%v): %w", s.torn, err)
 	}
-	return interp.Run(p.F, opts)
+	return supervisor.Resume(ctx, pipe, cp, supervisor.Policy{})
 }

@@ -1,8 +1,7 @@
 // Package ckptstore is the durable half of the fault-tolerance story: a
 // pluggable store for runtime.Checkpoint commits, so recovery survives not
 // just a failed pipeline attempt (the supervisor's in-memory latch) but the
-// loss of the attempt's whole process — an engine retry after a poisoned
-// run, or a dswpd restart after SIGKILL.
+// loss of the attempt's whole process — a dswpd restart after SIGKILL.
 //
 // Each key holds an append-only log whose cost per commit is what the
 // commit's epoch wrote:

@@ -15,7 +15,8 @@ import (
 
 // MemStore keeps each key's log as a list of encoded records behind a
 // mutex. It is the default store for in-process engines: commits survive
-// a failed attempt (engine retry reads them back) but not the process.
+// a failed attempt (the supervisor reads them back when its in-memory
+// latch is empty) but not the process.
 // Records round-trip through the codec on every write and Get, so the
 // binary encoding is exercised even when no FileStore is configured.
 type MemStore struct {

@@ -16,9 +16,9 @@ import (
 //	half-open one probe request re-tests the pipeline; success closes
 //	          the breaker, failure re-opens it for another cooldown
 //
-// Only attempt-level *pipelined* outcomes feed the state machine: an
-// engine retry that saves the request does not absolve the pipeline, and
-// degraded sequential runs say nothing about it.
+// Only attempt-level *pipelined* outcomes feed the state machine: a
+// sequential resume that saves the request does not absolve the pipeline,
+// and degraded sequential runs say nothing about it.
 type breaker struct {
 	threshold int // consecutive failures that trip; <0 disables
 	cooldown  time.Duration

@@ -16,9 +16,9 @@ import (
 	"dswp/internal/supervisor"
 )
 
-// TestRetryResumesFromCheckpoint pins the engine's resume-on-retry path:
-// an injected stage panic kills the pipelined attempt, the retry seeds a
-// sequential resume from the last durable checkpoint instead of
+// TestRetryResumesFromCheckpoint pins the engine's recovery path: an
+// injected stage panic kills the pipelined attempt, the supervisor resumes
+// the original loop sequentially from its newest commit instead of
 // recomputing from iteration 0, and the answer is bit-identical to the
 // sequential reference.
 func TestRetryResumesFromCheckpoint(t *testing.T) {
@@ -29,26 +29,26 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 
 	resp, err := e.Run(context.Background(), req)
 	if err != nil {
-		t.Fatalf("retried request failed: %v", err)
+		t.Fatalf("resumed request failed: %v", err)
 	}
 	if resp.Digest != want {
 		t.Fatalf("digest %s, want %s", resp.Digest, want)
 	}
-	if !resp.Resumed || resp.Attempts != 2 {
-		t.Fatalf("resumed=%v attempts=%d, want a single retry that resumed", resp.Resumed, resp.Attempts)
+	if !resp.Resumed {
+		t.Fatal("the failed attempt did not resume")
 	}
 	if resp.ResumeIter <= 0 {
 		t.Fatalf("resume started at iteration %d; a panic at instruction 400 "+
-			"with CheckpointEvery=4 must leave durable commits behind", resp.ResumeIter)
+			"with CheckpointEvery=4 must leave commits behind", resp.ResumeIter)
 	}
 	if resp.DurableCheckpoints == 0 {
 		t.Fatal("no durable checkpoint commits reported")
 	}
 
 	s := e.Metrics().Snapshot()
-	if s.Retries == 0 || s.Resumes == 0 || s.DurableCommits == 0 {
-		t.Fatalf("retry counters: retries=%d resumes=%d durable_commits=%d, want all > 0",
-			s.Retries, s.Resumes, s.DurableCommits)
+	if s.Resumes != 1 || s.DurableCommits == 0 {
+		t.Fatalf("counters: resumes=%d durable_commits=%d, want 1 and > 0",
+			s.Resumes, s.DurableCommits)
 	}
 	// A terminal outcome deletes the request's store entry; only a crash
 	// leaves entries for Recover to find.
@@ -61,24 +61,34 @@ func TestRetryResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
-// TestFailedRequestErrorChain pins the multi-error unwrap contract: the
-// exhausted-budget error exposes every attempt's failure, errors.As sees
-// through to the root cause, and the HTTP layer classifies by it.
-func TestFailedRequestErrorChain(t *testing.T) {
-	root := &rt.StageFailure{Thread: 1}
-	fr := &FailedRequestError{Workload: "wc", Attempts: 3,
-		Chain: []error{root, errors.New("retry 1 died"), errors.New("retry 2 died")}}
+// TestResumeSurvivesFailedDurableCommits: with every durable write failing,
+// the store holds nothing, yet the failed attempt still resumes from the
+// supervisor's in-memory latch — a mid-loop iteration, not from scratch.
+func TestResumeSurvivesFailedDurableCommits(t *testing.T) {
+	failpoint.Reset()
+	defer failpoint.Reset()
+	if err := failpoint.Enable("supervisor/ckpt/commit", "error(EIO):every(1)"); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Options{Workers: 1, QueueDepth: 4, CheckpointEvery: 4})
+	defer shutdown(t, e)
+	req := Request{Workload: "list-traversal", N: 1024, InjectPanic: 400}
+	want := seqDigest(t, req)
 
-	var sf *rt.StageFailure
-	if !errors.As(fr, &sf) || sf.Thread != 1 {
-		t.Fatalf("errors.As did not reach the root StageFailure through the chain")
+	resp, err := e.Run(context.Background(), req)
+	if err != nil {
+		t.Fatalf("resumed request failed: %v", err)
 	}
-	if class, status := classify(fr); class != "stage-panic" || status != http.StatusInternalServerError {
-		t.Fatalf("classify = %s/%d, want stage-panic/500", class, status)
+	if !resp.Resumed || resp.ResumeIter <= 0 || resp.Digest != want {
+		t.Fatalf("resumed=%v iter=%d digest=%s, want a resume from a commit with digest %s",
+			resp.Resumed, resp.ResumeIter, resp.Digest, want)
 	}
-	body := errorBodyFor(fr)
-	if body.Attempts != 3 || len(body.Chain) != 3 {
-		t.Fatalf("error body attempts=%d chain=%d, want 3/3", body.Attempts, len(body.Chain))
+	if resp.DurableCheckpoints != 0 || resp.Checkpoints == 0 {
+		t.Fatalf("checkpoints=%d durable=%d, want commits that never reached the store",
+			resp.Checkpoints, resp.DurableCheckpoints)
+	}
+	if s := e.Metrics().Snapshot(); s.StoreErrors == 0 {
+		t.Fatal("failed durable commits were not counted")
 	}
 }
 
@@ -111,18 +121,18 @@ func TestClassifyTaxonomy(t *testing.T) {
 }
 
 // TestHTTPStagePanicClass drives an injected panic through the HTTP
-// surface with retries disabled and requires the typed 500 body; with
-// retries enabled the same request must instead succeed with a resume.
+// surface in concurrent mode, which has no recovery, and requires the
+// typed 500 body; the same request in the default supervised mode must
+// instead succeed with a resume.
 func TestHTTPStagePanicClass(t *testing.T) {
-	// Retries and breaker disabled: the stage panic surfaces raw.
-	e := New(Options{Workers: 1, QueueDepth: 4, Retries: -1, BreakerThreshold: -1})
+	e := New(Options{Workers: 1, QueueDepth: 4, CheckpointEvery: 4, BreakerThreshold: -1})
 	defer shutdown(t, e)
 	srv := httptest.NewServer(NewMux(e))
 	defer srv.Close()
 
-	resp, body := postRun(t, srv, `{"workload":"list-traversal","n":1024,"inject_panic":50}`)
+	resp, body := postRun(t, srv, `{"workload":"list-traversal","n":1024,"inject_panic":50,"mode":"concurrent"}`)
 	if resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("inject_panic with retries disabled: %d: %s", resp.StatusCode, body)
+		t.Fatalf("inject_panic in concurrent mode: %d: %s", resp.StatusCode, body)
 	}
 	var eb errorBody
 	if err := json.Unmarshal(body, &eb); err != nil {
@@ -132,14 +142,9 @@ func TestHTTPStagePanicClass(t *testing.T) {
 		t.Fatalf("error class %q, want stage-panic: %s", eb.Class, body)
 	}
 
-	// Same request on a retrying engine: 200 with a resume.
-	e2 := New(Options{Workers: 1, QueueDepth: 4, CheckpointEvery: 4, BreakerThreshold: -1})
-	defer shutdown(t, e2)
-	srv2 := httptest.NewServer(NewMux(e2))
-	defer srv2.Close()
-	resp2, body2 := postRun(t, srv2, `{"workload":"list-traversal","n":1024,"inject_panic":400}`)
+	resp2, body2 := postRun(t, srv, `{"workload":"list-traversal","n":1024,"inject_panic":400}`)
 	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("inject_panic with retries enabled: %d: %s", resp2.StatusCode, body2)
+		t.Fatalf("inject_panic in supervised mode: %d: %s", resp2.StatusCode, body2)
 	}
 	var rr Response
 	if err := json.Unmarshal(body2, &rr); err != nil {
@@ -153,12 +158,13 @@ func TestHTTPStagePanicClass(t *testing.T) {
 // TestBreakerDegradesToSequential pins the circuit-breaker state machine:
 // K consecutive pipelined failures flip the workload to sequential
 // serving (correct results, Degraded set), a failed half-open probe
-// re-opens for another cooldown, and a successful probe closes it.
+// re-opens for another cooldown, and a successful probe closes it. Every
+// failed attempt resumes, so each request still lands the digest: a
+// resume that saves the request does not absolve the pipeline.
 func TestBreakerDegradesToSequential(t *testing.T) {
-	// Retries disabled so every injected panic is a pipelined failure the
-	// caller sees; a huge cooldown pins the clock, which the test advances
-	// by swapping the breaker's injected now().
-	e := New(Options{Workers: 1, QueueDepth: 4, Retries: -1,
+	// A huge cooldown pins the clock, which the test advances by swapping
+	// the breaker's injected now().
+	e := New(Options{Workers: 1, QueueDepth: 4,
 		BreakerThreshold: 2, BreakerCooldown: time.Hour})
 	defer shutdown(t, e)
 	clean := Request{Workload: "list-traversal", N: 512}
@@ -172,14 +178,18 @@ func TestBreakerDegradesToSequential(t *testing.T) {
 	}
 	t0 := time.Now()
 	setClock(t0)
-
-	// Two consecutive pipelined failures trip the breaker.
-	for i := 0; i < 2; i++ {
-		var sf *rt.StageFailure
-		if _, err := e.Run(context.Background(), panicky); !errors.As(err, &sf) {
-			t.Fatalf("failure %d: err = %v, want StageFailure", i, err)
+	resumed := func(what string, req Request) {
+		t.Helper()
+		resp, err := e.Run(context.Background(), req)
+		if err != nil || !resp.Resumed || resp.Degraded || resp.Digest != want {
+			t.Fatalf("%s: resp=%+v err=%v, want a pipelined attempt that resumed to %s",
+				what, resp, err, want)
 		}
 	}
+
+	// Two consecutive resumed failures trip the breaker.
+	resumed("failure 1", panicky)
+	resumed("failure 2", panicky)
 	if bi := e.breaker.info(clean.Workload); bi == nil || bi.State != "open" || bi.Trips != 1 {
 		t.Fatalf("breaker after 2 failures: %+v, want open with 1 trip", bi)
 	}
@@ -196,9 +206,7 @@ func TestBreakerDegradesToSequential(t *testing.T) {
 
 	// Cooldown elapses; the half-open probe fails and re-opens the breaker.
 	setClock(t0.Add(2 * time.Hour))
-	if _, err := e.Run(context.Background(), panicky); err == nil {
-		t.Fatal("probe request with injected panic unexpectedly succeeded")
-	}
+	resumed("probe", panicky)
 	if resp, err = e.Run(context.Background(), clean); err != nil || !resp.Degraded {
 		t.Fatalf("after failed probe: degraded=%v err=%v, want re-opened breaker", resp.Degraded, err)
 	}
@@ -216,9 +224,9 @@ func TestBreakerDegradesToSequential(t *testing.T) {
 	}
 
 	s := e.Metrics().Snapshot()
-	if s.BreakerTrips != 1 || s.BreakerOpen != 0 || s.Degraded < 2 {
-		t.Fatalf("breaker metrics trips=%d open=%d degraded=%d, want 1/0/>=2",
-			s.BreakerTrips, s.BreakerOpen, s.Degraded)
+	if s.BreakerTrips != 1 || s.BreakerOpen != 0 || s.Degraded < 2 || s.Resumes != 3 {
+		t.Fatalf("breaker metrics trips=%d open=%d degraded=%d resumes=%d, want 1/0/>=2/3",
+			s.BreakerTrips, s.BreakerOpen, s.Degraded, s.Resumes)
 	}
 }
 

@@ -66,28 +66,6 @@ func (e *UnknownWorkloadError) Error() string {
 	return fmt.Sprintf("engine: unknown workload %q", e.Name)
 }
 
-// FailedRequestError reports a request that exhausted its retry budget:
-// the pipelined attempt and every checkpoint-seeded sequential retry
-// failed. Chain holds each attempt's error in order; Unwrap exposes them
-// so errors.Is/As see through to the typed runtime failures (the HTTP
-// layer classifies by the first error in the chain, the root cause).
-type FailedRequestError struct {
-	Workload string
-	Attempts int
-	Chain    []error
-}
-
-func (e *FailedRequestError) Error() string {
-	msg := fmt.Sprintf("engine: %s failed after %d attempts", e.Workload, e.Attempts)
-	if len(e.Chain) > 0 {
-		msg += ": " + e.Chain[0].Error()
-	}
-	return msg
-}
-
-// Unwrap returns the full failure chain (Go 1.20+ multi-error unwrap).
-func (e *FailedRequestError) Unwrap() []error { return e.Chain }
-
 // Options configures an Engine.
 type Options struct {
 	// Workers bounds concurrent pipeline executions (default GOMAXPROCS).
@@ -117,16 +95,12 @@ type Options struct {
 	// own (default 30s; <0 disables).
 	DefaultDeadline time.Duration
 	// Store receives durable checkpoint commits from supervised runs and
-	// feeds engine-level resume-on-retry and post-crash recovery
-	// (default: a fresh in-memory store, which survives retries but not
-	// the process; dswpd passes a file-backed store).
+	// feeds post-crash recovery (default: a fresh in-memory store, which
+	// does not survive the process; dswpd passes a file-backed store).
 	Store ckptstore.Store
 	// CheckpointEvery is the commit period in outer-loop iterations for
 	// supervised runs (0 = runtime.DefaultCheckpointEvery).
 	CheckpointEvery int64
-	// Retries bounds checkpoint-seeded sequential retries after a
-	// transient pipelined failure (default 2; <0 disables retries).
-	Retries int
 	// BreakerThreshold is the consecutive-pipelined-failure count that
 	// trips a workload's circuit breaker to sequential-only serving
 	// (default 3; <0 disables the breaker).
@@ -178,11 +152,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DefaultDeadline == 0 {
 		o.DefaultDeadline = 30 * time.Second
-	}
-	if o.Retries == 0 {
-		o.Retries = 2
-	} else if o.Retries < 0 {
-		o.Retries = 0
 	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 3
@@ -288,15 +257,13 @@ type Response struct {
 	// the engine served the original sequential loop instead of the
 	// pipeline (still bit-identical results, no speedup).
 	Degraded bool `json:"degraded,omitempty"`
-	// Attempts counts executions this response consumed: 1 for a clean
-	// run, 1 + sequential retries when the pipelined attempt failed.
-	Attempts int `json:"attempts,omitempty"`
-	// Resumed and Checkpoints surface the supervisor's report; Resumed is
-	// also true when an engine-level retry resumed from the durable store.
+	// Resumed and Checkpoints surface the supervisor's report: Resumed is
+	// true when the pipelined attempt failed and the supervisor finished
+	// the request sequentially.
 	Resumed     bool  `json:"resumed,omitempty"`
 	Checkpoints int64 `json:"checkpoints,omitempty"`
-	// ResumeIter is the iteration the (engine-level) resume started from;
-	// -1 means from scratch. Only meaningful when Resumed.
+	// ResumeIter is the iteration the resume started from; -1 means from
+	// scratch. Only meaningful when Resumed.
 	ResumeIter int64 `json:"resume_iter,omitempty"`
 	// DurableCheckpoints counts commits written to the checkpoint store.
 	DurableCheckpoints int64 `json:"durable_checkpoints,omitempty"`
@@ -429,13 +396,6 @@ func (e *Engine) Metrics() *Metrics { return e.met }
 // Tracer exposes the request tracer; nil when tracing is disabled. The
 // debug HTTP surface reads retained traces through it.
 func (e *Engine) Tracer() *telemetry.Tracer { return e.tracer }
-
-// Profile returns one workload's windowed serving profile (rates, error
-// rate, latency quantiles, occupancy high-water over the trailing
-// window) — the feedback signal a future re-planner consumes.
-func (e *Engine) Profile(workload string) telemetry.WindowSnapshot {
-	return e.registry.Profile(workload)
-}
 
 // Window returns the engine-wide windowed time-series snapshot.
 // includeSeries attaches the full retained per-second history.
@@ -750,23 +710,21 @@ func (e *Engine) runGeometry(req Request) (queue.Kind, int) {
 }
 
 // runSupervised is the default serving path, and where the engine's own
-// fault-tolerance machinery composes:
+// fault-tolerance machinery composes with the supervisor's:
 //
 //   - the workload's circuit breaker may degrade the run to the original
 //     sequential loop (correct results, no speedup) while open;
 //   - the pipelined attempt runs under the supervisor with durable
-//     checkpoint commits keyed uniquely per request, but with the
-//     supervisor's in-run resume disabled — recovery is owned here;
-//   - a transient failure (stage panic, queue fault, deadlock, watchdog
-//     timeout) burns the retry budget on checkpoint-seeded sequential
-//     resumes, so the retry pays only for iterations after the last
-//     durable commit instead of recomputing from iteration 0;
-//   - an exhausted budget surfaces as *FailedRequestError carrying the
-//     whole failure chain.
+//     checkpoint commits keyed uniquely per request; a failed attempt
+//     resumes once, sequentially, from the supervisor's newest commit,
+//     and a failed resume is the request's error;
+//   - every attempt that failed other than by cancellation counts against
+//     the breaker, resumed or not, and a panicked attempt quarantines its
+//     instance.
 //
-// Terminal outcomes — success, cancellation, exhausted budget — delete
-// the request's store entry; a crash is the only path that leaves one
-// behind, which is exactly what Recover scans for.
+// Terminal outcomes — success, cancellation, failure — delete the
+// request's store entry; a crash is the only path that leaves one behind,
+// which is exactly what Recover scans for.
 func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
 	resp *Response, kind queue.Kind, qcap int,
 	faults *rt.FaultPlan) (*interp.Result, error) {
@@ -779,7 +737,6 @@ func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
 	if !pipelined {
 		resp.Degraded = true
 		resp.Pipelined = false
-		resp.Attempts = 1
 		e.met.degraded.Add(1)
 		tr.Event("breaker-degraded")
 		return interp.Run(p.prog.F, interp.Options{
@@ -800,97 +757,32 @@ func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
 	}, supervisor.Policy{
 		Queue: kind, QueueCap: qcap, Plan: p.plan, Instance: inst,
 		Faults: faults, CheckpointEvery: e.opts.CheckpointEvery,
-		DisableResume: true, Store: e.store, StoreKey: ckey, StoreMeta: meta,
+		Store: e.store, StoreKey: ckey, StoreMeta: meta,
 		Recorder: e.tracer.RunRecorder(tr, len(p.tr.Threads), stageLabels(p)...),
 	})
-	e.releaseInstance(p, inst, poisons(err) || j.reaped.Load())
-	resp.Attempts = 1
-	if srep != nil {
-		resp.Checkpoints = srep.Checkpoints
-		resp.DurableCheckpoints = srep.DurableCommits
-		e.met.durableCommits.Add(srep.DurableCommits)
-		e.met.storeErrors.Add(srep.StoreErrors)
+	e.releaseInstance(p, inst, poisons(srep.Failure) || j.reaped.Load())
+	resp.Checkpoints = srep.Checkpoints
+	resp.DurableCheckpoints = srep.DurableCommits
+	e.met.durableCommits.Add(srep.DurableCommits)
+	e.met.storeErrors.Add(srep.StoreErrors)
+	// A canceled attempt is the caller's choice, not a pipeline failure.
+	if srep.Failure == nil || !canceled(srep.Failure) {
+		e.breaker.record(req.Workload, srep.Failure == nil, probe)
 	}
-	if err == nil {
-		e.breaker.record(req.Workload, true, probe)
-		return res, nil
-	}
-	// The caller asked the work to stop; that is not a pipeline failure
-	// and feeds neither the breaker nor the retry budget.
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+	if err != nil {
 		return nil, err
 	}
-	e.breaker.record(req.Workload, false, probe)
-	if !retryable(err) {
-		return nil, err
+	if srep.Resumed {
+		resp.Resumed = true
+		resp.ResumeIter = srep.ResumeIter
+		e.met.resumes.Add(1)
 	}
-
-	chain := []error{err}
-	for attempt := 1; attempt <= e.opts.Retries; attempt++ {
-		resp.Attempts++
-		e.met.retries.Add(1)
-		rspan := tr.Begin("retry")
-		rspan.Attr("attempt", attempt)
-		rres, iter, rerr := e.resumeFromStore(ctx, p, ckey)
-		rspan.Attr("resume_iter", iter)
-		if rerr != nil {
-			rspan.Attr("error", rerr.Error())
-		}
-		tr.End(rspan)
-		if rerr == nil {
-			resp.Resumed = true
-			resp.ResumeIter = iter
-			e.met.resumes.Add(1)
-			return rres, nil
-		}
-		if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
-			return nil, rerr
-		}
-		chain = append(chain, rerr)
-	}
-	return nil, &FailedRequestError{Workload: req.Workload,
-		Attempts: resp.Attempts, Chain: chain}
+	return res, nil
 }
 
-// resumeFromStore finishes a request sequentially from its last durable
-// checkpoint (or from scratch when the entry is absent or corrupt — a
-// torn commit must degrade to recomputation, never to an error).
-func (e *Engine) resumeFromStore(ctx context.Context, p *pipeline, ckey string) (*interp.Result, int64, error) {
-	if err := fpResume.Fail(); err != nil {
-		return nil, -1, err
-	}
-	iopts := interp.Options{Ctx: ctx}
-	iter := int64(-1)
-	if entry, err := e.store.Get(ckey); err == nil {
-		if cp, err := entry.Checkpoint(p.prog.Mem); err == nil {
-			iopts.StartBlock = p.prog.LoopHeader
-			iopts.RegFile = cp.Regs
-			iopts.Mem = cp.Mem
-			iter = cp.Iter
-		}
-	}
-	if iter < 0 {
-		iopts.Mem = p.prog.Mem
-		iopts.Regs = p.prog.Regs
-	}
-	res, err := interp.Run(p.prog.F, iopts)
-	return res, iter, err
-}
-
-// retryable reports whether a pipelined failure is worth a sequential
-// retry: stage panics, injected queue faults, deadlocks, and watchdog
-// timeouts are artifacts of the concurrent attempt that sequential
-// execution cannot reproduce. Step-limit blowouts are deterministic and
-// cancellation is the caller's choice; neither retries.
-func retryable(err error) bool {
-	var (
-		sf *rt.StageFailure
-		qf *rt.QueueFaultError
-		dl *rt.DeadlockError
-		to *rt.TimeoutError
-	)
-	return errors.As(err, &sf) || errors.As(err, &qf) ||
-		errors.As(err, &dl) || errors.As(err, &to)
+// canceled reports whether err is the context's cancellation or deadline.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // poisons reports whether a run error means the instance's internal state

@@ -108,28 +108,37 @@ func TestFailpointPoolAcquireForcesColdPath(t *testing.T) {
 	}
 }
 
-func TestFailpointRetryResume(t *testing.T) {
+// TestFailedResumeIsNotRetried: a failed resume is not retried. The injected
+// stage panic sends the request to the supervisor's resume, which the
+// armed site fails; the request ends in that injected error, the breaker
+// counts the pipelined failure, and the request's store key is deleted
+// like any other terminal outcome's.
+func TestFailedResumeIsNotRetried(t *testing.T) {
 	failpoint.Reset()
 	defer failpoint.Reset()
-	e := New(Options{Workers: 1, Retries: 2})
+	store := ckptstore.NewMem()
+	e := New(Options{Workers: 1, Store: store, CheckpointEvery: 4})
 	defer e.Shutdown(context.Background())
-	if err := failpoint.Enable("engine/retry/resume", "error(x):every(1)"); err != nil {
+	if err := failpoint.Enable("supervisor/resume/start", "error(x):every(1)"); err != nil {
 		t.Fatal(err)
 	}
-	// The injected stage panic forces the retry ladder; every rung fails
-	// on the armed resume site, so the request exhausts its budget with
-	// the full chain attached.
 	_, err := e.Run(context.Background(),
-		Request{Workload: "list-traversal", N: 256, InjectPanic: 100})
-	var fr *FailedRequestError
-	if !errors.As(err, &fr) {
-		t.Fatalf("got %v, want FailedRequestError", err)
-	}
-	if fr.Attempts != 3 || len(fr.Chain) != 3 {
-		t.Fatalf("attempts=%d chain=%d, want 3/3", fr.Attempts, len(fr.Chain))
-	}
+		Request{Workload: "list-traversal", N: 1024, InjectPanic: 400})
 	if !errors.Is(err, failpoint.ErrInjected) {
-		t.Fatalf("chain does not surface the injection: %v", err)
+		t.Fatalf("got %v, want the injected resume failure", err)
+	}
+	if n := failpoint.Triggers()["supervisor/resume/start"]; n != 1 {
+		t.Fatalf("resume site fired %d times, want exactly 1", n)
+	}
+	s := e.Metrics().Snapshot()
+	if s.DurableCommits == 0 || s.Resumes != 0 {
+		t.Fatalf("durable_commits=%d resumes=%d, want commits and no resume", s.DurableCommits, s.Resumes)
+	}
+	if bi := e.breaker.info("list-traversal"); bi == nil || bi.ConsecutiveFailures != 1 {
+		t.Fatalf("breaker %+v, want one recorded failure", bi)
+	}
+	if keys, err := store.Keys(); err != nil || len(keys) != 0 {
+		t.Fatalf("store keys %v (err %v), want the request's key deleted", keys, err)
 	}
 }
 
@@ -248,16 +257,16 @@ func TestDegradedSubsystems(t *testing.T) {
 		t.Fatalf("degrade setup: %v", err)
 	}
 
-	e := New(Options{Workers: 1, Store: store, BreakerThreshold: 1, Retries: -1})
+	e := New(Options{Workers: 1, Store: store, BreakerThreshold: 1})
 	defer e.Shutdown(context.Background())
 	if got := e.DegradedSubsystems(); len(got) != 1 || got[0] != "checkpoint-store" {
 		t.Fatalf("degraded = %v, want [checkpoint-store]", got)
 	}
-	// Trip the breaker with one injected stage panic (threshold 1, no
-	// retries), opening it for the default 5s cooldown.
-	if _, err := e.Run(context.Background(),
-		Request{Workload: "list-traversal", N: 128, InjectPanic: 50}); err == nil {
-		t.Fatal("injected panic should have failed the request")
+	// Trip the breaker with one injected stage panic (threshold 1),
+	// opening it for the default 5s cooldown. The request itself resumes.
+	if resp, err := e.Run(context.Background(),
+		Request{Workload: "list-traversal", N: 128, InjectPanic: 50}); err != nil || !resp.Resumed {
+		t.Fatalf("injected panic: resp=%+v err=%v, want a resumed request", resp, err)
 	}
 	want := []string{"breaker:list-traversal", "checkpoint-store"}
 	got := e.DegradedSubsystems()

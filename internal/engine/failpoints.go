@@ -21,9 +21,6 @@ var (
 	// action forces the cold (fresh-allocation) path, a sleep action
 	// delays it — both must be invisible in results.
 	fpPool = failpoint.New("engine/pool/acquire")
-	// engine/retry/resume fails a checkpoint-seeded sequential retry,
-	// burning retry budget the way a failing resume would.
-	fpResume = failpoint.New("engine/retry/resume")
 	// engine/http/read-body fails /run body handling before the decode,
 	// the shape of a connection error mid-request.
 	fpReadBody = failpoint.New("engine/http/read-body")

@@ -149,8 +149,8 @@ func TestReaperKillsHungRun(t *testing.T) {
 	testutil.VerifyNone(t)
 	// A run stalling 2ms every 64 instructions over a long list runs for
 	// seconds — far past the 100ms reap bound. The reaper must cancel it,
-	// the request must fail with ErrReaped (class "reaped", not a retry
-	// burn), and the engine must remain serviceable.
+	// the request must fail with ErrReaped (class "reaped"; a canceled
+	// attempt does not resume), and the engine must remain serviceable.
 	e := New(Options{Workers: 1, ReapAfter: 100 * time.Millisecond,
 		DefaultDeadline: 30 * time.Second})
 	defer e.Shutdown(context.Background())
@@ -170,8 +170,8 @@ func TestReaperKillsHungRun(t *testing.T) {
 	if s.Reaped != 1 {
 		t.Fatalf("reaped = %d, want 1", s.Reaped)
 	}
-	if s.Retries != 0 {
-		t.Fatalf("a reaped run burned %d retries", s.Retries)
+	if s.Resumes != 0 {
+		t.Fatalf("a reaped run resumed %d times", s.Resumes)
 	}
 	// The engine still serves after a reap.
 	if _, err := e.Run(context.Background(), Request{Workload: "list-traversal", N: 64}); err != nil {

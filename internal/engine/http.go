@@ -63,18 +63,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 }
 
 // errorBody is the JSON error shape: a stable machine-readable Class
-// alongside the human-readable message, plus the attempt count and
-// failure chain when the engine's retry machinery was involved.
+// alongside the human-readable message.
 type errorBody struct {
 	Error string `json:"error"`
 	// Class is the failure taxonomy bucket: "shed", "draining",
 	// "deadline", "deadlock", "timeout", "stage-panic", "queue-fault",
 	// "step-limit", "bad-request", or "internal".
 	Class string `json:"class"`
-	// Attempts and Chain are set for requests that exhausted the retry
-	// budget (*FailedRequestError): every attempt's error, in order.
-	Attempts int      `json:"attempts,omitempty"`
-	Chain    []string `json:"chain,omitempty"`
 }
 
 // classify maps an error onto its taxonomy class and HTTP status. The
@@ -82,8 +77,7 @@ type errorBody struct {
 // collapsing into 500: deadlock is 508 (Loop Detected — the watchdog
 // proved circular queue waiting), watchdog timeout is 504, a stage panic
 // or injected queue fault is a 500 with its own class, shedding is 429,
-// draining 503. A FailedRequestError classifies by its root cause via
-// multi-error unwrap, so clients see what actually went wrong first.
+// draining 503.
 func classify(err error) (string, int) {
 	var (
 		uw *UnknownWorkloadError
@@ -147,15 +141,7 @@ func ErrorClass(err error) string {
 
 func errorBodyFor(err error) errorBody {
 	class, _ := classify(err)
-	body := errorBody{Error: err.Error(), Class: class}
-	var fr *FailedRequestError
-	if errors.As(err, &fr) {
-		body.Attempts = fr.Attempts
-		for _, e := range fr.Chain {
-			body.Chain = append(body.Chain, e.Error())
-		}
-	}
-	return body
+	return errorBody{Error: err.Error(), Class: class}
 }
 
 func (e *Engine) handleRun(w http.ResponseWriter, r *http.Request) {

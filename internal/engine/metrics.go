@@ -46,8 +46,7 @@ type Metrics struct {
 	poolQuarantined atomic.Int64
 
 	// Fault-tolerance outcomes.
-	resumes        atomic.Int64 // runs that fell back to checkpoint-seeded sequential resume
-	retries        atomic.Int64 // engine-level sequential retries after a pipelined failure
+	resumes        atomic.Int64 // failed pipelined attempts the supervisor finished by sequential resume
 	degraded       atomic.Int64 // requests served sequentially because a breaker was open
 	breakerTrips   atomic.Int64 // closed->open breaker transitions
 	breakerOpen    atomic.Int64 // gauge: workloads currently open or half-open
@@ -99,7 +98,6 @@ type EngineSnapshot struct {
 	PoolQuarantined int64 `json:"pool_quarantined"`
 
 	Resumes        int64 `json:"resumes"`
-	Retries        int64 `json:"retries"`
 	Degraded       int64 `json:"degraded"`
 	BreakerTrips   int64 `json:"breaker_trips"`
 	BreakerOpen    int64 `json:"breaker_open"`
@@ -166,7 +164,6 @@ func (m *Metrics) Snapshot() *EngineSnapshot {
 		PoolQuarantined: m.poolQuarantined.Load(),
 
 		Resumes:        m.resumes.Load(),
-		Retries:        m.retries.Load(),
 		Degraded:       m.degraded.Load(),
 		BreakerTrips:   m.breakerTrips.Load(),
 		BreakerOpen:    m.breakerOpen.Load(),

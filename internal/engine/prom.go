@@ -51,8 +51,6 @@ func (e *Engine) PromText() string {
 
 	p.Counter("dswp_resumes_total",
 		"Runs finished by checkpoint-seeded sequential resume.", one(s.Resumes)...)
-	p.Counter("dswp_retries_total",
-		"Engine-level sequential retries after a pipelined failure.", one(s.Retries)...)
 	p.Counter("dswp_degraded_total",
 		"Requests served sequentially because a breaker was open.", one(s.Degraded)...)
 	p.Counter("dswp_breaker_trips_total",

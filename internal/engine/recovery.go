@@ -8,6 +8,7 @@ import (
 
 	"dswp/internal/ckptstore"
 	"dswp/internal/interp"
+	"dswp/internal/supervisor"
 	"dswp/internal/workloads"
 )
 
@@ -36,7 +37,7 @@ type RecoveryStats struct {
 	// Corrupt counts entries that failed CRC or framing validation —
 	// torn writes from the crash — plus any the store skipped at open.
 	Corrupt int `json:"corrupt"`
-	// Failed counts resume attempts that errored (entry kept? no — GCed).
+	// Failed counts resumes that errored; their entries are GCed too.
 	Failed int `json:"failed"`
 	// Runs details each recovered request.
 	Runs []RecoveredRun `json:"runs,omitempty"`
@@ -100,7 +101,8 @@ func (e *Engine) Recover(ctx context.Context) (*RecoveryStats, error) {
 
 // recoverOne finishes one orphaned request: rebuild the workload from the
 // entry's embedded request metadata, reconstruct the checkpoint against
-// its initial image, and run the original loop sequentially from there.
+// its initial image, and take the supervisor's sequential resume from
+// there.
 func (e *Engine) recoverOne(ctx context.Context, entry *ckptstore.Entry) (*RecoveredRun, error) {
 	var req Request
 	if err := json.Unmarshal(entry.Meta, &req); err != nil {
@@ -115,12 +117,9 @@ func (e *Engine) recoverOne(ctx context.Context, entry *ckptstore.Entry) (*Recov
 	if err != nil {
 		return nil, err
 	}
-	res, err := interp.Run(prog.F, interp.Options{
-		Ctx:        ctx,
-		StartBlock: prog.LoopHeader,
-		RegFile:    cp.Regs,
-		Mem:        cp.Mem,
-	})
+	res, err := supervisor.Resume(ctx, supervisor.Pipeline{
+		Original: prog.F, LoopHeader: prog.LoopHeader,
+	}, &cp, supervisor.Policy{})
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +131,7 @@ func (e *Engine) recoverOne(ctx context.Context, entry *ckptstore.Entry) (*Recov
 	}, nil
 }
 
-// RecoveryStats returns the most recent Recover pass's stats, or nil when
+// LastRecovery returns the most recent Recover pass's stats, or nil when
 // Recover has not run.
 func (e *Engine) LastRecovery() *RecoveryStats {
 	e.wlMu.Lock()

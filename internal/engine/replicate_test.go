@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"runtime"
 	"testing"
 )
@@ -91,10 +90,10 @@ func TestReplicatedServing(t *testing.T) {
 
 // TestReplicatedInjectPanic pins replica failure isolation end to end: a
 // panic landing on one replica must surface as a typed failure that the
-// retry path turns into a correct result, never a wrong answer.
+// supervisor's resume turns into a correct result, never a wrong answer.
 func TestReplicatedInjectPanic(t *testing.T) {
 	base := runtime.NumGoroutine()
-	e := New(Options{Workers: 1, Retries: 2})
+	e := New(Options{Workers: 1})
 	defer func() {
 		if err := e.Shutdown(context.Background()); err != nil {
 			t.Fatalf("shutdown: %v", err)
@@ -110,13 +109,10 @@ func TestReplicatedInjectPanic(t *testing.T) {
 		Workload: "29.compress", Replicate: true, InjectPanic: 100,
 	})
 	if err != nil {
-		// Retries disabled or exhausted would be a typed failure; with
-		// Retries: 2 the sequential retry must land the digest.
-		var fr *FailedRequestError
-		if !errors.As(err, &fr) {
-			t.Fatalf("untyped error from replica panic: %v", err)
-		}
-		t.Fatalf("retry budget did not recover a replica panic: %v", err)
+		t.Fatalf("the resume did not recover a replica panic: %v", err)
+	}
+	if !resp.Resumed {
+		t.Fatal("the replica panic did not fail the attempt")
 	}
 	if resp.Digest != seq.Digest {
 		t.Fatalf("replica-panic run digest %s, want %s", resp.Digest, seq.Digest)

@@ -15,10 +15,9 @@
 //
 // A watchdog converts all-blocked states into structured DeadlockError
 // values carrying per-thread block sites and queue occupancy, and a
-// wall-clock bound converts stalls into TimeoutError. RunWithFallback
-// implements the graceful-degradation contract: on any runtime failure the
-// caller gets the sequential execution of the original loop plus a report
-// of the event.
+// wall-clock bound converts stalls into TimeoutError. Recovering from a
+// failed run is the supervisor's job (internal/supervisor): it resumes the
+// original loop sequentially from the run's last committed checkpoint.
 package runtime
 
 import (
@@ -871,35 +870,4 @@ func (e *engine) queueInfoLocked() []QueueInfo {
 
 func (e *engine) deadlockLocked() *DeadlockError {
 	return &DeadlockError{Threads: e.blockInfoLocked(), Queues: e.queueInfoLocked()}
-}
-
-// FallbackReport says whether a concurrent run degraded to sequential
-// execution and why.
-type FallbackReport struct {
-	FellBack bool
-	// Cause is the concurrent runtime's failure (nil when FellBack is
-	// false); typically a *DeadlockError or *TimeoutError.
-	Cause error
-}
-
-// RunWithFallback is the graceful-degradation entry point: it runs fns
-// under the concurrent runtime and, on any runtime failure, falls back to
-// sequential execution of the original untransformed function, reporting
-// the event. An error is returned only when the fallback itself fails.
-func RunWithFallback(fns []*ir.Function, orig *ir.Function, opts Options) (*interp.Result, FallbackReport, error) {
-	res, err := Run(fns, opts)
-	if err == nil {
-		return res, FallbackReport{}, nil
-	}
-	seq, serr := interp.Run(orig, interp.Options{
-		MaxSteps:    opts.MaxSteps,
-		Regs:        opts.Regs,
-		Mem:         opts.Mem,
-		RecordTrace: opts.RecordTrace,
-	})
-	if serr != nil {
-		return nil, FallbackReport{FellBack: true, Cause: err},
-			fmt.Errorf("runtime: concurrent run failed (%v) and sequential fallback failed: %w", err, serr)
-	}
-	return seq, FallbackReport{FellBack: true, Cause: err}, nil
 }

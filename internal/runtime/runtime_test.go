@@ -196,55 +196,6 @@ func TestStepLimit(t *testing.T) {
 	}
 }
 
-// TestRunWithFallback: a failing concurrent run degrades to sequential
-// execution of the original function and reports the cause.
-func TestRunWithFallback(t *testing.T) {
-	orig := ir.MustParse(`func orig {
-  liveout r7
-entry:
-    r1 = const 0
-    r5 = const 10
-    r6 = const 1
-    r7 = const 0
-    jump loop
-loop:
-    r1 = add r1, r6
-    r7 = add r7, r1
-    r2 = cmplt r1, r5
-    br r2, loop, done
-done:
-    ret
-}
-`)
-	cyclicA := ir.MustParse("func a {\nentry:\n    consume r1 = [0]\n    produce [1] = r1\n    ret\n}\n")
-	cyclicB := ir.MustParse("func b {\nentry:\n    consume r1 = [1]\n    produce [0] = r1\n    ret\n}\n")
-	res, report, err := RunWithFallback([]*ir.Function{cyclicA, cyclicB}, orig, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.FellBack {
-		t.Fatal("expected fallback to sequential execution")
-	}
-	var derr *DeadlockError
-	if !errors.As(report.Cause, &derr) {
-		t.Fatalf("fallback cause = %v, want *DeadlockError", report.Cause)
-	}
-	if got := res.LiveOuts[ir.Reg(7)]; got != 55 {
-		t.Fatalf("fallback live-out = %d, want 55", got)
-	}
-	// And the healthy path reports no fallback.
-	res, report, err = RunWithFallback(pipelineFns(t), orig, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.FellBack {
-		t.Fatalf("unexpected fallback: %v", report.Cause)
-	}
-	if got := res.LiveOuts[ir.Reg(9)]; got != 55 {
-		t.Fatalf("pipeline live-out = %d, want 55", got)
-	}
-}
-
 func TestRandomFaultsDeterministic(t *testing.T) {
 	a := RandomFaults(42, 3, 8)
 	b := RandomFaults(42, 3, 8)

@@ -39,11 +39,11 @@ import (
 // Failpoint sites on the supervisor's durability path. A triggered
 // supervisor/ckpt/commit surfaces exactly like a store failure — the
 // commit is counted in Report.StoreErrors and the run is unaffected. A
-// triggered supervisor/resume/start fails the sequential resume before
-// it executes, exercising the engine-level retry ladder above.
+// triggered supervisor/resume/start fails Resume before it executes; the
+// failed resume is the run's error, never retried.
 var (
-	fpCommit   = failpoint.New("supervisor/ckpt/commit")
-	fpResumeFP = failpoint.New("supervisor/resume/start")
+	fpCommit = failpoint.New("supervisor/ckpt/commit")
+	fpResume = failpoint.New("supervisor/resume/start")
 )
 
 // Pipeline is what the supervisor executes: the DSWP-transformed stage
@@ -98,7 +98,8 @@ type Policy struct {
 	// Recorder receives instrumentation events from the concurrent
 	// attempt and the supervisor's own checkpoint/resume markers.
 	Recorder obs.Recorder
-	// RecordTrace enables per-thread event recording on the attempt.
+	// RecordTrace enables per-thread event recording on the attempt and
+	// on any sequential resume.
 	RecordTrace bool
 	// Plan supplies the pipeline's precomputed static execution plan
 	// (runtime.NewPlan over Pipeline.Threads), skipping per-attempt
@@ -111,7 +112,7 @@ type Policy struct {
 	// Store, when non-nil, receives every committed checkpoint under
 	// StoreKey, appended to the key's log as the epoch's deltas (the
 	// run's first commit starts a new log with Put), so recovery can
-	// outlive this Run call (engine retries, process restarts). Store
+	// outlive this Run call (a process restart). Store
 	// errors never fail the run — they are counted in Report.StoreErrors
 	// and the in-memory latch keeps working. The supervisor never deletes
 	// entries; the caller owns the key's lifecycle.
@@ -308,29 +309,18 @@ func Run(ctx context.Context, p Pipeline, pol Policy) (*interp.Result, *Report, 
 		}
 	}
 
-	// Sequential resume: re-execute the original loop from the last
-	// consistent cut (or from scratch when no checkpoint committed). The
-	// resume gets a fresh step budget — the concurrent attempt's spend is
-	// sunk — but stays under the caller's context and policy deadline.
+	// Sequential resume from the last consistent cut (or from scratch
+	// when no checkpoint committed), under the caller's context and
+	// policy deadline.
 	rep.Resumed = true
-	iopts := interp.Options{Ctx: ctx, MaxSteps: pol.MaxSteps, Recorder: pol.Recorder}
 	if cp != nil {
 		rep.ResumeIter = cp.Iter
-		iopts.StartBlock = p.LoopHeader
-		iopts.RegFile = cp.Regs
-		iopts.Mem = cp.Mem
-	} else {
-		iopts.Mem = p.Mem
-		iopts.Regs = p.Regs
 	}
 	if pol.Recorder != nil {
 		pol.Recorder.Record(obs.Event{Kind: obs.KResume, Thread: 0, Queue: -1,
 			When: int64(time.Since(start)), Arg: rep.ResumeIter})
 	}
-	if ferr := fpResumeFP.Fail(); ferr != nil {
-		return nil, rep, ferr
-	}
-	rres, rerr := interp.Run(p.Original, iopts)
+	rres, rerr := Resume(ctx, p, cp, pol)
 	if rerr != nil {
 		if errors.Is(rerr, context.Canceled) || errors.Is(rerr, context.DeadlineExceeded) {
 			rep.Canceled = true
@@ -338,4 +328,30 @@ func Run(ctx context.Context, p Pipeline, pol Policy) (*interp.Result, *Report, 
 		return nil, rep, rerr
 	}
 	return rres, rep, nil
+}
+
+// Resume runs p's original loop sequentially to completion: from the
+// consistent cut cp when it is non-nil, from p's initial state when it is
+// nil. It is the one sequential-recovery step — Run takes it after a
+// failed attempt, and a restarted process takes it from a checkpoint
+// rebuilt out of the durable store. Sequential execution cannot deadlock
+// on queues or lose synchronization, and needs no inter-thread state
+// beyond the checkpoint. The resume gets a fresh pol.MaxSteps budget (an
+// attempt's spend is sunk), reports to pol.Recorder and records
+// per-thread traces when pol.RecordTrace is set.
+func Resume(ctx context.Context, p Pipeline, cp *rt.Checkpoint, pol Policy) (*interp.Result, error) {
+	if err := fpResume.Fail(); err != nil {
+		return nil, err
+	}
+	opts := interp.Options{Ctx: ctx, MaxSteps: pol.MaxSteps,
+		Recorder: pol.Recorder, RecordTrace: pol.RecordTrace}
+	if cp != nil {
+		opts.StartBlock = p.LoopHeader
+		opts.RegFile = cp.Regs
+		opts.Mem = cp.Mem
+	} else {
+		opts.Mem = p.Mem
+		opts.Regs = p.Regs
+	}
+	return interp.Run(p.Original, opts)
 }

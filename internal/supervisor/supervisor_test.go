@@ -12,6 +12,7 @@ import (
 	"dswp/internal/core"
 	"dswp/internal/failpoint"
 	"dswp/internal/interp"
+	"dswp/internal/ir"
 	"dswp/internal/profile"
 	rt "dswp/internal/runtime"
 	"dswp/internal/supervisor"
@@ -167,6 +168,79 @@ func TestResumeFromScratchWithoutCheckpoints(t *testing.T) {
 			rep.Resumed, rep.ResumeIter, rep.Checkpoints)
 	}
 	if cerr := validate.Compare("scratch-resume", base, res); cerr != nil {
+		t.Fatal(cerr)
+	}
+}
+
+// TestResumeAfterDeadlockWithoutRegOwner: a pipeline with no register
+// ownership map (the facade's RunConcurrent) never checkpoints, so a
+// watchdog-detected deadlock resumes the original loop from scratch, and
+// the resume records its trace when the policy asks for one.
+func TestResumeAfterDeadlockWithoutRegOwner(t *testing.T) {
+	orig := ir.MustParse(`func orig {
+  liveout r7
+entry:
+    r1 = const 0
+    r5 = const 10
+    r6 = const 1
+    r7 = const 0
+    jump loop
+loop:
+    r1 = add r1, r6
+    r7 = add r7, r1
+    r2 = cmplt r1, r5
+    br r2, loop, done
+done:
+    ret
+}
+`)
+	cyclicA := ir.MustParse("func a {\nentry:\n    consume r1 = [0]\n    produce [1] = r1\n    ret\n}\n")
+	cyclicB := ir.MustParse("func b {\nentry:\n    consume r1 = [1]\n    produce [0] = r1\n    ret\n}\n")
+	res, rep, err := supervisor.Run(context.Background(), supervisor.Pipeline{
+		Threads: []*ir.Function{cyclicA, cyclicB}, Original: orig,
+	}, supervisor.Policy{RecordTrace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var derr *rt.DeadlockError
+	if !errors.As(rep.Failure, &derr) {
+		t.Fatalf("failure = %v, want *DeadlockError", rep.Failure)
+	}
+	if !rep.Resumed || rep.ResumeIter != -1 {
+		t.Fatalf("resumed=%v iter=%d, want a from-scratch resume", rep.Resumed, rep.ResumeIter)
+	}
+	if got := res.LiveOuts[ir.Reg(7)]; got != 55 {
+		t.Fatalf("resumed live-out = %d, want 55", got)
+	}
+	if len(res.Threads) != 1 || len(res.Threads[0].Trace) == 0 {
+		t.Fatalf("resume recorded no trace under RecordTrace")
+	}
+}
+
+// TestStepLimitResumesWithFreshBudget: a pipelined attempt that exhausts
+// its step budget resumes like any other failure, and the resume gets
+// the whole budget again. The budget is below the sequential run's
+// length, so only a resume from a mid-loop commit fits in it.
+func TestStepLimitResumesWithFreshBudget(t *testing.T) {
+	p := workloads.ListTraversal(2000)
+	pipe, base := prepare(t, p, 2)
+	if base == nil {
+		t.Fatal("list traversal must be transformable")
+	}
+	budget := base.Threads[0].Steps * 4 / 5
+	res, rep, err := supervisor.Run(context.Background(), pipe, supervisor.Policy{
+		CheckpointEvery: 8, MaxSteps: budget})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sl *rt.StepLimitError
+	if !errors.As(rep.Failure, &sl) {
+		t.Fatalf("failure = %v, want *StepLimitError", rep.Failure)
+	}
+	if !rep.Resumed || rep.ResumeIter <= 0 {
+		t.Fatalf("resumed=%v iter=%d, want a resume from a commit", rep.Resumed, rep.ResumeIter)
+	}
+	if cerr := validate.Compare("step-limit-resume", base, res); cerr != nil {
 		t.Fatal(cerr)
 	}
 }

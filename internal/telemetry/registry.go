@@ -7,8 +7,8 @@ import (
 
 // Registry keeps per-workload serving series: cumulative counters the
 // Prometheus exposition renders as labeled families, and a windowed
-// per-second profile per workload — the live view the engine's future
-// re-planner consumes via Profile.
+// per-second profile per workload, which /debug/vars serves through
+// Profiles.
 type Registry struct {
 	windowSeconds int
 
@@ -96,22 +96,6 @@ func (r *Registry) ObserveBreaker(workload string) {
 		return
 	}
 	r.stats(workload).window.ObserveBreaker()
-}
-
-// Profile returns a workload's windowed profile (headlines only), or a
-// zero snapshot for a workload never served. This is the feedback signal
-// ROADMAP item 5's re-planner reads.
-func (r *Registry) Profile(workload string) WindowSnapshot {
-	if r == nil {
-		return WindowSnapshot{}
-	}
-	r.mu.RLock()
-	ws := r.wls[workload]
-	r.mu.RUnlock()
-	if ws == nil {
-		return WindowSnapshot{}
-	}
-	return ws.window.Snapshot(false)
 }
 
 // Profiles returns every served workload's windowed profile, keyed by

@@ -8,10 +8,8 @@
 // Where internal/obs instruments one pipeline *run* (stages, queues,
 // stalls), this package instruments the *service* around it: how a
 // request moved through admission, the compiled-pipeline cache, the warm
-// instance pool, the supervised run, and any retries — and how that
-// behavior distributes over workloads and over time. The windowed series
-// are the live per-workload profile the ROADMAP's feedback-driven
-// re-planner will consume.
+// instance pool, the supervised run, and any sequential resume — and how
+// that behavior distributes over workloads and over time.
 //
 // Overhead contract: everything here must be cheap enough to leave on in
 // production serving. A nil *Tracer (telemetry disabled) costs one nil

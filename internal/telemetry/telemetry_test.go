@@ -447,10 +447,10 @@ func TestRegistryPerWorkload(t *testing.T) {
 	if len(profs) != 2 {
 		t.Fatalf("Profiles = %+v", profs)
 	}
-	if p := r.Profile("a-wl"); p.Seconds != 60 {
-		t.Fatalf("Profile(a-wl) = %+v, want a live 60s window", p)
+	if p := profs["a-wl"]; p.Seconds != 60 {
+		t.Fatalf("Profiles[a-wl] = %+v, want a live 60s window", p)
 	}
-	if p := r.Profile("nope"); p.Seconds != 0 {
-		t.Fatalf("Profile(nope) = %+v, want the zero snapshot", p)
+	if p, ok := profs["nope"]; ok {
+		t.Fatalf("Profiles[nope] = %+v, want no entry for an unserved workload", p)
 	}
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // DefaultWindowSeconds is the time-series retention: ~5 minutes of
-// per-second slots, the live profile window the ROADMAP's re-planner
-// will consume.
+// per-second slots.
 const DefaultWindowSeconds = 300
 
 // Window is a fixed-size ring of per-second aggregation slots. Observe
@@ -156,7 +155,7 @@ type SecondPoint struct {
 
 // WindowSnapshot is the /debug/vars shape: headline rates over standard
 // horizons plus the raw per-second series for anything that wants to
-// re-aggregate (the future re-planner, dashboards).
+// re-aggregate (dashboards).
 type WindowSnapshot struct {
 	Seconds int `json:"seconds"`
 	// Rates are requests per second averaged over the trailing horizon
