@@ -7,7 +7,7 @@
 // The functional engine producing the traces is selectable: the
 // deterministic round-robin interpreter (-runtime=interp, optionally with a
 // bounded -queuecap), or the goroutine-backed concurrent runtime
-// (-runtime=goroutine) with bounded channel queues, watchdog deadlock
+// (-runtime=goroutine) with bounded queues, watchdog deadlock
 // detection, and optional seed-derived fault injection (-faults N). A
 // concurrent-runtime failure ends the run with its typed error and exit
 // code; -runtime=supervised is the mode that recovers from one.
@@ -17,8 +17,8 @@
 // -queue selects the communication substrate for the concurrent engines:
 // buffered Go channels (default) or the lock-free SPSC ring buffer
 // (-queue=ring). -pack enables compiler-side flow packing, coalescing
-// same-point flows between a thread pair into multi-word packets that the
-// runtime retires with one batched queue operation.
+// same-point flows between a thread pair into multi-word packets on one
+// shared queue.
 //
 //	dswpsim -workload 181.mcf -runtime=goroutine -queue=ring -pack
 //

@@ -343,7 +343,7 @@ func RunFunctions(threads []*Function, p *Program, m MachineConfig) (*MachineRes
 }
 
 // RunConcurrent executes the pipelined threads under the goroutine-backed
-// concurrent runtime — real threads, bounded channel queues, watchdog
+// concurrent runtime — real threads, bounded queues, watchdog
 // deadlock detection — validates the result against sequential execution
 // of the original program, and returns the timing. The run goes through
 // the supervisor without checkpoints, so a failed run (typically a

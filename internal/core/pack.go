@@ -8,11 +8,10 @@ import (
 
 // Flow packing (SplitOptions.PackFlows) coalesces multiple flows between
 // the same (producer thread, consumer thread) pair at the same program
-// point into one multi-word packet on a single shared queue. The runtime
-// then retires each packet with one batched queue operation — one atomic
-// publish per packet on the ring substrate — instead of one synchronization
-// per value, which is the compiler half of making produce/consume as cheap
-// as the paper's synchronization array assumes.
+// point into one multi-word packet on a single shared queue, so a
+// pipeline needs fewer queues for the same values. The runtime moves a
+// packet one value per flow instruction, like any other flow, and scales
+// the shared queue's capacity by the packet width.
 //
 // Soundness rests on never changing the relative order of flow operations
 // within a block:

@@ -48,10 +48,10 @@ func TestPackFlowsStats(t *testing.T) {
 	}
 }
 
-// TestPackFlowsShape checks the packed IR invariants the runtime's batched
-// dispatch relies on: dense queue numbering, every Flow remapped into
-// range, and each merged queue's produces and consumes forming contiguous
-// same-queue runs (that is what becomes one TryProduceN/TryConsumeN).
+// TestPackFlowsShape checks the packed IR invariants: dense queue
+// numbering, every Flow remapped into range, and each merged queue's
+// produces and consumes forming contiguous same-queue runs (one packet
+// per block visit).
 func TestPackFlowsShape(t *testing.T) {
 	p := workloads.ListTraversal(500)
 	tr := applyDSWP(t, p, Config{SkipProfitability: true, PackFlows: true})

@@ -66,6 +66,14 @@ func (e *UnknownWorkloadError) Error() string {
 	return fmt.Sprintf("engine: unknown workload %q", e.Name)
 }
 
+// UnknownQueueKindError identifies a request whose queue_kind names no
+// queue substrate.
+type UnknownQueueKindError struct{ Name string }
+
+func (e *UnknownQueueKindError) Error() string {
+	return fmt.Sprintf("engine: unknown queue kind %q (want channel or ring)", e.Name)
+}
+
 // Options configures an Engine.
 type Options struct {
 	// Workers bounds concurrent pipeline executions (default GOMAXPROCS).
@@ -698,9 +706,7 @@ func stageLabels(p *pipeline) []string {
 func (e *Engine) runGeometry(req Request) (queue.Kind, int) {
 	kind := e.opts.Queue
 	if req.QueueKind != "" {
-		if k, err := queue.ParseKind(req.QueueKind); err == nil {
-			kind = k
-		}
+		kind, _ = queue.ParseKind(req.QueueKind) // resolve rejected a bad one
 	}
 	qcap := e.opts.QueueCap
 	if req.QueueCap > 0 {

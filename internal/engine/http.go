@@ -81,6 +81,7 @@ type errorBody struct {
 func classify(err error) (string, int) {
 	var (
 		uw *UnknownWorkloadError
+		uq *UnknownQueueKindError
 		dl *rt.DeadlockError
 		to *rt.TimeoutError
 		sf *rt.StageFailure
@@ -113,7 +114,7 @@ func classify(err error) (string, int) {
 		return "queue-fault", http.StatusInternalServerError
 	case errors.As(err, &sl):
 		return "step-limit", http.StatusInternalServerError
-	case errors.As(err, &uw):
+	case errors.As(err, &uw), errors.As(err, &uq):
 		return "bad-request", http.StatusBadRequest
 	default:
 		return "internal", http.StatusInternalServerError

@@ -62,6 +62,15 @@ func TestHTTPRunEndpoint(t *testing.T) {
 	if resp, body = postRun(t, srv, `{"workload":"wc","bogus_field":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d: %s", resp.StatusCode, body)
 	}
+	// A misspelt queue kind is refused before admission, not served on
+	// the default substrate.
+	if resp, body = postRun(t, srv, `{"workload":"wc","queue_kind":"rnig"}`); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), `"bad-request"`) || !strings.Contains(string(body), "rnig") {
+		t.Fatalf("unknown queue kind: %d: %s", resp.StatusCode, body)
+	}
+	if resp, body = postRun(t, srv, `{"workload":"list-traversal","n":128,"queue_kind":"ring"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("queue_kind ring: %d: %s", resp.StatusCode, body)
+	}
 	if resp, _ := http.Get(srv.URL + "/run"); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /run: %d", resp.StatusCode)
 	} else {

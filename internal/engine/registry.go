@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dswp/internal/queue"
 	"dswp/internal/workloads"
 )
 
@@ -11,8 +12,12 @@ import (
 // compiled pipeline lives under. The key captures everything that changes
 // the compile: the workload and its parameters, and every transform
 // config field a request can set. Unknown names fail with
-// *UnknownWorkloadError before the request is admitted.
+// *UnknownWorkloadError, and an unknown queue kind with
+// *UnknownQueueKindError, before the request is admitted.
 func resolve(req Request) (func() *workloads.Program, string, error) {
+	if _, err := queue.ParseKind(req.QueueKind); err != nil {
+		return nil, "", &UnknownQueueKindError{Name: req.QueueKind}
+	}
 	var build func() *workloads.Program
 	ident := req.Workload
 	switch req.Workload {

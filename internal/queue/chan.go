@@ -30,29 +30,6 @@ func (q *chanQueue) TryConsume() (int64, bool) {
 	}
 }
 
-func (q *chanQueue) TryProduceN(vs []int64) int {
-	for i, v := range vs {
-		select {
-		case q.ch <- v:
-		default:
-			return i
-		}
-	}
-	return len(vs)
-}
-
-func (q *chanQueue) TryConsumeN(dst []int64) int {
-	for i := range dst {
-		select {
-		case v := <-q.ch:
-			dst[i] = v
-		default:
-			return i
-		}
-	}
-	return len(dst)
-}
-
 func (q *chanQueue) Produce(v int64, done <-chan struct{}) bool {
 	select {
 	case q.ch <- v:

@@ -79,13 +79,6 @@ type Queue interface {
 	// next Release.
 	TryConsume() (int64, bool)
 
-	// TryProduceN appends a prefix of vs without blocking and returns how
-	// many values were accepted (0 when full).
-	TryProduceN(vs []int64) int
-	// TryConsumeN fills a prefix of dst without blocking and returns how
-	// many values were read (0 when empty).
-	TryConsumeN(dst []int64) int
-
 	// Produce blocks until v is enqueued or done fires; false means
 	// canceled. It publishes the producer's end before it waits.
 	Produce(v int64, done <-chan struct{}) bool

@@ -103,10 +103,12 @@ func TestFIFOConcurrent(t *testing.T) {
 	}
 }
 
-// TestBatchedConcurrent drives the queue with randomized batch sizes on both
-// endpoints (mixing Try single ops, TryN batches, and blocking ops) and
-// checks the consumed sequence is exactly 0..total-1. As in
-// TestFIFOConcurrent, the total ends the stream on a partial batch.
+// TestBatchedConcurrent drives the queue with randomized runs of scalar
+// TryProduce/TryConsume on both endpoints, falling back to the blocking
+// op whenever a Try fails (as the runtime's stage loop does), and ending
+// some runs with Publish/Release (as the stage loop's flush does). The
+// consumed sequence must be exactly 0..total-1. As in TestFIFOConcurrent,
+// the total ends the stream on a partial publication batch.
 func TestBatchedConcurrent(t *testing.T) {
 	const total = 100003
 	for _, kind := range kinds {
@@ -118,45 +120,36 @@ func TestBatchedConcurrent(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				rng := rand.New(rand.NewSource(int64(capacity) + 1))
-				next := int64(0)
-				buf := make([]int64, 64)
-				for next < total {
-					n := rng.Intn(len(buf)) + 1
-					if int64(n) > total-next {
-						n = int(total - next)
-					}
-					for i := 0; i < n; i++ {
-						buf[i] = next + int64(i)
-					}
-					sent := q.TryProduceN(buf[:n])
-					for _, v := range buf[sent:n] { // blocking remainder
-						if !q.Produce(v, done) {
+				for next := int64(0); next < total; {
+					for n := rng.Intn(64) + 1; n > 0 && next < total; n-- {
+						if !q.TryProduce(next) && !q.Produce(next, done) {
 							t.Errorf("Produce canceled")
 							return
 						}
+						next++
 					}
-					next += int64(n)
+					if rng.Intn(4) == 0 {
+						q.Publish()
+					}
 				}
 				q.Publish()
 			}()
 			rng := rand.New(rand.NewSource(int64(capacity) + 2))
-			buf := make([]int64, 64)
-			next := int64(0)
-			for next < total {
-				n := rng.Intn(len(buf)) + 1
-				got := q.TryConsumeN(buf[:n])
-				if got == 0 {
-					v, ok := q.Consume(done)
+			for next := int64(0); next < total; {
+				for n := rng.Intn(64) + 1; n > 0 && next < total; n-- {
+					v, ok := q.TryConsume()
 					if !ok {
-						t.Fatalf("Consume canceled")
+						if v, ok = q.Consume(done); !ok {
+							t.Fatalf("Consume canceled")
+						}
 					}
-					buf[0], got = v, 1
-				}
-				for i := 0; i < got; i++ {
-					if buf[i] != next {
-						t.Fatalf("%v cap %d: got %d, want %d", kind, capacity, buf[i], next)
+					if v != next {
+						t.Fatalf("%v cap %d: got %d, want %d", kind, capacity, v, next)
 					}
 					next++
+				}
+				if rng.Intn(4) == 0 {
+					q.Release()
 				}
 			}
 			wg.Wait()

@@ -162,50 +162,6 @@ func (q *ring) TryConsume() (int64, bool) {
 	return v, true
 }
 
-// TryProduceN copies as many values as fit; they publish with the rest of
-// the batch they complete, so a packet pays at most one tail store.
-func (q *ring) TryProduceN(vs []int64) int {
-	t := q.ptail
-	free := q.capacity - (t - q.cachedHead)
-	if free < uint64(len(vs)) {
-		q.cachedHead = q.head.Load()
-		free = q.capacity - (t - q.cachedHead)
-	}
-	n := min(uint64(len(vs)), free)
-	if n == 0 {
-		return 0
-	}
-	for i := uint64(0); i < n; i++ {
-		q.buf[(t+i)&q.mask] = vs[i]
-	}
-	q.ptail = t + n
-	if t+n-q.pubTail >= q.batch {
-		q.Publish()
-	}
-	return int(n)
-}
-
-func (q *ring) TryConsumeN(dst []int64) int {
-	h := q.chead
-	avail := q.cachedTail - h
-	if avail < uint64(len(dst)) {
-		q.cachedTail = q.tail.Load()
-		avail = q.cachedTail - h
-	}
-	n := min(uint64(len(dst)), avail)
-	if n == 0 {
-		return 0
-	}
-	for i := uint64(0); i < n; i++ {
-		dst[i] = q.buf[(h+i)&q.mask]
-	}
-	q.chead = h + n
-	if h+n-q.pubHead >= q.batch {
-		q.Release()
-	}
-	return int(n)
-}
-
 // Publish stores the producer's private tail and wakes a parked consumer.
 // With nothing unpublished it is one comparison.
 func (q *ring) Publish() {

@@ -30,9 +30,8 @@ type FaultPlan struct {
 	Queue map[int]failpoint.Policy
 	// Thread carries one policy per faulted thread, its hits counted in
 	// retired instructions: sleep(d):every(n) stalls the thread, panic
-	// with nth(N) kills it at its N-th instruction (or the first
-	// instruction boundary past it, when a packed span retires several
-	// at once).
+	// with nth(N) kills it at exactly its N-th instruction, packed flow
+	// instructions included (each retires on its own).
 	Thread map[int]failpoint.Policy
 	// QueueCap overrides individual queue capacities (e.g. forcing a
 	// single queue down to one slot while the rest keep the default).
@@ -70,12 +69,12 @@ func RandomFaults(seed uint64, numThreads, numQueues int) *FaultPlan {
 }
 
 // faultQueue is a queue with a run-scoped policy at each end. Each value
-// is evaluated once, by the Try call that first offers (or asks for) it,
-// before any value of the batch moves; a value admitted but not moved is
-// owed to the blocking call the runtime always makes next. An error stops
-// admission at its value, so the end moves the values before it and then
-// fails the run instead of moving the faulted one: the fault lands on the
-// same value index on every schedule and never delivers or drops a value.
+// is evaluated once, by the TryProduce or TryConsume that first offers
+// (or asks for) it; a value admitted but not moved is owed to the
+// blocking call the runtime always makes next. An error refuses its
+// value, and the blocking call that follows finds nothing owed and fails
+// the run instead of moving it: the fault lands on the same value index
+// on every schedule and never delivers or drops a value.
 type faultQueue struct {
 	queue.Queue
 	e          *engine
@@ -98,16 +97,11 @@ func (e *engine) faultQueue(q int, qu queue.Queue, pol failpoint.Policy) *faultQ
 	return f
 }
 
-// admit evaluates the next n values at one end and returns how many may
-// move: all of them, or those before the value an error fired on.
-func (f *faultQueue) admit(end *faultEnd, n int) int {
-	for i := 0; i < n; i++ {
-		if end.ev.Hit() && end.ev.Act(f.e.ctx,
-			fmt.Sprintf("injected fault: thread %d queue %d", end.threads[0], f.q)) != nil {
-			return i
-		}
-	}
-	return n
+// admit evaluates the next value at one end: false when an error fired
+// on it.
+func (f *faultQueue) admit(end *faultEnd) bool {
+	return !end.ev.Hit() || end.ev.Act(f.e.ctx,
+		fmt.Sprintf("injected fault: thread %d queue %d", end.threads[0], f.q)) == nil
 }
 
 // block lets an owed value through; with none owed, the value is the
@@ -121,7 +115,7 @@ func (f *faultQueue) block(end *faultEnd) bool {
 }
 
 func (f *faultQueue) TryProduce(v int64) bool {
-	if f.admit(&f.prod, 1) == 0 {
+	if !f.admit(&f.prod) {
 		return false
 	}
 	ok := f.Queue.TryProduce(v)
@@ -132,7 +126,7 @@ func (f *faultQueue) TryProduce(v int64) bool {
 }
 
 func (f *faultQueue) TryConsume() (int64, bool) {
-	if f.admit(&f.cons, 1) == 0 {
+	if !f.admit(&f.cons) {
 		return 0, false
 	}
 	v, ok := f.Queue.TryConsume()
@@ -140,20 +134,6 @@ func (f *faultQueue) TryConsume() (int64, bool) {
 		f.cons.owed.Add(1)
 	}
 	return v, ok
-}
-
-func (f *faultQueue) TryProduceN(vs []int64) int {
-	a := f.admit(&f.prod, len(vs))
-	k := f.Queue.TryProduceN(vs[:a])
-	f.prod.owed.Add(int64(a - k))
-	return k
-}
-
-func (f *faultQueue) TryConsumeN(dst []int64) int {
-	a := f.admit(&f.cons, len(dst))
-	k := f.Queue.TryConsumeN(dst[:a])
-	f.cons.owed.Add(int64(a - k))
-	return k
 }
 
 func (f *faultQueue) Produce(v int64, done <-chan struct{}) bool {

@@ -15,11 +15,10 @@ import (
 )
 
 // TestQueuePolicyCountsPackedValues: a queue policy is evaluated once per
-// value even when the values move through TryProduceN/TryConsumeN. On
-// list traversal's flow-packed pipeline (queue 0 carries a 2-word packet
-// per iteration), error:every(k) must fail the run with exactly k-1
-// values delivered — k even lands mid-packet — at either capacity and on
-// both substrates.
+// value, the values of a packet included. On list traversal's flow-packed
+// pipeline (queue 0 carries a 2-word packet per iteration),
+// error:every(k) must fail the run with exactly k-1 values delivered — k
+// even lands mid-packet — at either capacity and on both substrates.
 func TestQueuePolicyCountsPackedValues(t *testing.T) {
 	p := workloads.ListTraversal(300)
 	prof, err := profile.Collect(p.F, p.Options())
@@ -60,19 +59,24 @@ func TestQueuePolicyCountsPackedValues(t *testing.T) {
 	}
 }
 
-// TestPanicPolicyOnPackedSpans: a packed span retires several
-// instructions at once, so a thread policy triggers at the first
-// instruction boundary at or past its hit. In packedPipelineFns the
-// producer retires its 3-wide produce span as steps 7-9 and the consumer
-// its consume span as steps 6-8.
-func TestPanicPolicyOnPackedSpans(t *testing.T) {
+// TestPanicPolicyExactOnPackedFlows: every flow instruction retires on
+// its own, so a thread policy triggers at exactly its nth instruction,
+// inside a packet too. In packedPipelineFns the producer retires its
+// 3-wide produce packet as steps 7-9 (14-16 in the second iteration) and
+// the consumer its consume packet as steps 6-8.
+func TestPanicPolicyExactOnPackedFlows(t *testing.T) {
 	for _, c := range []struct {
-		thread    int
-		nth, want int64
+		thread int
+		nth    int64
 	}{
-		{0, 6, 6}, // scalar instruction: exact
-		{0, 8, 9}, // inside the produce span: its end
-		{1, 7, 8}, // inside the consume span: its end
+		{0, 6},  // scalar instruction before the packet
+		{0, 7},  // first produce of the packet
+		{0, 8},  // inside the produce packet
+		{0, 9},  // last produce of the packet
+		{0, 15}, // inside the second iteration's packet
+		{1, 6},  // first consume of the packet
+		{1, 7},  // inside the consume packet
+		{1, 8},  // last consume of the packet
 	} {
 		for _, kind := range []queue.Kind{queue.KindChannel, queue.KindRing} {
 			_, err := Run(packedPipelineFns(t), Options{QueueCap: 4, Queue: kind,
@@ -82,7 +86,7 @@ func TestPanicPolicyOnPackedSpans(t *testing.T) {
 			if !errors.As(err, &sf) || sf.Thread != c.thread {
 				t.Fatalf("thread %d nth(%d) %s: want a *StageFailure, got %v", c.thread, c.nth, kind, err)
 			}
-			if want := fmt.Sprintf("at step %d ", c.want); !strings.Contains(sf.Value, want) {
+			if want := fmt.Sprintf("at step %d ", c.nth); !strings.Contains(sf.Value, want) {
 				t.Fatalf("thread %d nth(%d) %s: panic %q, want it %q", c.thread, c.nth, kind, sf.Value, want)
 			}
 		}

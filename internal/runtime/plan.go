@@ -10,12 +10,13 @@ import (
 
 // Plan is the static execution plan for one transformed pipeline: every
 // per-run-invariant analysis the engine's build step used to redo on each
-// Run — queue topology (static produce/consume sites), packed-flow span
-// tables, each thread's queue ends, block layout indices, and outer-loop
-// back-edge targets. A Plan is immutable after construction and safe to
-// share across any number of concurrent runs of the same thread
-// functions, which is what makes the serving engine's compiled-pipeline
-// cache pay: N requests for the same loop do this work exactly once.
+// Run — queue topology (static produce/consume sites), flow-packing
+// packet widths, each thread's queue ends, block layout indices, and
+// outer-loop back-edge targets. A Plan is immutable after construction
+// and safe to share across any number of concurrent runs of the same
+// thread functions, which is what makes the serving engine's
+// compiled-pipeline cache pay: N requests for the same loop do this work
+// exactly once.
 type Plan struct {
 	fns       []*ir.Function
 	numQueues int
@@ -28,8 +29,6 @@ type Plan struct {
 	// and consumes from, ascending: the ends its flush publishes.
 	produces [][]int
 	consumes [][]int
-	spans    [][][]int16
-	maxSpan  int
 	// layout[t][b.ID] is block b's position in thread t's layout order
 	// (back edges go to an earlier or the same position).
 	layout   [][]int
@@ -98,7 +97,6 @@ func NewPlan(fns []*ir.Function) (*Plan, error) {
 			}
 		}
 	}
-	p.buildSpans()
 	p.layout = make([][]int, len(fns))
 	p.outerHdr = make([]*ir.Block, len(fns))
 	for i, fn := range fns {

@@ -64,8 +64,8 @@ func TestRingMatchesChannelOnTransformedLoop(t *testing.T) {
 }
 
 // packedPipelineFns is a hand-packed two-stage pipeline: three values per
-// iteration travel on ONE queue (a 3-word packet), so the runtime's batched
-// span path and its blocking tail both get exercised once cap < 3.
+// iteration travel on ONE queue (a 3-word packet), each through its own
+// produce and consume instruction.
 func packedPipelineFns(t *testing.T) []*ir.Function {
 	t.Helper()
 	prod := ir.MustParse(`func producer {
@@ -113,11 +113,11 @@ done:
 	return []*ir.Function{prod, cons}
 }
 
-// TestBatchedSpansBothKinds runs the packet pipeline across kinds and
-// capacities (including caps smaller than the packet, forcing the blocking
-// remainder path) and checks the observability invariants survive batching:
+// TestPackedPipelineBothKinds runs the packet pipeline across kinds and
+// capacities (1 and 2 scale to 3 and 6 slots, so the producer fills the
+// queue mid-packet and blocks) and checks the observability invariants:
 // per-queue produces == consumes, and flow counts match the program.
-func TestBatchedSpansBothKinds(t *testing.T) {
+func TestPackedPipelineBothKinds(t *testing.T) {
 	// sum over i=1..10 of (i + 2i + i) = 4 * 55 = 220.
 	for _, kind := range []queue.Kind{queue.KindChannel, queue.KindRing} {
 		for _, cap := range []int{1, 2, 3, 32} {

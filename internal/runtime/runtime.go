@@ -2,8 +2,10 @@
 // concurrency: each partition thread is a real goroutine and every
 // synchronization-array queue is a bounded queue from internal/queue —
 // either a buffered Go channel (the default) or, under Options.Queue =
-// queue.KindRing, a lock-free SPSC ring buffer with batched produce/consume
-// (the low-latency substrate the paper's performance argument depends on).
+// queue.KindRing, a lock-free SPSC ring buffer that publishes its indices
+// once per batch of values (the low-latency substrate the paper's
+// performance argument depends on). Every produce and consume instruction,
+// packed or not, moves one value, as in the paper's synchronization array.
 // Where the deterministic round-robin interpreter (internal/interp) is the
 // friendly reference schedule, this runtime is the adversarial one —
 // full-queue back-pressure, arbitrary OS-level interleavings, cross-thread
@@ -69,7 +71,7 @@ type Options struct {
 	QueueCap int
 	// Queue selects the communication substrate: queue.KindChannel (zero
 	// value, buffered Go channels) or queue.KindRing (lock-free SPSC ring
-	// buffers with batched produce/consume). Queue kind must never change
+	// buffers with batched index publication). Queue kind must never change
 	// results — only throughput. Ring queues are SPSC, so any queue whose
 	// static produce or consume sites span more than one thread silently
 	// falls back to a channel.
@@ -155,9 +157,9 @@ type engine struct {
 	queues  []queue.Queue
 	threads []*threadState
 
-	// plan holds the static analyses (queue topology, packed-flow span
-	// tables, block layout indices): caller-supplied and shared across
-	// runs, or built fresh for this run. Read-only here.
+	// plan holds the static analyses (queue topology, packet widths,
+	// block layout indices): caller-supplied and shared across runs, or
+	// built fresh for this run. Read-only here.
 	plan *Plan
 
 	rec      obs.Recorder
@@ -176,9 +178,10 @@ type engine struct {
 	wg      sync.WaitGroup
 }
 
-// Run executes fns concurrently with shared memory and bounded channel
-// queues. Thread 0 is the main thread; its live-outs are collected.
-// Deadlocks, stalls, and step-limit overruns come back as *DeadlockError,
+// Run executes fns concurrently with shared memory and one bounded queue
+// per synchronization-array cell, of the kind Options.Queue selects.
+// Thread 0 is the main thread; its live-outs are collected. Deadlocks,
+// stalls, and step-limit overruns come back as *DeadlockError,
 // *TimeoutError, and *StepLimitError respectively.
 func Run(fns []*ir.Function, opts Options) (*interp.Result, error) {
 	return RunCtx(context.Background(), fns, opts)
@@ -453,7 +456,7 @@ func (e *engine) setState(ti int, st blockState) {
 }
 
 // runThread is one pipeline stage: a straight interpreter loop over the
-// thread's function, blocking for real on channel queues. Panics inside
+// thread's function, blocking for real on its queues. Panics inside
 // the stage (including injected ones) are captured into a *StageFailure
 // carrying a full pipeline snapshot instead of crashing the process.
 func (e *engine) runThread(ti int) {
@@ -481,16 +484,6 @@ func (e *engine) runThread(ti int) {
 	}
 	layout := e.plan.layout[ti]
 	outerHdr := e.outerHdr[ti]
-	spans := e.plan.spans[ti]
-	var scratch []int64
-	// Span lookups are cached per block: the layout lookup runs once per
-	// block entry, not once per retired instruction, so threads with
-	// packed flows pay no per-instruction dispatch tax.
-	var spanBlock *ir.Block
-	var spanTab []int16
-	if e.plan.maxSpan > 0 {
-		scratch = make([]int64, e.plan.maxSpan)
-	}
 	var iters int64
 	var ckptEvery int64
 	// dirty is this thread's dirty-page bitmap, nil unless the run
@@ -551,33 +544,6 @@ func (e *engine) runThread(ti int) {
 			block, pc = next, 0
 			continue
 		}
-		// Packed-flow fast path: a run of same-queue produces/consumes
-		// (one packet from the flow-packing pass) retires with a single
-		// batched queue operation.
-		if scratch != nil {
-			if block != spanBlock {
-				spanBlock, spanTab = block, spans[layout[block.ID]]
-			}
-			if spanTab != nil {
-				if n := int(spanTab[pc]); n >= 2 {
-					if !e.runSpan(ti, block, pc, n, scratch, flush) {
-						return
-					}
-					pc += n
-					local += int64(n)
-					if local >= flushEvery {
-						flush()
-					}
-					if th.res.Steps >= faultAt {
-						if faultAt = e.threadFault(ti, flush); faultAt == 0 {
-							return
-						}
-					}
-					continue
-				}
-			}
-		}
-
 		in := block.Instrs[pc]
 		ev := interp.Event{In: in}
 

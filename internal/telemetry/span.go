@@ -50,6 +50,10 @@ type Span struct {
 	EndNS    int64   `json:"end_ns"`
 	Attrs    []Attr  `json:"attrs,omitempty"`
 	Children []*Span `json:"children,omitempty"`
+
+	// track is the Chrome export's tid for a bridged stage span, 1 plus
+	// its pipeline thread index; 0 renders on the parent's track.
+	track int
 }
 
 // Dur returns the span's duration; unfinished spans are clamped to end.
@@ -232,17 +236,18 @@ func writeSpanText(w io.Writer, s *Span, depth int) error {
 
 // WriteChrome exports the trace in Chrome trace-event JSON through
 // obs.WriteChromeEvents: one pid for the request, request-phase spans as
-// X events on tid 0 and bridged pipeline stages on tid 1+stage.
+// X events on tid 0 and each bridged pipeline thread — every replica of a
+// replicated stage too — on its own tid, 1+thread.
 func (t *RequestTrace) WriteChrome(w io.Writer) error {
 	events := []obs.ChromeEvent{{Name: "process_name", Phase: "M", Pid: 1,
 		Args: map[string]any{"name": fmt.Sprintf("request %s (%s)", t.ID, t.Workload)}}}
 	var walk func(s *Span, tid int)
 	walk = func(s *Span, tid int) {
-		// Bridged stage spans carry their tid in the name ("stage 1");
-		// everything else renders on the request track.
+		// Bridged stage spans carry their own track; everything else
+		// renders on its parent's.
 		id := tid
-		if n, ok := stageTID(s.Name); ok {
-			id = 1 + n
+		if s.track > 0 {
+			id = s.track
 		}
 		end := max(s.EndNS, s.StartNS)
 		ev := obs.ChromeEvent{Name: s.Name, Phase: "X", Pid: 1, Tid: id,
@@ -260,14 +265,4 @@ func (t *RequestTrace) WriteChrome(w io.Writer) error {
 	}
 	walk(t.Root, 0)
 	return obs.WriteChromeEvents(w, events)
-}
-
-// stageTID recognizes bridged stage span names ("stage 0", "stage 1", ...)
-// so the Chrome export gives each pipeline stage its own track.
-func stageTID(name string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(name, "stage %d", &n); err != nil || n < 0 {
-		return 0, false
-	}
-	return n, true
 }

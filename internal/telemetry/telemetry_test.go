@@ -268,7 +268,7 @@ func TestTraceExports(t *testing.T) {
 	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
 		t.Fatalf("Chrome export is not valid JSON: %v\n%s", err, chrome.String())
 	}
-	// Bridged stage spans must land on their own track (tid 1+stage).
+	// Bridged stage spans must land on their own track (tid 1+thread).
 	stageTid := -1.0
 	for _, ev := range doc.TraceEvents {
 		if ev["name"] == "stage 0" {
@@ -277,6 +277,48 @@ func TestTraceExports(t *testing.T) {
 	}
 	if stageTid != 1 {
 		t.Fatalf("stage 0 tid = %v, want 1", stageTid)
+	}
+}
+
+// TestChromeReplicaTracks exports a replicated pipeline's trace: each
+// replica of the replicated stage must get its own Chrome track, or their
+// overlapping spans would share one tid without nesting.
+func TestChromeReplicaTracks(t *testing.T) {
+	tr := NewTracer(TraceOptions{SampleRate: 1, SlowThreshold: -1})
+	x := tr.Start("29.compress")
+	run := x.Begin("run")
+	labels := []string{"stage 0", "stage 1 r0", "stage 1 r1", "stage 2"}
+	rec := tr.RunRecorder(x, len(labels), labels...)
+	for ti := range labels {
+		// Every thread runs over the same interval, so the replicas'
+		// spans overlap.
+		rec.Record(obs.Event{Kind: obs.KStageStart, Thread: int32(ti), When: 10})
+		rec.Record(obs.Event{Kind: obs.KStageDone, Thread: int32(ti), When: 20})
+	}
+	x.End(run)
+	tr.Finish(x, "", "")
+
+	var chrome bytes.Buffer
+	if err := x.WriteChrome(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Tid  float64 `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(chrome.Bytes(), &doc); err != nil {
+		t.Fatalf("Chrome export is not valid JSON: %v\n%s", err, chrome.String())
+	}
+	tids := map[string]float64{}
+	for _, ev := range doc.TraceEvents {
+		tids[ev.Name] = ev.Tid
+	}
+	for ti, name := range labels {
+		if got, want := tids[name], float64(1+ti); got != want {
+			t.Errorf("%q: tid %v, want %v (all tids: %v)", name, got, want, tids)
+		}
 	}
 }
 

@@ -369,7 +369,7 @@ func (b *runBridge) materialize(tr *RequestTrace) {
 			name = b.labels[ti]
 		}
 		st := run.child(name, base)
-		st.EndNS = base
+		st.EndNS, st.track = base, 1+ti
 		var produces, consumes, branches, iterations int64
 		var open *Span // current stall span
 		for _, e := range evs {
