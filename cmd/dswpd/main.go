@@ -39,6 +39,7 @@ import (
 	"dswp/internal/ckptstore"
 	"dswp/internal/engine"
 	"dswp/internal/queue"
+	rt "dswp/internal/runtime"
 	"dswp/internal/telemetry"
 )
 
@@ -51,7 +52,7 @@ func main() {
 		poolSize   = flag.Int("pool", 0, "warm instances per pipeline (0 = workers)")
 		queueKind  = flag.String("queue", "channel", "default substrate: channel or ring")
 		replicate  = flag.Bool("replicate", false, "apply PS-DSWP parallel-stage replication to every compile")
-		queueCap   = flag.Int("queue-cap", 0, "default synchronization-array capacity (0 = 32)")
+		queueCap   = flag.Int("queue-cap", 0, fmt.Sprintf("default synchronization-array capacity (0 = %d)", rt.DefaultQueueCap))
 		deadline   = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 		drain      = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown grace for in-flight runs")
 		ckptDir    = flag.String("ckpt-dir", "", "directory for the durable checkpoint store (empty = in-memory)")

@@ -81,7 +81,7 @@ func main() {
 	qsize := flag.Int("qsize", 32, "synchronization-array queue depth (timing model)")
 	threads := flag.Int("threads", 2, "thread count (doacross supports >2)")
 	engine := flag.String("runtime", "interp", "functional engine: interp | goroutine")
-	queuecap := flag.Int("queuecap", 0, "functional queue capacity (interp: 0 = unbounded; goroutine: 0 = 32)")
+	queuecap := flag.Int("queuecap", 0, fmt.Sprintf("functional queue capacity (interp: 0 = unbounded; goroutine: 0 = %d)", rt.DefaultQueueCap))
 	queueKind := flag.String("queue", "", "communication substrate: channel | ring (default channel)")
 	pack := flag.Bool("pack", false, "coalesce same-point flows into multi-word queue packets (compiler-side flow packing)")
 	faults := flag.Uint64("faults", 0, "fault-injection seed for the goroutine runtime (0 = none)")

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"dswp/internal/interp"
 	rt "dswp/internal/runtime"
@@ -212,6 +213,51 @@ func TestMemStoreBasics(t *testing.T) {
 	}
 	if err := s.Delete("never-existed"); err != nil {
 		t.Errorf("Delete(absent) = %v, want nil", err)
+	}
+}
+
+// TestMemStoreKeysDoNotBlockEachOther: an append to one key — which may
+// compact its log, while that key's pipeline is paused at a barrier — must
+// not wait for work in progress on another key. The test holds key a's
+// log as an in-flight append would and requires appends, a Get and a Put
+// on key b to finish meanwhile.
+func TestMemStoreKeysDoNotBlockEachOther(t *testing.T) {
+	base, cp := testCheckpoint(64)
+	s := NewMem()
+	defer s.Close()
+	for _, key := range []string{"a", "b"} {
+		if err := s.Put(mustEntry(t, key, nil, cp, base)); err != nil {
+			t.Fatalf("Put %s: %v", key, err)
+		}
+	}
+	c := mustEntry(t, "c", nil, cp, base)
+	held := s.logs["a"]
+	held.mu.Lock()
+	defer held.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		prev := cp.Iter
+		for i := int64(1); i <= 8; i++ {
+			ep := &Epoch{Iter: prev + i, Prev: prev + i - 1, Regs: cp.Regs,
+				Deltas: []Delta{{Addr: i, Val: i}}}
+			if err := s.Append("b", ep); err != nil {
+				done <- err
+				return
+			}
+		}
+		if _, err := s.Get("b"); err != nil {
+			done <- err
+			return
+		}
+		done <- s.Put(c)
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("key b's appends waited on key a's log")
 	}
 }
 

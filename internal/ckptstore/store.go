@@ -13,10 +13,13 @@ import (
 	"sync"
 )
 
-// MemStore keeps each key's log as a list of encoded records behind a
-// mutex. It is the default store for in-process engines: commits survive
-// a failed attempt (the supervisor reads them back when its in-memory
-// latch is empty) but not the process.
+// MemStore keeps each key's log as a list of encoded records. It is the
+// default store for in-process engines: commits survive a failed attempt
+// (the supervisor reads them back when its in-memory latch is empty) but
+// not the process. The store's mutex guards only the key index; each log
+// has its own, so one key's append — and the compaction it may run —
+// never stalls another key's commit (each commit runs while its
+// pipeline is paused at a barrier).
 // Records round-trip through the codec on every write and Get, so the
 // binary encoding is exercised even when no FileStore is configured.
 type MemStore struct {
@@ -28,6 +31,7 @@ type MemStore struct {
 // the next epoch must link to), and the size at which the next compaction
 // check runs.
 type memLog struct {
+	mu    sync.Mutex
 	recs  [][]byte
 	bytes int
 	last  int64
@@ -64,12 +68,18 @@ func (m *MemStore) Append(key string, ep *Epoch) error {
 	}
 	rec := encodeEpoch(ep)
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if m.logs == nil {
+		m.mu.Unlock()
 		return fmt.Errorf("ckptstore: store closed")
 	}
 	l := m.logs[key]
-	if l == nil || l.last != ep.Prev {
+	m.mu.Unlock()
+	if l == nil {
+		return fmt.Errorf("%w: %q at iteration %d", ErrBrokenChain, key, ep.Prev)
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.last != ep.Prev {
 		return fmt.Errorf("%w: %q at iteration %d", ErrBrokenChain, key, ep.Prev)
 	}
 	l.recs = append(l.recs, rec)
@@ -87,11 +97,14 @@ func (m *MemStore) Append(key string, ep *Epoch) error {
 // Get implements Store.
 func (m *MemStore) Get(key string) (*Entry, error) {
 	m.mu.Lock()
-	var recs [][]byte
-	if l := m.logs[key]; l != nil {
-		recs = slices.Clone(l.recs)
-	}
+	l := m.logs[key]
 	m.mu.Unlock()
+	var recs [][]byte
+	if l != nil {
+		l.mu.Lock()
+		recs = slices.Clone(l.recs)
+		l.mu.Unlock()
+	}
 	if recs == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, key)
 	}
@@ -133,12 +146,15 @@ func (m *MemStore) Close() error {
 // without needing a filesystem.
 func (m *MemStore) Corrupt(key string) {
 	m.mu.Lock()
-	if l := m.logs[key]; l != nil {
+	l := m.logs[key]
+	m.mu.Unlock()
+	if l != nil {
+		l.mu.Lock()
 		bad := slices.Clone(l.recs[0])
 		bad[len(bad)/2] ^= 0xFF
 		l.recs[0] = bad
+		l.mu.Unlock()
 	}
-	m.mu.Unlock()
 }
 
 const fileExt = ".ckpt"

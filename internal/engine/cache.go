@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"dswp/internal/core"
+	"dswp/internal/profile"
 	rt "dswp/internal/runtime"
 	"dswp/internal/workloads"
 )
@@ -158,4 +159,54 @@ func (c *cache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
+}
+
+// profiles caches each program's execution profile by workload ident,
+// the part of a cache key that names the program and its parameters
+// (identOf). A profile depends only on the program and its inputs, never
+// on the transform config the rest of the key carries, and workload
+// builds are deterministic, so every config of one workload shares one
+// profiling run: a miss on a new config pays the transform and the plan
+// build, not another interpreter run of the whole program. Bounded like
+// the pipeline cache; a full cache drops an arbitrary entry.
+type profiles struct {
+	mu   sync.Mutex
+	cap  int
+	runs map[string]profileRun
+}
+
+// profileRun is one profiling run's result, shared read-only by every
+// compile of its workload.
+type profileRun struct {
+	counts []int64
+	steps  int64
+}
+
+func newProfiles(cap int) *profiles {
+	return &profiles{cap: cap, runs: map[string]profileRun{}}
+}
+
+// collect returns prog's profile, running the interpreter only when no
+// build of the same workload ident has been profiled.
+func (c *profiles) collect(ident string, prog *workloads.Program) (*profile.Profile, error) {
+	c.mu.Lock()
+	r, ok := c.runs[ident]
+	c.mu.Unlock()
+	if ok {
+		return &profile.Profile{Fn: prog.F, InstrCount: r.counts, TotalSteps: r.steps}, nil
+	}
+	prof, err := profile.Collect(prog.F, prog.Options())
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if len(c.runs) >= c.cap {
+		for k := range c.runs {
+			delete(c.runs, k)
+			break
+		}
+	}
+	c.runs[ident] = profileRun{counts: prof.InstrCount, steps: prof.TotalSteps}
+	c.mu.Unlock()
+	return prof, nil
 }

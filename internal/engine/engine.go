@@ -38,7 +38,6 @@ import (
 	"dswp/internal/core"
 	"dswp/internal/failpoint"
 	"dswp/internal/interp"
-	"dswp/internal/profile"
 	"dswp/internal/psdswp"
 	"dswp/internal/queue"
 	rt "dswp/internal/runtime"
@@ -285,9 +284,10 @@ type Response struct {
 // Engine is the serving runtime. Create with New, serve with Run (or the
 // HTTP layer in http.go), stop with Shutdown.
 type Engine struct {
-	opts  Options
-	met   *Metrics
-	cache *cache
+	opts     Options
+	met      *Metrics
+	cache    *cache
+	profiles *profiles
 	// pending is the one admission queue, QueueDepth deep: when it is
 	// full, Run sheds with ErrOverloaded instead of queueing unboundedly.
 	pending chan *job
@@ -363,12 +363,13 @@ func New(opts Options) *Engine {
 	opts = opts.withDefaults()
 	met := &Metrics{}
 	e := &Engine{
-		opts:    opts,
-		met:     met,
-		cache:   newCache(opts.CacheCap, met),
-		pending: make(chan *job, opts.QueueDepth),
-		stop:    make(chan struct{}),
-		wlInfo:  make(map[string]wlCompileInfo),
+		opts:     opts,
+		met:      met,
+		cache:    newCache(opts.CacheCap, met),
+		profiles: newProfiles(opts.CacheCap),
+		pending:  make(chan *job, opts.QueueDepth),
+		stop:     make(chan struct{}),
+		wlInfo:   make(map[string]wlCompileInfo),
 	}
 	e.store = opts.Store
 	if e.store == nil {
@@ -532,8 +533,11 @@ func (e *Engine) serve(j *job) {
 	m := e.met
 	m.queued.Add(-1)
 	m.inflight.Add(1)
-	defer m.inflight.Add(-1)
+	// Deferred calls run last first: the run leaves the in-flight count
+	// before its caller is released, so a caller never sees its own
+	// finished request still in flight.
 	defer close(j.done)
+	defer m.inflight.Add(-1)
 
 	queueWait := time.Since(j.submitted)
 	m.latQueue.Add(queueWait.Microseconds())
@@ -622,7 +626,7 @@ func (e *Engine) execute(ctx context.Context, j *job) (*Response, error) {
 
 	// Memory-accounting admission: reserve the run's working-set estimate
 	// (or shed) now that the compiled geometry is known.
-	est := estimateBytes(p, qcap)
+	est := estimateBytes(p, kind, qcap)
 	if gerr := e.governor.admit(est); gerr != nil {
 		return nil, gerr
 	}
@@ -879,7 +883,7 @@ func (e *Engine) compile(req Request, build func() *workloads.Program, key strin
 	start := time.Now()
 	e.met.compiles.Add(1)
 	prog := build()
-	prof, err := profile.Collect(prog.F, prog.Options())
+	prof, err := e.profiles.collect(identOf(key), prog)
 	if err != nil {
 		return nil, fmt.Errorf("engine: profile %s: %w", req.Workload, err)
 	}

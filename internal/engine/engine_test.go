@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dswp/internal/core"
 	"dswp/internal/failpoint"
 	"dswp/internal/interp"
+	"dswp/internal/profile"
 	"dswp/internal/testutil"
 	"dswp/internal/workloads"
 )
@@ -659,5 +662,64 @@ func shutdown(t *testing.T, e *Engine) {
 	defer cancel()
 	if err := e.Shutdown(ctx); err != nil {
 		t.Errorf("shutdown: %v", err)
+	}
+}
+
+// TestProfilesSharedAcrossConfigs: every config of one workload compiles
+// from one profiling run, and a compile from the shared profile is the
+// compile a fresh profile gives. That rests on workload builds being
+// deterministic, so the test first checks that two builds of every
+// servable workload profile to the same instruction counts.
+func TestProfilesSharedAcrossConfigs(t *testing.T) {
+	for _, b := range builtins() {
+		x, y := b.Build(), b.Build()
+		px, err := profile.Collect(x.F, x.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		py, err := profile.Collect(y.F, y.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(px.InstrCount, py.InstrCount) || px.TotalSteps != py.TotalSteps {
+			t.Errorf("%s: two builds profile differently", b.Name)
+		}
+	}
+
+	e := New(Options{Workers: 1})
+	defer e.Shutdown(context.Background())
+	reqs := []Request{{Workload: "wc"}, {Workload: "wc", Threads: 3, PackFlows: true}, {Workload: "181.mcf"}}
+	for _, req := range reqs {
+		build, key, err := resolve(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shared, err := e.compile(req, build, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := build()
+		prof, err := profile.Collect(prog.F, prog.Options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := core.Apply(prog.F, prog.LoopHeader, prof, configOf(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(shared.tr.Stats.StageWeights, fresh.Stats.StageWeights) ||
+			shared.tr.NumQueues != fresh.NumQueues {
+			t.Errorf("%s: compile from the shared profile differs from a fresh one", key)
+		}
+		resp, err := e.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := seqDigest(t, req); resp.Digest != want {
+			t.Errorf("%s: digest %s, want %s", key, resp.Digest, want)
+		}
+	}
+	if n := len(e.profiles.runs); n != 2 {
+		t.Errorf("profiling runs cached = %d, want one per workload (2)", n)
 	}
 }

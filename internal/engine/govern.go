@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dswp/internal/queue"
 )
 
 // ErrResourceExhausted is returned when admitting a run would push the
@@ -37,12 +39,14 @@ func (e *RequestTooLargeError) Error() string {
 
 // estimateBytes approximates the peak resident bytes one run pins: two
 // memory images (the program's base image plus the checkpoint clone the
-// supervisor snapshots), the synchronization-array backing stores, a
-// per-thread allowance for register files and interpreter state, and a
-// fixed overhead for the job/trace/response plumbing. It is deliberately
-// a slight over-estimate — admission control should saturate before the
+// supervisor snapshots), the synchronization-array backing stores as the
+// runtime allocates them (Plan.QueueSize: packed queues scaled by their
+// packet width, ring buffers rounded up to a power of two), a per-thread
+// allowance for register files and interpreter state, and a fixed
+// overhead for the job/trace/response plumbing. It is deliberately a
+// slight over-estimate — admission control should saturate before the
 // allocator does, not after.
-func estimateBytes(p *pipeline, qcap int) int64 {
+func estimateBytes(p *pipeline, kind queue.Kind, qcap int) int64 {
 	const (
 		fixed     = 64 << 10 // job, trace, response, goroutine stacks
 		perThread = 32 << 10 // register file, iteration state, stack slack
@@ -51,9 +55,12 @@ func estimateBytes(p *pipeline, qcap int) int64 {
 	if p.prog != nil && p.prog.Mem != nil {
 		est += p.prog.Mem.Size() * 8 * 2
 	}
-	if p.tr != nil {
-		est += int64(p.tr.NumQueues) * int64(qcap) * 8
-		est += int64(len(p.tr.Threads)) * perThread
+	if p.plan != nil {
+		for q := 0; q < p.plan.NumQueues(); q++ {
+			_, _, slots := p.plan.QueueSize(q, kind, qcap)
+			est += int64(slots) * 8
+		}
+		est += int64(p.plan.NumThreads()) * perThread
 	}
 	return est
 }

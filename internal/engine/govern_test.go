@@ -3,10 +3,16 @@ package engine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
+	"dswp/internal/core"
+	"dswp/internal/profile"
+	"dswp/internal/queue"
+	rt "dswp/internal/runtime"
 	"dswp/internal/testutil"
+	"dswp/internal/workloads"
 )
 
 func TestGovernorAccounting(t *testing.T) {
@@ -192,5 +198,51 @@ func TestReaperLeavesFastRunsAlone(t *testing.T) {
 	}
 	if s := e.Metrics().Snapshot(); s.Reaped != 0 {
 		t.Fatalf("reaper killed %d healthy runs", s.Reaped)
+	}
+}
+
+// TestEstimateCoversQueueAllocation: for every packed Table 1 pipeline,
+// at capacities that do and do not fill a power of two, on both
+// substrates, the governor's estimate must be at least what allocating
+// the run's instance (queues, register files, retirement counts) takes
+// from the heap. Packed queues hold capacity x packet width values and
+// the ring rounds its buffer up, so charging NumQueues x capacity
+// undercounts. The pipeline carries no program, so the estimate's
+// memory-image term is zero and only queues, threads and the fixed
+// overhead stand against the allocation.
+func TestEstimateCoversQueueAllocation(t *testing.T) {
+	for _, b := range workloads.Table1Suite() {
+		prog := b.Build()
+		prof, err := profile.Collect(prog.F, prog.Options())
+		if err != nil {
+			t.Fatalf("%s: profile: %v", b.Name, err)
+		}
+		tr, err := core.Apply(prog.F, prog.LoopHeader, prof,
+			core.Config{SkipProfitability: true, PackFlows: true})
+		if errors.Is(err, core.ErrSingleSCC) {
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: transform: %v", b.Name, err)
+		}
+		plan, err := rt.NewPlan(tr.Threads)
+		if err != nil {
+			t.Fatalf("%s: plan: %v", b.Name, err)
+		}
+		p := &pipeline{tr: tr, plan: plan}
+		for _, kind := range []queue.Kind{queue.KindChannel, queue.KindRing} {
+			for _, qcap := range []int{0, 1000, 1025, 4097} {
+				est := estimateBytes(p, kind, qcap)
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				inst := plan.NewInstance(kind, qcap)
+				runtime.ReadMemStats(&after)
+				runtime.KeepAlive(inst)
+				if alloc := int64(after.TotalAlloc - before.TotalAlloc); est < alloc {
+					t.Errorf("%s %s cap %d: estimate %d bytes < instance allocation %d bytes",
+						b.Name, kind, qcap, est, alloc)
+				}
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"dswp/internal/queue"
 	"dswp/internal/workloads"
@@ -59,6 +60,13 @@ func resolve(req Request) (func() *workloads.Program, string, error) {
 		ident, threads, req.PackFlows, req.MasterLoop, req.ConservativeMemory,
 		req.Replicate, req.ReplicaWidth)
 	return build, key, nil
+}
+
+// identOf is the workload ident a resolve key starts with: the workload
+// and its parameters, without the transform config.
+func identOf(key string) string {
+	ident, _, _ := strings.Cut(key, "|")
+	return ident
 }
 
 func builtins() []workloads.Builder {

@@ -3,7 +3,6 @@ package interp
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"dswp/internal/ir"
@@ -115,19 +114,16 @@ const (
 
 type thread struct {
 	res        *ThreadResult
+	code       *Code
 	regs       []int64
-	block      *ir.Block
 	pc         int
 	done       bool
 	stall      stallReason
 	stallQueue int
 
-	// iters counts completed outer-loop iterations (backward transfers to
-	// outerHdr, the function's outermost back-edge target), reported in
-	// deadlock diagnostics.
-	iters    int64
-	outerHdr *ir.Block
-	blockIdx map[*ir.Block]int
+	// iters counts completed outer-loop iterations (back-edge transfers
+	// to code.Outer), reported in deadlock diagnostics.
+	iters int64
 
 	// Instrumentation state (used only with Options.Recorder set):
 	// inStall marks an open stall interval begun at step stallStart;
@@ -149,7 +145,8 @@ func Run(fn *ir.Function, opts Options) (*Result, error) {
 // blocks) with shared memory and shared queues. Thread 0 is the main
 // thread; its live-outs are collected. Execution ends when every thread
 // has returned. All-blocked is reported as a deadlock, which for DSWP
-// output indicates a transformation bug.
+// output indicates a transformation bug. Each function is lowered to Code
+// once per run.
 func RunThreads(fns []*ir.Function, opts Options) (*Result, error) {
 	if len(fns) == 0 {
 		return nil, fmt.Errorf("interp: no threads")
@@ -165,28 +162,24 @@ func RunThreads(fns []*ir.Function, opts Options) (*Result, error) {
 		mem = MemoryFor(fns[0])
 	}
 
-	queues := map[int]*queue{}
-	getQueue := func(id int) *queue {
-		q := queues[id]
-		if q == nil {
-			q = &queue{cap: opts.QueueCap}
-			queues[id] = q
-		}
-		return q
-	}
-
 	threads := make([]*thread, len(fns))
+	numQueues := 0
 	for i, fn := range fns {
 		if fn.Entry() == nil {
 			return nil, fmt.Errorf("interp: thread %d has no entry block", i)
 		}
+		code, err := Lower(fn)
+		if err != nil {
+			return nil, err
+		}
+		numQueues = max(numQueues, code.NumQueues)
 		th := &thread{
 			res: &ThreadResult{
 				Fn:     fn,
 				Counts: make([]int64, fn.NumInstrIDs()),
 			},
-			regs:  make([]int64, fn.MaxReg()+1),
-			block: fn.Entry(),
+			code: code,
+			regs: make([]int64, fn.MaxReg()+1),
 		}
 		if i == 0 {
 			for r, v := range opts.Regs {
@@ -202,38 +195,22 @@ func RunThreads(fns []*ir.Function, opts Options) (*Result, error) {
 				}
 			}
 			if opts.StartBlock != "" {
-				var start *ir.Block
-				for _, b := range fn.Blocks {
-					if b.Name == opts.StartBlock {
-						start = b
-						break
-					}
-				}
-				if start == nil {
+				pc, ok := code.BlockPC(opts.StartBlock)
+				if !ok {
 					return nil, fmt.Errorf("interp: start block %q not found in %s", opts.StartBlock, fn.Name)
 				}
-				th.block = start
+				th.pc = pc
 			}
 		}
-		th.blockIdx = make(map[*ir.Block]int, len(fn.Blocks))
-		for bi, b := range fn.Blocks {
-			th.blockIdx[b] = bi
-		}
-		th.outerHdr = OuterBackEdgeTarget(fn, BlockLayout(fn))
 		threads[i] = th
 	}
+	// A queue is allocated when a thread first touches it, so deadlock
+	// reports list only the queues the run used.
+	queues := make([]*queue, numQueues)
 	rec := opts.Recorder
 	if rec != nil {
 		// Declare every statically referenced queue's capacity and open
 		// each stage before execution starts.
-		numQueues := 0
-		for _, fn := range fns {
-			fn.Instrs(func(in *ir.Instr) {
-				if in.Op.IsFlow() && in.Queue+1 > numQueues {
-					numQueues = in.Queue + 1
-				}
-			})
-		}
 		for q := 0; q < numQueues; q++ {
 			rec.Record(obs.Event{Kind: obs.KQueueCap, Thread: 0, Queue: int32(q), Arg: int64(opts.QueueCap)})
 		}
@@ -259,7 +236,7 @@ func RunThreads(fns []*ir.Function, opts Options) (*Result, error) {
 				continue
 			}
 			allDone = false
-			progressed, err := runBurst(th, ti, mem, getQueue, burst, &total, maxSteps, opts.RecordTrace, rec)
+			progressed, err := runBurst(th, ti, mem, queues, opts.QueueCap, min(total+burst, maxSteps), &total, opts.RecordTrace, rec)
 			if err != nil {
 				return nil, fmt.Errorf("interp: thread %d: %w", ti, err)
 			}
@@ -288,60 +265,15 @@ func RunThreads(fns []*ir.Function, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// BlockLayout returns fn's layout order indexed by Block.ID: layout[b.ID]
-// is b's position in fn.Blocks. A transfer to a block at the same or an
-// earlier position is a back edge.
-func BlockLayout(fn *ir.Function) []int {
-	n := 0
-	for _, b := range fn.Blocks {
-		n = max(n, b.ID+1)
-	}
-	layout := make([]int, n)
-	for bi, b := range fn.Blocks {
-		layout[b.ID] = bi
-	}
-	return layout
-}
-
-// OuterBackEdgeTarget returns fn's outermost loop header: the earliest
-// block (in layout order, as given by BlockLayout) targeted by any
-// backward transfer. Inner-loop headers appear later in layout, so
-// transfers to this block count exactly the outer-loop iterations — robust
-// against pipeline threads replicating inner loops asymmetrically. Returns
-// nil for loop-free functions.
-func OuterBackEdgeTarget(fn *ir.Function, layout []int) *ir.Block {
-	var best *ir.Block
-	consider := func(from int, tg *ir.Block) {
-		if tg == nil || tg.ID >= len(layout) || fn.Blocks[layout[tg.ID]] != tg {
-			return
-		}
-		if ti := layout[tg.ID]; ti <= from && (best == nil || ti < layout[best.ID]) {
-			best = tg
-		}
-	}
-	for bi, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpJump:
-				consider(bi, in.Target)
-			case ir.OpBranch:
-				consider(bi, in.Target)
-				consider(bi, in.TargetFalse)
-			}
-		}
-	}
-	return best
-}
-
-func deadlockError(threads []*thread, queues map[int]*queue) error {
+func deadlockError(threads []*thread, queues []*queue) error {
 	var sb strings.Builder
 	sb.WriteString("interp: deadlock:")
 	for i, th := range threads {
 		state := "done"
 		if !th.done {
 			in := "?"
-			if th.pc < len(th.block.Instrs) {
-				in = th.block.Instrs[th.pc].String()
+			if op := th.code.Ops[th.pc]; op.In != nil {
+				in = op.In.String()
 			}
 			why := ""
 			switch th.stall {
@@ -350,8 +282,9 @@ func deadlockError(threads []*thread, queues map[int]*queue) error {
 			case stallFull:
 				why = fmt.Sprintf(" (StallFull q%d)", th.stallQueue)
 			}
+			block, off := th.code.Where(th.pc)
 			state = fmt.Sprintf("blocked%s at %s/%s[%d] %q iter=%d",
-				why, th.res.Fn.Name, th.block.Name, th.pc, in, th.iters)
+				why, th.res.Fn.Name, block.Name, off, in, th.iters)
 		}
 		fmt.Fprintf(&sb, " thread%d=%s;", i, state)
 	}
@@ -360,14 +293,11 @@ func deadlockError(threads []*thread, queues map[int]*queue) error {
 	// from the message. The table format is shared with the concurrent
 	// runtime's DeadlockError (obs.FormatQueueTable) so both error paths
 	// print identical diagnostics.
-	ids := make([]int, 0, len(queues))
-	for id := range queues {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	qs := make([]obs.QueueState, 0, len(ids))
-	for _, id := range ids {
-		q := queues[id]
+	var qs []obs.QueueState
+	for id, q := range queues {
+		if q == nil {
+			continue
+		}
 		prods, cons := queueEndpoints(threads, id)
 		qs = append(qs, obs.QueueState{
 			Queue: id, Len: q.occupancy(), Cap: q.cap,
@@ -383,17 +313,17 @@ func deadlockError(threads []*thread, queues map[int]*queue) error {
 func queueEndpoints(threads []*thread, id int) (prods, cons []int) {
 	for ti, th := range threads {
 		var p, c bool
-		th.res.Fn.Instrs(func(in *ir.Instr) {
-			if in.Queue != id {
-				return
+		for _, op := range th.code.Ops {
+			if int(op.Q) != id {
+				continue
 			}
-			switch in.Op {
+			switch op.Op {
 			case ir.OpProduce:
 				p = true
 			case ir.OpConsume:
 				c = true
 			}
-		})
+		}
 		if p {
 			prods = append(prods, ti)
 		}
@@ -404,257 +334,180 @@ func queueEndpoints(threads []*thread, id int) (prods, cons []int) {
 	return prods, cons
 }
 
-// runBurst executes up to n instructions of thread ti; returns whether
-// any instruction retired. rec, when non-nil, receives flow/stall/branch/
-// iteration/stage events timestamped with the shared retired-step counter.
-func runBurst(th *thread, ti int, mem *Memory, getQueue func(int) *queue, n int, total *int64, maxSteps int64, trace bool, rec obs.Recorder) (bool, error) {
-	progressed := false
-	// stallEnds closes the open stall interval, if any, charging its
-	// duration in steps. The End kind mirrors the Begin kind recorded
-	// when the interval opened (th.stall is already cleared by the time
-	// the blocked op finally completes, so it cannot be consulted here) —
-	// this keeps full/empty stall accounting symmetric with the
-	// concurrent runtime on bounded-queue runs.
-	stallEnds := func(q int) {
-		if !th.inStall {
-			return
-		}
-		th.inStall = false
-		kind := obs.KStallEmptyEnd
-		if th.stallWasFull {
-			kind = obs.KStallFullEnd
-		}
-		rec.Record(obs.Event{Kind: kind, Thread: int32(ti), Queue: int32(q),
-			When: *total, Arg: *total - th.stallStart})
-	}
-	for i := 0; i < n; i++ {
-		if th.done || *total >= maxSteps {
-			return progressed, nil
-		}
-		if th.pc >= len(th.block.Instrs) {
-			// Fall through to the next block in layout order.
-			next := NextBlock(th.res.Fn, th.block)
-			if next == nil {
-				return progressed, fmt.Errorf("fell off the end of block %s", th.block.Name)
-			}
-			th.block, th.pc = next, 0
-			continue
-		}
-		in := th.block.Instrs[th.pc]
-		ev := Event{In: in}
-
-		switch in.Op {
+// runBurst executes thread ti until the shared retired-step counter
+// reaches end, the thread stalls on a queue or it returns; it reports
+// whether any instruction retired. rec, when non-nil, receives
+// flow/stall/branch/iteration/stage events timestamped with the shared
+// retired-step counter.
+func runBurst(th *thread, ti int, mem *Memory, queues []*queue, qcap int, end int64, total *int64, trace bool, rec obs.Recorder) (bool, error) {
+	ops, regs, counts, words := th.code.Ops, th.regs, th.res.Counts, mem.Words()
+	pc, tot := th.pc, *total
+	start := tot
+	hooked := trace || rec != nil
+	var addr int64
+	var err error
+run:
+	for tot < end {
+		op := &ops[pc]
+		switch op.Op {
 		case ir.OpConsume:
-			q := getQueue(in.Queue)
+			q := touch(queues, op.Q, qcap)
 			if q.empty() {
 				if rec != nil && !th.inStall {
-					th.inStall, th.stallWasFull, th.stallStart = true, false, *total
+					th.inStall, th.stallWasFull, th.stallStart = true, false, tot
 					rec.Record(obs.Event{Kind: obs.KStallEmptyBegin,
-						Thread: int32(ti), Queue: int32(in.Queue), When: *total})
+						Thread: int32(ti), Queue: op.Q, When: tot})
 				}
-				th.stall, th.stallQueue = stallEmpty, in.Queue
-				return progressed, nil
+				th.stall, th.stallQueue = stallEmpty, int(op.Q)
+				break run
 			}
 			th.stall = stallNone
+			if th.inStall {
+				th.stallEnds(ti, op.Q, tot, rec)
+			}
 			v := q.pop()
-			if rec != nil {
-				stallEnds(in.Queue)
-				rec.Record(obs.Event{Kind: obs.KConsume, Thread: int32(ti),
-					Queue: int32(in.Queue), When: *total, Arg: int64(q.occupancy())})
+			if op.Dst >= 0 {
+				regs[op.Dst] = v
 			}
-			if in.Dst != ir.NoReg {
-				th.regs[in.Dst] = v
-			}
-			th.pc++
+			pc++
 		case ir.OpProduce:
-			q := getQueue(in.Queue)
+			q := touch(queues, op.Q, qcap)
 			if q.full() {
 				if rec != nil && !th.inStall {
-					th.inStall, th.stallWasFull, th.stallStart = true, true, *total
+					th.inStall, th.stallWasFull, th.stallStart = true, true, tot
 					rec.Record(obs.Event{Kind: obs.KStallFullBegin,
-						Thread: int32(ti), Queue: int32(in.Queue), When: *total})
+						Thread: int32(ti), Queue: op.Q, When: tot})
 				}
-				th.stall, th.stallQueue = stallFull, in.Queue
-				return progressed, nil
+				th.stall, th.stallQueue = stallFull, int(op.Q)
+				break run
 			}
 			th.stall = stallNone
+			if th.inStall {
+				th.stallEnds(ti, op.Q, tot, rec)
+			}
 			v := int64(0)
-			if len(in.Src) > 0 {
-				v = th.regs[in.Src[0]]
+			if op.A >= 0 {
+				v = regs[op.A]
 			}
 			q.push(v)
-			if rec != nil {
-				stallEnds(in.Queue)
-				rec.Record(obs.Event{Kind: obs.KProduce, Thread: int32(ti),
-					Queue: int32(in.Queue), When: *total, Arg: int64(q.occupancy())})
-			}
-			th.pc++
+			pc++
 		case ir.OpBranch:
-			taken := th.regs[in.Src[0]] != 0
-			ev.Taken = taken
-			from := th.block
-			if taken {
-				th.block, th.pc = in.Target, 0
+			back := op.BackF
+			if regs[op.A] != 0 {
+				pc, back = int(op.T), op.BackT
 			} else {
-				th.block, th.pc = in.TargetFalse, 0
+				pc = int(op.F)
 			}
-			backEdge := th.blockIdx[th.block] <= th.blockIdx[from]
-			if backEdge && th.block == th.outerHdr {
+			if back && pc == th.code.Outer {
 				th.iters++
-			}
-			if rec != nil {
-				arg := int64(0)
-				if taken {
-					arg = 1
-				}
-				rec.Record(obs.Event{Kind: obs.KBranch, Thread: int32(ti), Queue: -1,
-					When: *total, Arg: arg})
-				if backEdge {
-					rec.Record(obs.Event{Kind: obs.KIteration, Thread: int32(ti), Queue: -1, When: *total})
-				}
 			}
 		case ir.OpJump:
-			ev.Taken = true
-			from := th.block
-			th.block, th.pc = in.Target, 0
-			backEdge := th.blockIdx[th.block] <= th.blockIdx[from]
-			if backEdge && th.block == th.outerHdr {
+			pc = int(op.T)
+			if op.BackT && pc == th.code.Outer {
 				th.iters++
-			}
-			if rec != nil && backEdge {
-				rec.Record(obs.Event{Kind: obs.KIteration, Thread: int32(ti), Queue: -1, When: *total})
 			}
 		case ir.OpRet:
 			th.done = true
-			th.pc++
+			pc++
 		case ir.OpLoad:
-			addr := th.regs[in.Src[0]] + in.Imm
-			ev.Addr = addr
-			v, err := mem.Load(addr)
-			if err != nil {
-				return progressed, fmt.Errorf("%s: %w", in, err)
+			addr = regs[op.A] + op.Imm
+			if uint64(addr) >= uint64(len(words)) {
+				_, err = mem.Load(addr)
+				err = fmt.Errorf("%s: %w", op.In, err)
+				break run
 			}
-			th.regs[in.Dst] = v
-			th.pc++
+			regs[op.Dst] = words[addr]
+			pc++
 		case ir.OpStore:
-			addr := th.regs[in.Src[1]] + in.Imm
-			ev.Addr = addr
-			if err := mem.Store(addr, th.regs[in.Src[0]]); err != nil {
-				return progressed, fmt.Errorf("%s: %w", in, err)
+			addr = regs[op.B] + op.Imm
+			if uint64(addr) >= uint64(len(words)) {
+				err = fmt.Errorf("%s: %w", op.In, mem.Store(addr, regs[op.A]))
+				break run
 			}
-			th.pc++
+			words[addr] = regs[op.A]
+			pc++
 		case ir.OpCall:
 			// Opaque call: functionally a no-op; timing charges Imm.
-			th.pc++
+			pc++
+		case OpSkip:
+			pc++
+			continue
+		case OpEnd:
+			err = th.code.FellOff()
+			break run
 		default:
-			th.regs[in.Dst] = EvalALU(in, th.regs)
-			th.pc++
+			regs[op.Dst] = op.Eval(regs)
+			pc++
 		}
 
-		th.res.Counts[in.ID]++
-		th.res.Steps++
-		*total++
-		progressed = true
-		if trace {
-			th.res.Trace = append(th.res.Trace, ev)
+		counts[op.ID]++
+		tot++
+		if hooked {
+			th.hook(ti, op, regs, addr, queues, tot, th.res.Steps+tot-start, trace, rec)
 		}
-		if th.done && rec != nil {
-			rec.Record(obs.Event{Kind: obs.KStageDone, Thread: int32(ti), Queue: -1,
-				When: *total, Arg: th.res.Steps})
+		if th.done {
+			break
 		}
 	}
-	return progressed, nil
+	th.pc = pc
+	th.res.Steps += tot - start
+	*total = tot
+	return tot > start, err
 }
 
-// NextBlock returns the fall-through successor of b in layout order, or
-// nil at the end of the function. Exported so the concurrent runtime
-// (internal/runtime) shares the interpreter's fall-through semantics.
-func NextBlock(f *ir.Function, b *ir.Block) *ir.Block {
-	for i, bb := range f.Blocks {
-		if bb == b {
-			if i+1 < len(f.Blocks) {
-				return f.Blocks[i+1]
-			}
-			return nil
-		}
+// touch returns queue id, allocating it on first use.
+func touch(queues []*queue, id int32, qcap int) *queue {
+	q := queues[id]
+	if q == nil {
+		q = &queue{cap: qcap}
+		queues[id] = q
 	}
-	return nil
+	return q
 }
 
-// EvalALU evaluates a non-memory, non-flow, non-control instruction over
-// regs. It is the single source of truth for ALU semantics, shared by this
-// interpreter and the concurrent runtime in internal/runtime.
-func EvalALU(in *ir.Instr, regs []int64) int64 {
-	get := func(i int) int64 { return regs[in.Src[i]] }
-	b2i := func(b bool) int64 {
-		if b {
-			return 1
-		}
-		return 0
+// stallEnds closes the open stall interval, charging its duration in
+// steps. The End kind mirrors the Begin kind recorded when the interval
+// opened (th.stall is already cleared by the time the blocked op finally
+// completes, so it cannot be consulted here) — this keeps full/empty
+// stall accounting symmetric with the concurrent runtime on bounded-queue
+// runs.
+func (th *thread) stallEnds(ti int, q int32, now int64, rec obs.Recorder) {
+	th.inStall = false
+	kind := obs.KStallEmptyEnd
+	if th.stallWasFull {
+		kind = obs.KStallFullEnd
 	}
-	switch in.Op {
-	case ir.OpConst:
-		return in.Imm
-	case ir.OpMove:
-		return get(0)
-	case ir.OpAdd:
-		return get(0) + get(1)
-	case ir.OpSub:
-		return get(0) - get(1)
-	case ir.OpMul:
-		return get(0) * get(1)
-	case ir.OpDiv:
-		if get(1) == 0 {
-			return 0
-		}
-		return get(0) / get(1)
-	case ir.OpRem:
-		if get(1) == 0 {
-			return 0
-		}
-		return get(0) % get(1)
-	case ir.OpAnd:
-		return get(0) & get(1)
-	case ir.OpOr:
-		return get(0) | get(1)
-	case ir.OpXor:
-		return get(0) ^ get(1)
-	case ir.OpShl:
-		return get(0) << (uint64(get(1)) & 63)
-	case ir.OpShr:
-		return get(0) >> (uint64(get(1)) & 63)
-	case ir.OpNeg:
-		return -get(0)
-	case ir.OpNot:
-		return ^get(0)
-	case ir.OpCmpEQ:
-		return b2i(get(0) == get(1))
-	case ir.OpCmpNE:
-		return b2i(get(0) != get(1))
-	case ir.OpCmpLT:
-		return b2i(get(0) < get(1))
-	case ir.OpCmpLE:
-		return b2i(get(0) <= get(1))
-	case ir.OpCmpGT:
-		return b2i(get(0) > get(1))
-	case ir.OpCmpGE:
-		return b2i(get(0) >= get(1))
-	case ir.OpFAdd:
-		return ir.F2I(ir.I2F(get(0)) + ir.I2F(get(1)))
-	case ir.OpFSub:
-		return ir.F2I(ir.I2F(get(0)) - ir.I2F(get(1)))
-	case ir.OpFMul:
-		return ir.F2I(ir.I2F(get(0)) * ir.I2F(get(1)))
-	case ir.OpFDiv:
-		return ir.F2I(ir.I2F(get(0)) / ir.I2F(get(1)))
-	case ir.OpFCmpLT:
-		return b2i(ir.I2F(get(0)) < ir.I2F(get(1)))
-	case ir.OpFCmpGT:
-		return b2i(ir.I2F(get(0)) > ir.I2F(get(1)))
-	case ir.OpIToF:
-		return ir.F2I(float64(get(0)))
-	case ir.OpFToI:
-		return int64(ir.I2F(get(0)))
+	rec.Record(obs.Event{Kind: kind, Thread: int32(ti), Queue: q,
+		When: now, Arg: now - th.stallStart})
+}
+
+// hook records the trace event and recorder events of an op that just
+// retired as the tot-th step overall and the steps-th of its thread.
+// Events about the op itself carry its pre-retirement timestamp.
+func (th *thread) hook(ti int, op *Op, regs []int64, addr int64, queues []*queue, tot, steps int64, trace bool, rec obs.Recorder) {
+	ev, back := op.Retired(regs, addr)
+	if trace {
+		th.res.Trace = append(th.res.Trace, ev)
 	}
-	panic(fmt.Sprintf("interp: unhandled op %s", in.Op))
+	if rec == nil {
+		return
+	}
+	switch op.Op {
+	case ir.OpConsume, ir.OpProduce:
+		kind := obs.KConsume
+		if op.Op == ir.OpProduce {
+			kind = obs.KProduce
+		}
+		rec.Record(obs.Event{Kind: kind, Thread: int32(ti), Queue: op.Q,
+			When: tot - 1, Arg: int64(queues[op.Q].occupancy())})
+	case ir.OpBranch:
+		rec.Record(obs.Event{Kind: obs.KBranch, Thread: int32(ti), Queue: -1,
+			When: tot - 1, Arg: b2i(ev.Taken)})
+	case ir.OpRet:
+		rec.Record(obs.Event{Kind: obs.KStageDone, Thread: int32(ti), Queue: -1,
+			When: tot, Arg: steps})
+	}
+	if back {
+		rec.Record(obs.Event{Kind: obs.KIteration, Thread: int32(ti), Queue: -1, When: tot - 1})
+	}
 }

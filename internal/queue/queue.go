@@ -108,6 +108,20 @@ type Queue interface {
 	Reset()
 }
 
+// Slots is the number of int64 slots a queue of the given kind and
+// capacity allocates: the ring rounds its buffer up to a power of two, a
+// channel buffers exactly its capacity.
+func Slots(kind Kind, capacity int) int {
+	if kind != KindRing {
+		return capacity
+	}
+	n := 1
+	for n < capacity {
+		n <<= 1
+	}
+	return n
+}
+
 // New builds a queue of the given kind. Capacity must be >= 1.
 func New(kind Kind, capacity int) Queue {
 	if capacity < 1 {

@@ -162,12 +162,13 @@ func TestBatchedConcurrent(t *testing.T) {
 // Len) until the producer publishes, and slots consumed below a batch
 // stay unavailable to the producer until the consumer releases.
 func TestLazyPublication(t *testing.T) {
-	for capacity, want := range map[int]uint64{1: 1, 2: 1, 3: 1, 4: 1, 7: 1, 8: 2, 13: 3, 16: 4, 32: 8, 256: 8} {
+	for capacity, want := range map[int]uint64{1: 1, 2: 1, 3: 1, 4: 1, 7: 1, 8: 2, 13: 3, 16: 4, 32: 8,
+		256: 64, 300: 64, 1024: 64} {
 		if got := New(KindRing, capacity).(*ring).batch; got != want {
 			t.Errorf("cap %d: batch %d, want %d", capacity, got, want)
 		}
 	}
-	for _, capacity := range []int{8, 13, 32, 256} {
+	for _, capacity := range []int{8, 13, 32, 256, 1024} {
 		q := New(KindRing, capacity)
 		below := int(batchFor(capacity)) - 1
 		for i := 0; i < below; i++ {

@@ -25,7 +25,7 @@ var fpPark = failpoint.New("queue/ring/park")
 // the shared atomic (tail, head) only once per batch of values, or when
 // its owner calls Publish/Release. So a pipelined loop pays one atomic
 // hand-off, and one cache-line transfer to the peer, per batch instead of
-// per value. The batch is min(8, cap/4) with a floor of 1, so capacities
+// per value. The batch is min(64, cap/4) with a floor of 1, so capacities
 // below 8 keep per-value publication. Values an endpoint has not yet
 // published are invisible to its peer and to Len: the producer must
 // Publish at the end of a stream and the consumer must Release before it
@@ -81,10 +81,13 @@ type ring struct {
 	consWake chan struct{}
 }
 
-// maxBatch caps lazy publication. Eight values per index store already
-// amortize the hand-off; a larger batch would only delay visibility on
-// deep queues.
-const maxBatch = 8
+// maxBatch caps lazy publication. At 64 values per index store one atomic
+// store and one cache-line transfer of the index serve 64 values, so the
+// hand-off is a small share of a value's cost next to the slot itself; a
+// larger batch would only delay visibility on deep queues. Reaching it
+// takes a capacity of at least 256 (the batch is at most a quarter of it),
+// which is why runtime.DefaultQueueCap is deep.
+const maxBatch = 64
 
 // batchFor is the publication batch of a ring of the given capacity:
 // min(maxBatch, capacity/4), at least 1. An end holds fewer than a batch
@@ -116,10 +119,7 @@ func spinBudget() int {
 }
 
 func newRing(capacity int) *ring {
-	n := 1
-	for n < capacity {
-		n <<= 1
-	}
+	n := Slots(KindRing, capacity)
 	return &ring{
 		buf:      make([]int64, n),
 		mask:     uint64(n - 1),

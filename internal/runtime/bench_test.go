@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dswp/internal/core"
+	"dswp/internal/interp"
 	"dswp/internal/ir"
 	"dswp/internal/obs"
 	"dswp/internal/profile"
@@ -98,4 +99,44 @@ func BenchmarkRuntimeQueueKind(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkExecutors runs one suite loop (wc, a balanced two-stage
+// split) on both executors of lowered code: the untransformed loop on the
+// interpreter, the sequential baseline, and the DSWP pipeline on the ring
+// substrate with a warm Plan and Instance, as the loops benchmark runs it.
+// ns/op is one whole run; the ratio of the two is the pipeline's speedup.
+func BenchmarkExecutors(b *testing.B) {
+	ref := workloads.WC()
+	p := workloads.WC()
+	prof, err := profile.Collect(p.F, p.Options())
+	if err != nil {
+		b.Fatalf("profile: %v", err)
+	}
+	tr, err := core.Apply(p.F, p.LoopHeader, prof, core.Config{})
+	if err != nil {
+		b.Fatalf("transform: %v", err)
+	}
+	plan, err := NewPlan(tr.Threads)
+	if err != nil {
+		b.Fatalf("plan: %v", err)
+	}
+	inst := plan.NewInstance(queue.KindRing, 0)
+	b.Run("interp", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := interp.Run(ref.F, ref.Options()); err != nil {
+				b.Fatalf("interp: %v", err)
+			}
+		}
+	})
+	b.Run("pipeline", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(tr.Threads, Options{Queue: queue.KindRing, Plan: plan, Instance: inst,
+				Mem: p.Mem, Regs: p.Regs}); err != nil {
+				b.Fatalf("pipeline: %v", err)
+			}
+		}
+	})
 }

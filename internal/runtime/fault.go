@@ -161,8 +161,8 @@ func (e *engine) nextFault(ti int, after int64) int64 {
 // that cancellation cuts short, a panic the stage's recover turns into a
 // *StageFailure, or an error that fails the run. It returns the next
 // trigger point, or 0 when the thread must stop.
-func (e *engine) threadFault(ti int, flush func()) int64 {
-	flush()
+func (e *engine) threadFault(ti int, steps, iters int64) int64 {
+	e.flush(ti, steps, iters)
 	th := e.threads[ti]
 	where := fmt.Sprintf("injected fault: thread %d at step %d (plan seed %d)",
 		ti, th.res.Steps, e.opts.Faults.Seed)

@@ -11,8 +11,9 @@ import (
 // Plan is the static execution plan for one transformed pipeline: every
 // per-run-invariant analysis the engine's build step used to redo on each
 // Run — queue topology (static produce/consume sites), flow-packing
-// packet widths, each thread's queue ends, block layout indices, and
-// outer-loop back-edge targets. A Plan is immutable after construction
+// packet widths, each thread's queue ends, and each thread's lowered
+// interp.Code (pre-decoded ops, branch targets, back-edge flags and
+// outer-loop header). A Plan is immutable after construction
 // and safe to share across any number of concurrent runs of the same
 // thread functions, which is what makes the serving engine's
 // compiled-pipeline cache pay: N requests for the same loop do this work
@@ -29,11 +30,10 @@ type Plan struct {
 	// and consumes from, ascending: the ends its flush publishes.
 	produces [][]int
 	consumes [][]int
-	// layout[t][b.ID] is block b's position in thread t's layout order
-	// (back edges go to an earlier or the same position).
-	layout   [][]int
-	outerHdr []*ir.Block
-	topo     *Topology
+	// code[t] is thread t's lowered function, the form its stage loop
+	// executes.
+	code []*interp.Code
+	topo *Topology
 }
 
 // NewPlan analyzes fns into a reusable static plan. It performs the same
@@ -42,18 +42,17 @@ func NewPlan(fns []*ir.Function) (*Plan, error) {
 	if len(fns) == 0 {
 		return nil, fmt.Errorf("runtime: no threads")
 	}
-	p := &Plan{fns: fns}
+	p := &Plan{fns: fns, code: make([]*interp.Code, len(fns))}
 	for i, fn := range fns {
 		if fn.Entry() == nil {
 			return nil, fmt.Errorf("runtime: thread %d has no entry block", i)
 		}
-	}
-	for _, fn := range fns {
-		fn.Instrs(func(in *ir.Instr) {
-			if in.Op.IsFlow() && in.Queue+1 > p.numQueues {
-				p.numQueues = in.Queue + 1
-			}
-		})
+		c, err := interp.Lower(fn)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: thread %d: %w", i, err)
+		}
+		p.code[i] = c
+		p.numQueues = max(p.numQueues, c.NumQueues)
 	}
 	p.packWidth = make([]int, p.numQueues)
 	for _, fn := range fns {
@@ -97,12 +96,6 @@ func NewPlan(fns []*ir.Function) (*Plan, error) {
 			}
 		}
 	}
-	p.layout = make([][]int, len(fns))
-	p.outerHdr = make([]*ir.Block, len(fns))
-	for i, fn := range fns {
-		p.layout[i] = interp.BlockLayout(fn)
-		p.outerHdr[i] = interp.OuterBackEdgeTarget(fn, p.layout[i])
-	}
 	return p, nil
 }
 
@@ -126,13 +119,19 @@ func (p *Plan) capFor(q, queueCap int) int {
 	return c
 }
 
-// newQueue builds queue q's substrate, falling back to a channel where the
-// SPSC ring would be unsound (multiple static endpoints on either side).
-func (p *Plan) newQueue(q int, kind queue.Kind, capacity int) queue.Queue {
-	if kind == queue.KindRing && (len(p.prods[q]) > 1 || len(p.cons[q]) > 1) {
-		kind = queue.KindChannel
+// QueueSize is queue q's geometry in a run of the given kind and
+// per-queue capacity (0 = DefaultQueueCap): the substrate it gets — kind,
+// except that a queue with more than one static producer or consumer
+// thread falls back to a channel where the SPSC ring would be unsound —
+// its logical capacity (capFor), and the int64 slots that substrate
+// allocates for it. NewInstance sizes its queues by it and the serving
+// engine's memory governor charges by it, so the two cannot disagree.
+func (p *Plan) QueueSize(q int, kind queue.Kind, queueCap int) (k queue.Kind, capacity, slots int) {
+	k, capacity = kind, p.capFor(q, queueCap)
+	if k == queue.KindRing && (len(p.prods[q]) > 1 || len(p.cons[q]) > 1) {
+		k = queue.KindChannel
 	}
-	return queue.New(kind, capacity)
+	return k, capacity, queue.Slots(k, capacity)
 }
 
 // matches reports whether fns is the thread list this plan was built for.
@@ -180,13 +179,14 @@ func (p *Plan) NewInstance(kind queue.Kind, queueCap int) *Instance {
 	in := &Instance{plan: p, kind: kind, queueCap: queueCap}
 	in.queues = make([]queue.Queue, p.numQueues)
 	for q := range in.queues {
-		in.queues[q] = p.newQueue(q, kind, p.capFor(q, queueCap))
+		k, c, _ := p.QueueSize(q, kind, queueCap)
+		in.queues[q] = queue.New(k, c)
 	}
 	in.regs = make([][]int64, len(p.fns))
 	in.counts = make([][]int64, len(p.fns))
 	for i, fn := range p.fns {
-		in.regs[i] = make([]int64, fn.MaxReg()+1)
-		in.counts[i] = make([]int64, fn.NumInstrIDs())
+		in.regs[i] = padded(int(fn.MaxReg()) + 1)
+		in.counts[i] = padded(fn.NumInstrIDs())
 	}
 	return in
 }
@@ -240,4 +240,13 @@ func (in *Instance) Verify() error {
 		}
 	}
 	return nil
+}
+
+// padded allocates n zeroed words with a cache line of slack on either
+// side. Every stage writes its register file and retirement counts on
+// nearly every instruction; the slack keeps another thread's allocation
+// from sharing their first or last cache line.
+func padded(n int) []int64 {
+	buf := make([]int64, n+16)
+	return buf[8 : 8+n : 8+n]
 }

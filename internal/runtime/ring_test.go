@@ -275,3 +275,65 @@ func TestRingCancellation(t *testing.T) {
 		t.Fatalf("cancellation took %v; parked thread missed the done signal", elapsed)
 	}
 }
+
+// TestDeadlockAtDepth: a cyclic partition at the default queue depth
+// still ends in a *DeadlockError whose occupancy is consistent. Thread a
+// fills q0 (1,500 values, more than its capacity) before it sends the
+// value b waits for on q1, so a wedges on a full q0 and b on an empty q1
+// on every schedule. Values are published before a thread waits, so the
+// blocked-full queue reports Len == Cap on the ring too.
+func TestDeadlockAtDepth(t *testing.T) {
+	a := ir.MustParse(`func a {
+entry:
+    r1 = const 0
+    r2 = const 1
+    r3 = const 1500
+    jump loop
+loop:
+    produce [0] = r1
+    r1 = add r1, r2
+    r4 = cmplt r1, r3
+    br r4, loop, done
+done:
+    produce [1] = r1
+    ret
+}
+`)
+	b := ir.MustParse(`func b {
+entry:
+    consume r1 = [1]
+    r2 = const 0
+    r3 = const 1
+    jump loop
+loop:
+    consume r4 = [0]
+    r2 = add r2, r3
+    r5 = cmplt r2, r1
+    br r5, loop, done
+done:
+    ret
+}
+`)
+	for _, kind := range []queue.Kind{queue.KindChannel, queue.KindRing} {
+		_, err := Run([]*ir.Function{a, b}, Options{Queue: kind, Timeout: 10 * time.Second})
+		var derr *DeadlockError
+		if !errors.As(err, &derr) {
+			t.Fatalf("%s: err = %v, want *DeadlockError", kind, err)
+		}
+		want := []BlockInfo{
+			{Thread: 0, Fn: "a", Block: "loop", PC: 0, Instr: "produce [0] = r1", State: "blocked-full", Queue: 0, Iter: DefaultQueueCap},
+			{Thread: 1, Fn: "b", Block: "entry", PC: 0, Instr: "consume r1 = [1]", State: "blocked-empty", Queue: 1, Iter: 0},
+		}
+		for i, th := range derr.Threads {
+			if th != want[i] {
+				t.Errorf("%s: thread %d = %+v, want %+v", kind, i, th, want[i])
+			}
+		}
+		if q := derr.Queues[0]; q.Len != DefaultQueueCap || q.Cap != DefaultQueueCap {
+			t.Errorf("%s: q0 occupancy = %d/%d, want %d/%d", kind, q.Len, q.Cap, DefaultQueueCap, DefaultQueueCap)
+		}
+		if q := derr.Queues[1]; q.Len != 0 || q.Cap != DefaultQueueCap {
+			t.Errorf("%s: q1 occupancy = %d/%d, want 0/%d", kind, q.Len, q.Cap, DefaultQueueCap)
+		}
+	}
+}

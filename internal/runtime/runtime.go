@@ -37,9 +37,16 @@ import (
 	"dswp/internal/queue"
 )
 
-// DefaultQueueCap matches the paper's 32-entry synchronization-array
-// queues (and sim.Config's default QueueSize).
-const DefaultQueueCap = 32
+// DefaultQueueCap is the default per-queue capacity. The paper's
+// synchronization array has 32-entry queues because it is hardware: each
+// entry costs silicon and a produce or consume costs about a cycle. A
+// software queue's entry costs 8 bytes, while its hand-off costs an atomic
+// index store and a cache-line transfer, which the ring amortizes over a
+// publication batch of up to a quarter of the capacity. A deep queue lets
+// that batch reach its maximum and gives stages more slack to absorb
+// uneven iterations. Only the cycle model in internal/sim models the
+// hardware array, and it keeps 32 entries (sim.Config.QueueSize).
+const DefaultQueueCap = 1024
 
 const (
 	defaultMaxSteps = 500_000_000
@@ -55,12 +62,10 @@ const (
 	// result.
 	stalePolls = 15
 	// flushEvery batches the shared retired-step counter to keep atomic
-	// traffic off the hot path, and bounds how many instructions a value
-	// or slot can stay unpublished in a ring queue.
+	// traffic off the hot path, bounds how many instructions a value or
+	// slot can stay unpublished in a ring queue, and paces each thread's
+	// step-limit and cancellation checks.
 	flushEvery = 256
-	// ctxCheckEvery bounds how many instructions a thread retires between
-	// cancellation checks.
-	ctxCheckEvery = 1024
 )
 
 // Options configures a concurrent run.
@@ -135,19 +140,22 @@ type threadState struct {
 	// fault is the thread's run-scoped fault policy (nil = none).
 	fault *failpoint.Eval
 
-	// iters is the thread's completed outer-loop iteration count,
-	// published for failure diagnostics (-1 until the first back-edge of
-	// a loop-free thread never fires).
+	// iters is the thread's completed outer-loop iteration count as of
+	// its last flush, published for failure diagnostics: exact for a
+	// thread that is blocked, parked or done, at most flushEvery
+	// instructions stale for a running one.
 	iters atomic.Int64
 
-	// Guarded by engine.mu. The blocking instruction is kept as is and
-	// formatted only when a snapshot is taken, so a stall costs no
-	// allocation.
+	// flushed is the part of res.Steps already added to the engine's
+	// shared step counter. Owned by the goroutine.
+	flushed int64
+
+	// Guarded by engine.mu. A stall records only the blocked op's pc;
+	// its block, in-block index and text are derived when a snapshot is
+	// taken, so a stall costs no allocation.
 	state blockState
 	queue int
-	block string
 	pc    int
-	instr *ir.Instr
 }
 
 type engine struct {
@@ -158,14 +166,17 @@ type engine struct {
 	threads []*threadState
 
 	// plan holds the static analyses (queue topology, packet widths,
-	// block layout indices): caller-supplied and shared across runs, or
-	// built fresh for this run. Read-only here.
+	// lowered code): caller-supplied and shared across runs, or built
+	// fresh for this run. Read-only here.
 	plan *Plan
 
-	rec      obs.Recorder
-	start    time.Time
-	outerHdr []*ir.Block // thread -> outer-loop back-edge target (nil = loop-free); engine-owned copy when a checkpoint spec overrides it
-	ckpt     *ckptState  // nil when checkpointing is disabled
+	rec   obs.Recorder
+	start time.Time
+	// hdr[t] is the pc of the loop header whose back-edge transfers count
+	// thread t's iterations (-1 = loop-free): the code's outer header, or
+	// the checkpoint spec's named header.
+	hdr  []int
+	ckpt *ckptState // nil when checkpointing is disabled
 
 	parent   context.Context // the caller's context (cancellation source)
 	ctx      context.Context // derived: canceled on failure or parent cancel
@@ -330,14 +341,14 @@ func (e *engine) build() error {
 		// and only faulted queues are wrapped in their policy.
 		e.queues = make([]queue.Queue, plan.numQueues)
 		for q := range e.queues {
-			c := plan.capFor(q, e.opts.QueueCap)
+			k, c, _ := plan.QueueSize(q, e.opts.Queue, e.opts.QueueCap)
 			if faults.QueueCap[q] > 0 {
 				c = faults.QueueCap[q]
 				if w := plan.packWidth[q]; w > 1 {
 					c *= w
 				}
 			}
-			e.queues[q] = plan.newQueue(q, e.opts.Queue, c)
+			e.queues[q] = queue.New(k, c)
 			if pol, ok := faults.Queue[q]; ok {
 				e.queues[q] = e.faultQueue(q, e.queues[q], pol)
 			}
@@ -357,8 +368,8 @@ func (e *engine) build() error {
 			th.res.Counts = inst.counts[i]
 			th.regs = inst.regs[i]
 		} else {
-			th.res.Counts = make([]int64, fn.NumInstrIDs())
-			th.regs = make([]int64, fn.MaxReg()+1)
+			th.res.Counts = padded(fn.NumInstrIDs())
+			th.regs = padded(int(fn.MaxReg()) + 1)
 		}
 		if i == 0 {
 			for r, v := range e.opts.Regs {
@@ -370,34 +381,29 @@ func (e *engine) build() error {
 		}
 		e.threads[i] = th
 	}
-	// The outer-loop header feeds back-edge detection for iteration
-	// counting, checkpoint barriers, and instrumentation. The plan's
-	// slice is shared across runs, so a checkpoint-spec override below
-	// works on an engine-owned copy.
-	e.outerHdr = plan.outerHdr
+	// The outer-loop header feeds iteration counting and checkpoint
+	// barriers. A checkpoint spec's named header overrides it by pc, so
+	// the shared code needs no re-lowering.
+	e.hdr = make([]int, len(e.fns))
+	for i, c := range plan.code {
+		e.hdr[i] = c.Outer
+	}
 	if spec := e.opts.Checkpoint; spec != nil && len(spec.RegOwner) > 0 {
-		e.outerHdr = append([]*ir.Block(nil), plan.outerHdr...)
 		aligned := true
 		if spec.Header != "" {
 			// Anchor every thread's epoch on its copy of the named loop
 			// header, so threads count iterations of the same loop.
-			for i, fn := range e.fns {
-				var named *ir.Block
-				for _, b := range fn.Blocks {
-					if b.Name == spec.Header {
-						named = b
-						break
-					}
-				}
-				if named == nil {
+			for i, c := range plan.code {
+				pc, ok := c.BlockPC(spec.Header)
+				if !ok {
 					aligned = false
 					break
 				}
-				e.outerHdr[i] = named
+				e.hdr[i] = pc
 			}
 		} else {
-			for _, h := range e.outerHdr {
-				if h == nil {
+			for _, h := range e.hdr {
+				if h < 0 {
 					aligned = false // a loop-free thread has no boundary to align on
 				}
 			}
@@ -438,14 +444,12 @@ func (e *engine) failPanic(ti int, v any, stack []byte) {
 	e.mu.Unlock()
 }
 
-func (e *engine) setBlocked(ti int, st blockState, block *ir.Block, pc int, in *ir.Instr) {
+func (e *engine) setBlocked(ti int, st blockState, pc int) {
 	th := e.threads[ti]
 	e.mu.Lock()
 	th.state = st
-	th.queue = in.Queue
-	th.block = block.Name
+	th.queue = int(e.plan.code[ti].Ops[pc].Q)
 	th.pc = pc
-	th.instr = in
 	e.mu.Unlock()
 }
 
@@ -455,10 +459,15 @@ func (e *engine) setState(ti int, st blockState) {
 	e.mu.Unlock()
 }
 
-// runThread is one pipeline stage: a straight interpreter loop over the
-// thread's function, blocking for real on its queues. Panics inside
-// the stage (including injected ones) are captured into a *StageFailure
-// carrying a full pipeline snapshot instead of crashing the process.
+// runThread is one pipeline stage: one dispatch loop over the thread's
+// lowered code (interp.Code, cached in the plan), blocking for real on its
+// queues. Retired steps live in a local that flush stores to th.res.Steps
+// before every wait, fault and exit. Trace recording, fine-grained events
+// and the thread-fault step check sit behind one hooked branch per
+// instruction; the step-limit and cancellation checks run once per
+// flush. Panics inside the stage (including injected ones) are captured
+// into a *StageFailure carrying a full pipeline snapshot instead of
+// crashing the process.
 func (e *engine) runThread(ti int) {
 	th := e.threads[ti]
 	defer func() {
@@ -468,10 +477,10 @@ func (e *engine) runThread(ti int) {
 		e.ckptLeave(ti)
 		e.wg.Done()
 	}()
-	fn := e.fns[ti]
-	regs := th.regs
-	block := fn.Entry()
-	pc := 0
+	code := e.plan.code[ti]
+	ops, regs, counts := code.Ops, th.regs, th.res.Counts
+	mem, words, queues := e.mem, e.mem.Words(), e.queues
+	hdr := e.hdr[ti]
 	trace := e.opts.RecordTrace
 	faultAt := e.nextFault(ti, 0)
 	rec := e.rec
@@ -482,15 +491,16 @@ func (e *engine) runThread(ti int) {
 	if rec != nil && !obs.FineEvents(rec) {
 		fine = nil
 	}
-	layout := e.plan.layout[ti]
-	outerHdr := e.outerHdr[ti]
-	var iters int64
-	var ckptEvery int64
-	// dirty is this thread's dirty-page bitmap, nil unless the run
-	// checkpoints: an unchecked store pays one nil check for it.
+	hooked := trace || fine != nil || th.fault != nil
+	// nextCkpt is the iteration count of the next checkpoint barrier (0,
+	// never reached, when the run does not checkpoint). dirty is this
+	// thread's dirty-page bitmap, nil unless the run checkpoints: an
+	// unchecked store pays one nil check for it.
+	var ckptEvery, nextCkpt int64
 	var dirty []uint64
 	if e.ckpt != nil {
 		ckptEvery = e.ckpt.every
+		nextCkpt = ckptEvery
 		dirty = e.ckpt.dirty[ti]
 	}
 	if rec != nil {
@@ -501,183 +511,78 @@ func (e *engine) runThread(ti int) {
 		}()
 	}
 
-	// flush publishes every queue end this thread owns, then its retired
-	// step count. It runs before the thread can wait on anything — a
-	// stall, the checkpoint barrier, a thread fault — at OpRet, and every
-	// flushEvery instructions, so no thread waits while it holds values
-	// or slots its peer needs. It never blocks: unpublished values already
-	// sit in slots within capacity.
-	produces, consumes := e.plan.produces[ti], e.plan.consumes[ti]
-	var local int64
-	ctxCheck := 0
-	flush := func() {
-		for _, q := range produces {
-			e.queues[q].Publish()
-		}
-		for _, q := range consumes {
-			e.queues[q].Release()
-		}
-		if local == 0 {
-			return
-		}
-		if total := e.steps.Add(local); total >= e.maxSteps {
-			e.fail(&StepLimitError{Limit: e.maxSteps})
-		}
-		local = 0
-	}
-	defer flush()
-
+	var steps, iters, addr int64
+	nextFlush := int64(flushEvery)
+	pc := 0
+run:
 	for {
-		ctxCheck++
-		if ctxCheck >= ctxCheckEvery {
-			ctxCheck = 0
-			if e.ctx.Err() != nil {
-				return
-			}
-		}
-		if pc >= len(block.Instrs) {
-			next := interp.NextBlock(fn, block)
-			if next == nil {
-				e.fail(fmt.Errorf("runtime: thread %d fell off the end of block %s", ti, block.Name))
-				return
-			}
-			block, pc = next, 0
-			continue
-		}
-		in := block.Instrs[pc]
-		ev := interp.Event{In: in}
-
-		switch in.Op {
+		op := &ops[pc]
+		switch op.Op {
 		case ir.OpConsume:
-			q := e.queues[in.Queue]
+			q := queues[op.Q]
 			v, ok := q.TryConsume()
 			if !ok {
-				flush()
-				e.setBlocked(ti, stateBlockedEmpty, block, pc, in)
-				var t0 int64
-				if rec != nil {
-					t0 = e.now()
-					rec.Record(obs.Event{Kind: obs.KStallEmptyBegin, Thread: int32(ti),
-						Queue: int32(in.Queue), When: t0})
-				}
-				if v, ok = q.Consume(e.ctx.Done()); !ok {
-					return
-				}
-				e.setState(ti, stateRunning)
-				if rec != nil {
-					t1 := e.now()
-					rec.Record(obs.Event{Kind: obs.KStallEmptyEnd, Thread: int32(ti),
-						Queue: int32(in.Queue), When: t1, Arg: t1 - t0})
+				if v, ok = e.waitConsume(ti, pc, q, steps, iters); !ok {
+					break run
 				}
 			}
-			if fine != nil {
-				fine.Record(obs.Event{Kind: obs.KConsume, Thread: int32(ti),
-					Queue: int32(in.Queue), When: e.now(), Arg: int64(q.Len())})
-			}
-			if in.Dst != ir.NoReg {
-				regs[in.Dst] = v
+			if op.Dst >= 0 {
+				regs[op.Dst] = v
 			}
 			pc++
 		case ir.OpProduce:
-			q := e.queues[in.Queue]
+			q := queues[op.Q]
 			v := int64(0)
-			if len(in.Src) > 0 {
-				v = regs[in.Src[0]]
+			if op.A >= 0 {
+				v = regs[op.A]
 			}
-			if !q.TryProduce(v) {
-				flush()
-				e.setBlocked(ti, stateBlockedFull, block, pc, in)
-				var t0 int64
-				if rec != nil {
-					t0 = e.now()
-					rec.Record(obs.Event{Kind: obs.KStallFullBegin, Thread: int32(ti),
-						Queue: int32(in.Queue), When: t0})
-				}
-				if !q.Produce(v, e.ctx.Done()) {
-					return
-				}
-				e.setState(ti, stateRunning)
-				if rec != nil {
-					t1 := e.now()
-					rec.Record(obs.Event{Kind: obs.KStallFullEnd, Thread: int32(ti),
-						Queue: int32(in.Queue), When: t1, Arg: t1 - t0})
-				}
-			}
-			if fine != nil {
-				fine.Record(obs.Event{Kind: obs.KProduce, Thread: int32(ti),
-					Queue: int32(in.Queue), When: e.now(), Arg: int64(q.Len())})
+			if !q.TryProduce(v) && !e.waitProduce(ti, pc, q, v, steps, iters) {
+				break run
 			}
 			pc++
 		case ir.OpBranch:
-			taken := regs[in.Src[0]] != 0
-			ev.Taken = taken
-			prev := block
-			if taken {
-				block, pc = in.Target, 0
+			back := op.BackF
+			if regs[op.A] != 0 {
+				pc, back = int(op.T), op.BackT
 			} else {
-				block, pc = in.TargetFalse, 0
+				pc = int(op.F)
 			}
-			backEdge := layout[block.ID] <= layout[prev.ID]
-			if fine != nil {
-				arg := int64(0)
-				if taken {
-					arg = 1
-				}
-				now := e.now()
-				fine.Record(obs.Event{Kind: obs.KBranch, Thread: int32(ti), Queue: -1, When: now, Arg: arg})
-				if backEdge {
-					fine.Record(obs.Event{Kind: obs.KIteration, Thread: int32(ti), Queue: -1, When: now})
-				}
-			}
-			if backEdge && block == outerHdr {
-				iters++
-				th.iters.Store(iters)
-				if ckptEvery > 0 && iters%ckptEvery == 0 {
-					flush()
-					e.ckptArrive(ti, iters)
-					if e.ctx.Err() != nil {
-						return
+			if back && pc == hdr {
+				if iters++; iters == nextCkpt {
+					if !e.checkpoint(ti, steps, iters) {
+						break run
 					}
+					nextCkpt += ckptEvery
 				}
 			}
 		case ir.OpJump:
-			ev.Taken = true
-			prev := block
-			block, pc = in.Target, 0
-			backEdge := layout[block.ID] <= layout[prev.ID]
-			if fine != nil && backEdge {
-				fine.Record(obs.Event{Kind: obs.KIteration, Thread: int32(ti), Queue: -1, When: e.now()})
-			}
-			if backEdge && block == outerHdr {
-				iters++
-				th.iters.Store(iters)
-				if ckptEvery > 0 && iters%ckptEvery == 0 {
-					flush()
-					e.ckptArrive(ti, iters)
-					if e.ctx.Err() != nil {
-						return
+			pc = int(op.T)
+			if op.BackT && pc == hdr {
+				if iters++; iters == nextCkpt {
+					if !e.checkpoint(ti, steps, iters) {
+						break run
 					}
+					nextCkpt += ckptEvery
 				}
 			}
 		case ir.OpRet:
-			pc++
+			nextFlush = 0 // the flush below ends the stage
 		case ir.OpLoad:
-			addr := regs[in.Src[0]] + in.Imm
-			ev.Addr = addr
-			v, err := e.mem.Load(addr)
-			if err != nil {
-				e.fail(fmt.Errorf("runtime: thread %d: %s: %w", ti, in, err))
-				return
+			addr = regs[op.A] + op.Imm
+			if uint64(addr) >= uint64(len(words)) {
+				_, err := mem.Load(addr)
+				e.fail(fmt.Errorf("runtime: thread %d: %s: %w", ti, op.In, err))
+				break run
 			}
-			regs[in.Dst] = v
+			regs[op.Dst] = words[addr]
 			pc++
 		case ir.OpStore:
-			addr := regs[in.Src[1]] + in.Imm
-			ev.Addr = addr
-			if err := e.mem.Store(addr, regs[in.Src[0]]); err != nil {
-				e.fail(fmt.Errorf("runtime: thread %d: %s: %w", ti, in, err))
-				return
+			addr = regs[op.B] + op.Imm
+			if uint64(addr) >= uint64(len(words)) {
+				e.fail(fmt.Errorf("runtime: thread %d: %s: %w", ti, op.In, mem.Store(addr, regs[op.A])))
+				break run
 			}
+			words[addr] = regs[op.A]
 			if dirty != nil {
 				page := addr >> pageShift
 				dirty[page>>6] |= 1 << (page & 63)
@@ -686,30 +591,152 @@ func (e *engine) runThread(ti int) {
 		case ir.OpCall:
 			// Opaque call: functionally a no-op; timing charges Imm.
 			pc++
+		case interp.OpSkip:
+			pc++
+			continue
+		case interp.OpEnd:
+			e.fail(fmt.Errorf("runtime: thread %d %w", ti, code.FellOff()))
+			break run
 		default:
-			regs[in.Dst] = interp.EvalALU(in, regs)
+			regs[op.Dst] = op.Eval(regs)
 			pc++
 		}
 
-		th.res.Counts[in.ID]++
-		th.res.Steps++
-		local++
-		if local >= flushEvery {
-			flush()
-		}
-		if trace {
-			th.res.Trace = append(th.res.Trace, ev)
-		}
-		if th.res.Steps >= faultAt {
-			if faultAt = e.threadFault(ti, flush); faultAt == 0 {
-				return
+		counts[op.ID]++
+		steps++
+		if hooked {
+			e.hook(ti, op, regs, addr, trace, fine)
+			if steps >= faultAt {
+				if faultAt = e.threadFault(ti, steps, iters); faultAt == 0 {
+					break
+				}
 			}
 		}
-		if in.Op == ir.OpRet {
-			flush()
-			e.setState(ti, stateDone)
-			return
+		if steps >= nextFlush {
+			e.flush(ti, steps, iters)
+			if op.Op == ir.OpRet {
+				e.setState(ti, stateDone)
+				return
+			}
+			if e.ctx.Err() != nil {
+				break
+			}
+			nextFlush = steps + flushEvery
 		}
+	}
+	e.flush(ti, steps, iters)
+}
+
+// flush stores thread ti's retired count and publishes its outer-loop
+// iteration count for diagnostics, publishes every queue end the thread
+// owns, then adds the count's unflushed part to the shared step counter.
+// It runs before the thread can wait on anything — a stall, the
+// checkpoint barrier, a thread fault — at exit, and every flushEvery
+// instructions, so no thread waits while it holds values or slots its
+// peer needs. It never blocks: unpublished values already sit in slots
+// within capacity.
+func (e *engine) flush(ti int, steps, iters int64) {
+	th := e.threads[ti]
+	th.res.Steps = steps
+	th.iters.Store(iters)
+	for _, q := range e.plan.produces[ti] {
+		e.queues[q].Publish()
+	}
+	for _, q := range e.plan.consumes[ti] {
+		e.queues[q].Release()
+	}
+	if n := steps - th.flushed; n > 0 {
+		th.flushed = steps
+		if e.steps.Add(n) >= e.maxSteps {
+			e.fail(&StepLimitError{Limit: e.maxSteps})
+		}
+	}
+}
+
+// waitConsume is the blocking slow path of the consume at pc: flush,
+// publish the blocked state to the watchdog, wait. ok=false means the
+// run was canceled.
+func (e *engine) waitConsume(ti, pc int, q queue.Queue, steps, iters int64) (v int64, ok bool) {
+	e.flush(ti, steps, iters)
+	e.setBlocked(ti, stateBlockedEmpty, pc)
+	t0 := e.stallBegin(ti, obs.KStallEmptyBegin, pc)
+	if v, ok = q.Consume(e.ctx.Done()); ok {
+		e.setState(ti, stateRunning)
+		e.stallEnd(ti, obs.KStallEmptyEnd, pc, t0)
+	}
+	return v, ok
+}
+
+// waitProduce is the blocking slow path of the produce at pc; false
+// means the run was canceled.
+func (e *engine) waitProduce(ti, pc int, q queue.Queue, v, steps, iters int64) bool {
+	e.flush(ti, steps, iters)
+	e.setBlocked(ti, stateBlockedFull, pc)
+	t0 := e.stallBegin(ti, obs.KStallFullBegin, pc)
+	if !q.Produce(v, e.ctx.Done()) {
+		return false
+	}
+	e.setState(ti, stateRunning)
+	e.stallEnd(ti, obs.KStallFullEnd, pc, t0)
+	return true
+}
+
+// stallBegin records a stall's start event and returns its timestamp.
+func (e *engine) stallBegin(ti int, kind obs.Kind, pc int) int64 {
+	if e.rec == nil {
+		return 0
+	}
+	t0 := e.now()
+	e.rec.Record(obs.Event{Kind: kind, Thread: int32(ti), Queue: e.plan.code[ti].Ops[pc].Q, When: t0})
+	return t0
+}
+
+// stallEnd records a stall's end event, charging its duration.
+func (e *engine) stallEnd(ti int, kind obs.Kind, pc int, t0 int64) {
+	if e.rec == nil {
+		return
+	}
+	t1 := e.now()
+	e.rec.Record(obs.Event{Kind: kind, Thread: int32(ti), Queue: e.plan.code[ti].Ops[pc].Q,
+		When: t1, Arg: t1 - t0})
+}
+
+// checkpoint parks thread ti at the barrier after its iters-th completed
+// outer-loop iteration. false means the run was canceled.
+func (e *engine) checkpoint(ti int, steps, iters int64) bool {
+	e.flush(ti, steps, iters)
+	e.ckptArrive(ti, iters)
+	return e.ctx.Err() == nil
+}
+
+// hook records the trace event and fine-grained events of an op thread
+// ti just retired.
+func (e *engine) hook(ti int, op *interp.Op, regs []int64, addr int64, trace bool, fine obs.Recorder) {
+	ev, back := op.Retired(regs, addr)
+	if trace {
+		th := e.threads[ti]
+		th.res.Trace = append(th.res.Trace, ev)
+	}
+	if fine == nil {
+		return
+	}
+	switch op.Op {
+	case ir.OpConsume, ir.OpProduce:
+		kind := obs.KConsume
+		if op.Op == ir.OpProduce {
+			kind = obs.KProduce
+		}
+		fine.Record(obs.Event{Kind: kind, Thread: int32(ti), Queue: op.Q,
+			When: e.now(), Arg: int64(e.queues[op.Q].Len())})
+	case ir.OpBranch:
+		arg := int64(0)
+		if ev.Taken {
+			arg = 1
+		}
+		fine.Record(obs.Event{Kind: obs.KBranch, Thread: int32(ti), Queue: -1, When: e.now(), Arg: arg})
+	}
+	if back {
+		fine.Record(obs.Event{Kind: obs.KIteration, Thread: int32(ti), Queue: -1, When: e.now()})
 	}
 }
 
@@ -797,7 +824,7 @@ func (e *engine) blockInfoLocked() []BlockInfo {
 	infos := make([]BlockInfo, len(e.threads))
 	for i, th := range e.threads {
 		info := BlockInfo{Thread: i, Fn: e.fns[i].Name, Queue: -1, Iter: th.iters.Load()}
-		if e.outerHdr[i] == nil {
+		if e.hdr[i] < 0 {
 			info.Iter = -1
 		}
 		switch th.state {
@@ -812,10 +839,12 @@ func (e *engine) blockInfoLocked() []BlockInfo {
 			if th.state == stateBlockedFull {
 				info.State = "blocked-full"
 			}
+			code := e.plan.code[i]
+			block, off := code.Where(th.pc)
 			info.Queue = th.queue
-			info.Block = th.block
-			info.PC = th.pc
-			info.Instr = th.instr.String()
+			info.Block = block.Name
+			info.PC = off
+			info.Instr = code.Ops[th.pc].In.String()
 		}
 		infos[i] = info
 	}
