@@ -16,6 +16,9 @@
 //	GET  /debug/requests      tail-sampled request traces (and /{id})
 //	GET  /debug/vars          windowed time-series + per-workload profiles
 //
+// /metrics (both formats) and /debug/vars encode one snapshot of the
+// engine's one metrics home, engine.Metrics.
+//
 // -debug-addr opens a second listener carrying the same debug surface
 // plus net/http/pprof — profiling stays off the serving port.
 //

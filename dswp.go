@@ -147,8 +147,9 @@ type (
 	// Serving engine (internal/engine, cmd/dswpd): Engine amortizes
 	// compilation across requests (compiled-pipeline cache, warm
 	// instance pools, bounded admission); EngineRequest/EngineResponse
-	// are the POST /run wire shapes; EngineMetrics counts the serving
-	// path and EngineSnapshot is its race-safe JSON export;
+	// are the POST /run wire shapes; EngineMetrics records every serving
+	// series and EngineSnapshot is its race-safe copy, which /metrics
+	// (JSON and Prometheus) and /debug/vars encode;
 	// UnknownWorkloadError is the typed bad-request failure.
 	Engine               = engine.Engine
 	EngineOptions        = engine.Options

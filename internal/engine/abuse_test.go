@@ -28,12 +28,12 @@ func settleInFlight(t *testing.T, e *Engine) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s := e.Metrics().Snapshot()
-		if s.InFlight == 0 && e.InFlightBytes() == 0 {
+		if s.InFlight == 0 && s.InFlightBytes == 0 {
 			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("accounting never settled: in-flight=%d bytes=%d",
-				s.InFlight, e.InFlightBytes())
+				s.InFlight, s.InFlightBytes)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

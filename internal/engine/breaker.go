@@ -25,11 +25,6 @@ type breaker struct {
 	met       *Metrics
 	now       func() time.Time // injectable clock for tests
 
-	// onTransition, when set, is called (under mu) on every state change:
-	// closed->open trips, open->closed recoveries, and half-open probes
-	// failing back to open. The engine wires it into the telemetry window.
-	onTransition func(wl string)
-
 	mu     sync.Mutex
 	states map[string]*breakerState
 }
@@ -93,9 +88,7 @@ func (b *breaker) record(wl string, ok, probe bool) {
 	if ok {
 		if st.open {
 			b.met.breakerOpen.Add(-1)
-			if b.onTransition != nil {
-				b.onTransition(wl)
-			}
+			b.met.breakerTransition(wl)
 		}
 		st.open = false
 		st.probing = false
@@ -106,9 +99,7 @@ func (b *breaker) record(wl string, ok, probe bool) {
 		// The half-open probe failed: stay open for another cooldown.
 		st.openedAt = b.now()
 		st.probing = false
-		if b.onTransition != nil {
-			b.onTransition(wl)
-		}
+		b.met.breakerTransition(wl)
 		return
 	}
 	st.consecFails++
@@ -118,9 +109,7 @@ func (b *breaker) record(wl string, ok, probe bool) {
 		st.trips++
 		b.met.breakerTrips.Add(1)
 		b.met.breakerOpen.Add(1)
-		if b.onTransition != nil {
-			b.onTransition(wl)
-		}
+		b.met.breakerTransition(wl)
 	}
 }
 

@@ -117,12 +117,9 @@ type Options struct {
 	BreakerCooldown time.Duration
 	// Telemetry configures request tracing with tail sampling; the zero
 	// value traces with defaults, Telemetry.Disable turns tracing off
-	// (the windowed series and per-workload registry stay on either way —
-	// they are aggregation, not retention).
+	// (the per-workload series and per-second windows in Metrics stay on
+	// either way — they are aggregation, not retention).
 	Telemetry telemetry.TraceOptions
-	// WindowSeconds sets the per-second time-series retention for
-	// /debug/vars (0 = telemetry.DefaultWindowSeconds, ~5 minutes).
-	WindowSeconds int
 	// MaxInFlightBytes bounds the summed working-set estimate of
 	// concurrently executing runs; admission past it sheds with
 	// ErrResourceExhausted (0 = unlimited; bytes are still accounted).
@@ -310,13 +307,9 @@ type Engine struct {
 	governor *governor
 	reaper   *reaper
 
-	// Telemetry plane: request traces with tail sampling (tracer may be
-	// nil = disabled; every call site is nil-safe), per-workload labeled
-	// series, and the engine-wide windowed time-series.
-	tracer   *telemetry.Tracer
-	registry *telemetry.Registry
-	window   *telemetry.Window
-	started  time.Time
+	// tracer keeps request traces with tail sampling (nil = disabled;
+	// every call site is nil-safe). Every serving series lives in met.
+	tracer *telemetry.Tracer
 
 	// wlMu guards per-workload compile info (Checkpointable, Pipelined)
 	// surfaced by /workloads, and the latest recovery stats for /healthz.
@@ -361,7 +354,8 @@ type job struct {
 // pending queue, in front of one compiled-pipeline cache.
 func New(opts Options) *Engine {
 	opts = opts.withDefaults()
-	met := &Metrics{}
+	tracer := telemetry.NewTracer(opts.Telemetry)
+	met := newMetrics(tracer)
 	e := &Engine{
 		opts:     opts,
 		met:      met,
@@ -370,27 +364,16 @@ func New(opts Options) *Engine {
 		pending:  make(chan *job, opts.QueueDepth),
 		stop:     make(chan struct{}),
 		wlInfo:   make(map[string]wlCompileInfo),
+		tracer:   tracer,
 	}
 	e.store = opts.Store
 	if e.store == nil {
 		e.store = ckptstore.NewMem()
 		e.ownStore = true
 	}
-	e.tracer = telemetry.NewTracer(opts.Telemetry)
-	e.registry = telemetry.NewRegistry(opts.WindowSeconds)
-	e.window = telemetry.NewWindow(opts.WindowSeconds)
-	e.started = time.Now()
 	e.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, e.met)
-	e.breaker.onTransition = func(wl string) {
-		e.window.ObserveBreaker()
-		e.registry.ObserveBreaker(wl)
-	}
 	e.governor = newGovernor(opts.MaxInFlightBytes, opts.MaxRequestBytes, e.met)
-	e.governor.onBytes = func(inflight int64) { e.window.ObserveBytes(inflight) }
 	e.reaper = newReaper(opts.ReapAfter, e.met)
-	if e.reaper != nil {
-		e.reaper.onReap = func() { e.window.ObserveReap() }
-	}
 	e.base, e.cancelBase = context.WithCancel(context.Background())
 	for i := 0; i < opts.Workers; i++ {
 		e.wg.Add(1)
@@ -405,12 +388,6 @@ func (e *Engine) Metrics() *Metrics { return e.met }
 // Tracer exposes the request tracer; nil when tracing is disabled. The
 // debug HTTP surface reads retained traces through it.
 func (e *Engine) Tracer() *telemetry.Tracer { return e.tracer }
-
-// Window returns the engine-wide windowed time-series snapshot.
-// includeSeries attaches the full retained per-second history.
-func (e *Engine) Window(includeSeries bool) telemetry.WindowSnapshot {
-	return e.window.Snapshot(includeSeries)
-}
 
 // Draining reports whether Shutdown has begun.
 func (e *Engine) Draining() bool { return e.draining.Load() }
@@ -499,9 +476,7 @@ func (e *Engine) RunTraced(ctx context.Context, req Request) (*Response, string,
 }
 
 // observe completes a request's telemetry: the tail-sampling decision on
-// its trace plus the windowed and per-workload series. known marks the
-// workload name as resolved — unknown client-supplied names stay out of
-// the labeled series so cardinality stays bounded by the registry.
+// its trace plus its series in Metrics (see Metrics.observe for known).
 func (e *Engine) observe(tr *telemetry.RequestTrace, wl string, known bool,
 	latUS int64, err error, degraded bool) {
 	var class, msg string
@@ -509,11 +484,7 @@ func (e *Engine) observe(tr *telemetry.RequestTrace, wl string, known bool,
 		class, msg = ErrorClass(err), err.Error()
 	}
 	e.tracer.Finish(tr, msg, class)
-	occ := int64(len(e.pending))
-	e.window.Observe(class, latUS, occ)
-	if known {
-		e.registry.Observe(wl, class, latUS, occ, degraded)
-	}
+	e.met.observe(wl, known, class, latUS, int64(len(e.pending)), degraded)
 }
 
 // worker consumes the pending queue until Shutdown.
@@ -574,7 +545,6 @@ func (e *Engine) serve(j *job) {
 	}
 	j.res.QueueMicros = queueWait.Microseconds()
 	j.res.TotalMicros = total.Microseconds()
-	m.latTotal.Add(j.res.TotalMicros)
 	m.latRun.Add(j.res.RunMicros)
 	m.complete.Add(1)
 	e.observe(j.tr, j.req.Workload, true, j.res.TotalMicros, nil, j.res.Degraded)

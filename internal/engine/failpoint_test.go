@@ -300,7 +300,7 @@ func TestFailpointPromExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _ = e.Run(context.Background(), Request{Workload: "list-traversal", N: 64})
-	text := e.PromText()
+	text := promText(e.Metrics().Snapshot())
 	if !strings.Contains(text, `dswp_failpoint_triggers_total{site="engine/admission/enqueue"} 1`) {
 		t.Fatalf("failpoint series missing from exposition:\n%s", text)
 	}

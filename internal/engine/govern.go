@@ -74,9 +74,6 @@ type governor struct {
 	maxInFlight int64 // 0 = no global cap
 	maxRequest  int64 // 0 = no per-request cap
 	met         *Metrics
-	// onBytes, when set, feeds the windowed time-series the post-admit
-	// in-flight total (New wires it to the engine window).
-	onBytes func(inflight int64)
 }
 
 func newGovernor(maxInFlight, maxRequest int64, met *Metrics) *governor {
@@ -97,16 +94,7 @@ func (g *governor) admit(n int64) error {
 				ErrResourceExhausted, cur, n, g.maxInFlight)
 		}
 		if g.met.inflightBytes.CompareAndSwap(cur, cur+n) {
-			now := cur + n
-			for {
-				hw := g.met.inflightBytesHW.Load()
-				if now <= hw || g.met.inflightBytesHW.CompareAndSwap(hw, now) {
-					break
-				}
-			}
-			if g.onBytes != nil {
-				g.onBytes(now)
-			}
+			g.met.admitBytes(cur + n)
 			return nil
 		}
 	}
@@ -117,12 +105,6 @@ func (g *governor) release(n int64) {
 	g.met.inflightBytes.Add(-n)
 }
 
-// InFlightBytes reports the governor's current byte estimate of running
-// work (the value the inflight_bytes gauge exports).
-func (e *Engine) InFlightBytes() int64 {
-	return e.met.inflightBytes.Load()
-}
-
 // reaper force-cancels runs that exceed a wall-clock bound. Deadlines
 // already bound well-behaved runs through their contexts; the reaper is
 // defense in depth for the run that stops consuming its context — a
@@ -131,8 +113,6 @@ func (e *Engine) InFlightBytes() int64 {
 type reaper struct {
 	after time.Duration
 	met   *Metrics
-	// onReap, when set, feeds the windowed time-series (New wires it).
-	onReap func()
 
 	mu    sync.Mutex
 	seq   int64
@@ -206,10 +186,7 @@ func (r *reaper) loop() {
 				w.reaped.Store(true)
 				w.cancel()
 				delete(r.watch, id)
-				r.met.reaped.Add(1)
-				if r.onReap != nil {
-					r.onReap()
-				}
+				r.met.reap()
 			}
 			r.mu.Unlock()
 		}

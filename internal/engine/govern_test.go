@@ -99,7 +99,7 @@ func TestEngineBytesReturnToZero(t *testing.T) {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}
-	if b := e.InFlightBytes(); b != 0 {
+	if b := e.Metrics().Snapshot().InFlightBytes; b != 0 {
 		t.Fatalf("in-flight bytes after quiesce = %d", b)
 	}
 	if hw := e.Metrics().Snapshot().InFlightBytesHW; hw <= 0 {
@@ -183,7 +183,7 @@ func TestReaperKillsHungRun(t *testing.T) {
 	if _, err := e.Run(context.Background(), Request{Workload: "list-traversal", N: 64}); err != nil {
 		t.Fatalf("run after reap: %v", err)
 	}
-	if w := e.Window(false); w.Reaped60s != 1 {
+	if w := e.Metrics().Snapshot().Window; w.Reaped60s != 1 {
 		t.Fatalf("window reaped = %d", w.Reaped60s)
 	}
 }

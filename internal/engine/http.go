@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"time"
 
 	rt "dswp/internal/runtime"
 	"dswp/internal/telemetry"
@@ -219,7 +218,7 @@ func (e *Engine) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if wantsProm(r) {
 		w.Header().Set("Content-Type", telemetry.PromContentType)
-		_, _ = w.Write([]byte(e.PromText()))
+		_, _ = w.Write([]byte(promText(e.met.Snapshot())))
 		return
 	}
 	writeJSON(w, http.StatusOK, e.met.Snapshot())
@@ -241,8 +240,7 @@ func (e *Engine) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	s := e.met.Snapshot()
-	h := health{Status: "ok", InFlight: s.InFlight, Queued: s.Queued,
+	h := health{Status: "ok", InFlight: e.met.inflight.Load(), Queued: e.met.queued.Load(),
 		Degraded: e.DegradedSubsystems(), Recovery: e.LastRecovery()}
 	code := http.StatusOK
 	if len(h.Degraded) > 0 {
@@ -319,15 +317,26 @@ type debugVars struct {
 	Tracer        telemetry.TracerStats               `json:"tracer"`
 }
 
+// debugVarsOf encodes a snapshot in the /debug/vars shape.
+func debugVarsOf(s *EngineSnapshot, includeSeries bool) debugVars {
+	dv := debugVars{UptimeSeconds: s.UptimeSeconds, Window: s.Window,
+		Workloads: make(map[string]telemetry.WindowSnapshot, len(s.Workloads))}
+	if !includeSeries {
+		dv.Window.Series = nil
+	}
+	for _, w := range s.Workloads {
+		dv.Workloads[w.Workload] = w.Window
+	}
+	if s.Tracer != nil {
+		dv.Tracer = *s.Tracer
+	}
+	return dv
+}
+
 func (e *Engine) handleDebugVars(w http.ResponseWriter, r *http.Request) {
 	if !requireGet(w, r) {
 		return
 	}
-	includeSeries := r.URL.Query().Get("series") != "0"
-	writeJSON(w, http.StatusOK, debugVars{
-		UptimeSeconds: time.Since(e.started).Seconds(),
-		Window:        e.window.Snapshot(includeSeries),
-		Workloads:     e.registry.Profiles(false),
-		Tracer:        e.tracer.Stats(),
-	})
+	writeJSON(w, http.StatusOK,
+		debugVarsOf(e.met.Snapshot(), r.URL.Query().Get("series") != "0"))
 }

@@ -1,97 +1,28 @@
 package engine
 
 import (
+	"reflect"
 	"sort"
-	"time"
+	"strings"
 
 	"dswp/internal/telemetry"
 )
 
-// PromText renders the engine's full metric surface in Prometheus text
-// exposition format (0.0.4): every EngineSnapshot counter and gauge, the
-// four serving-latency histograms with exact sums, the per-workload
-// labeled series from the telemetry registry, and the tracer's
-// tail-sampling counters. The JSON snapshot on /metrics is untouched —
-// this is the same data under a second content type, chosen by Accept
-// negotiation. LintProm validates the output in tests and CI.
-func (e *Engine) PromText() string {
+// promText renders one snapshot in Prometheus text exposition format
+// (0.0.4): every tagged EngineSnapshot field, the failpoint triggers,
+// the per-workload labeled series, the tracer's tail-sampling counters
+// and the uptime. It is the same data the JSON encoder serves, under a
+// second content type chosen by Accept negotiation. LintProm validates
+// the output in tests and CI.
+func promText(s *EngineSnapshot) string {
 	p := telemetry.NewProm()
-	s := e.met.Snapshot()
-	one := func(v int64) []telemetry.Sample {
-		return []telemetry.Sample{{Value: float64(v)}}
-	}
-
-	p.Counter("dswp_requests_total",
-		"Requests admitted or attempted.", one(s.Requests)...)
-	p.Counter("dswp_requests_outcome_total",
-		"Finished requests by terminal outcome.",
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("outcome", "completed")}, Value: float64(s.Completed)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("outcome", "failed")}, Value: float64(s.Failed)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("outcome", "shed")}, Value: float64(s.Shed)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("outcome", "drained")}, Value: float64(s.Drained)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("outcome", "expired")}, Value: float64(s.Expired)})
-	p.Gauge("dswp_inflight", "Requests executing right now.", one(s.InFlight)...)
-	p.Gauge("dswp_queued", "Requests admitted but not yet picked up.", one(s.Queued)...)
-
-	p.Counter("dswp_cache_total",
-		"Compiled-pipeline cache events.",
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "hit")}, Value: float64(s.CacheHits)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "miss")}, Value: float64(s.CacheMisses)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "evict")}, Value: float64(s.CacheEvicts)})
-	p.Counter("dswp_compiles_total",
-		"core.Apply compilations actually executed.", one(s.Compiles)...)
-
-	p.Counter("dswp_pool_total",
-		"Warm instance pool events.",
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "hit")}, Value: float64(s.PoolHits)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "miss")}, Value: float64(s.PoolMisses)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "make")}, Value: float64(s.PoolMakes)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "drop")}, Value: float64(s.PoolDrops)},
-		telemetry.Sample{Labels: []telemetry.Label{telemetry.L("event", "quarantine")}, Value: float64(s.PoolQuarantined)})
-
-	p.Counter("dswp_resumes_total",
-		"Runs finished by checkpoint-seeded sequential resume.", one(s.Resumes)...)
-	p.Counter("dswp_degraded_total",
-		"Requests served sequentially because a breaker was open.", one(s.Degraded)...)
-	p.Counter("dswp_breaker_trips_total",
-		"Closed-to-open circuit breaker transitions.", one(s.BreakerTrips)...)
-	p.Gauge("dswp_breaker_open",
-		"Workloads whose breaker is currently open or half-open.", one(s.BreakerOpen)...)
-	p.Counter("dswp_durable_commits_total",
-		"Checkpoints written to the durable store.", one(s.DurableCommits)...)
-	p.Counter("dswp_store_errors_total",
-		"Durable commits that failed (runs unaffected).", one(s.StoreErrors)...)
-	p.Counter("dswp_recovered_total",
-		"Orphaned requests finished by crash recovery.", one(s.Recovered)...)
-
-	p.Counter("dswp_replica_compiles_total",
-		"Compiles that emitted a parallel-stage-replicated pipeline.", one(s.ReplicatedCompiles)...)
-	p.Counter("dswp_replica_runs_total",
-		"Requests served on a replicated pipeline.", one(s.ReplicaRuns)...)
-
-	p.Counter("dswp_shed_resource_total",
-		"Runs shed because the in-flight memory budget was full.", one(s.ShedResource)...)
-	p.Counter("dswp_request_too_large_total",
-		"Runs refused for exceeding the per-request memory cap.", one(s.RequestTooLarge)...)
-	p.Gauge("dswp_inflight_bytes",
-		"Summed working-set estimate of executing runs.", one(s.InFlightBytes)...)
-	p.Gauge("dswp_inflight_bytes_hw",
-		"Lifetime high-water of dswp_inflight_bytes.", one(s.InFlightBytesHW)...)
-	p.Counter("dswp_reaped_total",
-		"Hung runs force-canceled by the wall-clock reaper.", one(s.Reaped)...)
-	p.Counter("dswp_body_too_large_total",
-		"Request bodies rejected at the HTTP layer (413).", one(s.BodyTooLarge)...)
+	writeFamilies(p, snapshotFamilies, reflect.ValueOf(s).Elem())
 
 	// Failpoint trigger counts by site: all zero (and absent) in
 	// production, nonzero only while a chaos schedule is armed.
 	if len(s.Failpoints) > 0 {
-		sites := make([]string, 0, len(s.Failpoints))
-		for site := range s.Failpoints {
-			sites = append(sites, site)
-		}
-		sort.Strings(sites)
-		samples := make([]telemetry.Sample, 0, len(sites))
-		for _, site := range sites {
+		var samples []telemetry.Sample
+		for _, site := range sortedKeys(s.Failpoints) {
 			samples = append(samples, telemetry.Sample{
 				Labels: []telemetry.Label{telemetry.L("site", site)},
 				Value:  float64(s.Failpoints[site])})
@@ -100,39 +31,26 @@ func (e *Engine) PromText() string {
 			"Injected-fault triggers by failpoint site.", samples...)
 	}
 
-	p.Histogram("dswp_latency_us",
-		"Serving latency in microseconds by path segment (log2 buckets).",
-		e.met.latTotal.Snapshot(telemetry.L("path", "total")),
-		e.met.latQueue.Snapshot(telemetry.L("path", "queue")),
-		e.met.latRun.Snapshot(telemetry.L("path", "run")),
-		e.met.latCompile.Snapshot(telemetry.L("path", "compile")))
-
-	// Per-workload labeled series. Only workloads that resolved are in the
-	// registry, so label cardinality is bounded by the workload registry.
-	wls := e.registry.PromSnapshot()
-	if len(wls) > 0 {
-		reqs := make([]telemetry.Sample, 0, len(wls))
-		degraded := make([]telemetry.Sample, 0, len(wls))
-		occ := make([]telemetry.Sample, 0, len(wls))
-		hists := make([]telemetry.HistSample, 0, len(wls))
-		var errSamples []telemetry.Sample
-		for _, w := range wls {
+	if len(s.Workloads) > 0 {
+		var reqs, degraded, occ, errs []telemetry.Sample
+		var hists []telemetry.HistSample
+		for _, w := range s.Workloads {
 			wl := []telemetry.Label{telemetry.L("workload", w.Workload)}
 			reqs = append(reqs, telemetry.Sample{Labels: wl, Value: float64(w.Requests)})
 			degraded = append(degraded, telemetry.Sample{Labels: wl, Value: float64(w.Degraded)})
 			occ = append(occ, telemetry.Sample{Labels: wl, Value: float64(w.OccHW)})
 			hists = append(hists, w.Latency)
-			for _, class := range sortedClasses(w.ByClass) {
-				errSamples = append(errSamples, telemetry.Sample{
-					Labels: []telemetry.Label{telemetry.L("workload", w.Workload), telemetry.L("class", class)},
+			for _, class := range sortedKeys(w.ByClass) {
+				errs = append(errs, telemetry.Sample{
+					Labels: []telemetry.Label{wl[0], telemetry.L("class", class)},
 					Value:  float64(w.ByClass[class])})
 			}
 		}
 		p.Counter("dswp_workload_requests_total",
 			"Finished requests by workload.", reqs...)
-		if len(errSamples) > 0 {
+		if len(errs) > 0 {
 			p.Counter("dswp_workload_errors_total",
-				"Errored requests by workload and failure class.", errSamples...)
+				"Errored requests by workload and failure class.", errs...)
 		}
 		p.Counter("dswp_workload_degraded_total",
 			"Breaker-degraded sequential serves by workload.", degraded...)
@@ -143,31 +61,79 @@ func (e *Engine) PromText() string {
 			hists...)
 	}
 
-	if e.tracer != nil {
-		ts := e.tracer.Stats()
-		p.Counter("dswp_traces_started_total",
-			"Request traces started.", one(ts.Started)...)
-		p.Counter("dswp_traces_kept_total",
-			"Traces retained by tail sampling, by reason.",
-			telemetry.Sample{Labels: []telemetry.Label{telemetry.L("reason", "error")}, Value: float64(ts.KeptError)},
-			telemetry.Sample{Labels: []telemetry.Label{telemetry.L("reason", "slow")}, Value: float64(ts.KeptSlow)},
-			telemetry.Sample{Labels: []telemetry.Label{telemetry.L("reason", "sampled")}, Value: float64(ts.KeptSampled)})
-		p.Counter("dswp_traces_dropped_total",
-			"Traces discarded by tail sampling.", one(ts.Dropped)...)
-		p.Gauge("dswp_traces_retained",
-			"Traces currently held in the bounded ring.", one(int64(ts.Retained))...)
-		p.Gauge("dswp_trace_capacity",
-			"Trace ring capacity.", one(int64(ts.Capacity))...)
+	if s.Tracer != nil {
+		writeFamilies(p, tracerFamilies, reflect.ValueOf(s.Tracer).Elem())
 	}
-
 	p.Gauge("dswp_uptime_seconds", "Engine uptime.",
-		telemetry.Sample{Value: time.Since(e.started).Seconds()})
+		telemetry.Sample{Value: s.UptimeSeconds})
 	return p.String()
 }
 
-// sortedClasses orders an error-class map's keys for deterministic
-// exposition output.
-func sortedClasses(m map[string]int64) []string {
+// promFamily is one Prometheus family declared by the prom and help tags
+// of a snapshot struct's fields (see EngineSnapshot).
+type promFamily struct {
+	name, help string
+	fields     []int               // struct field indices
+	labels     [][]telemetry.Label // each field's label set; nil = none
+}
+
+var (
+	snapshotFamilies = promFamiliesOf(reflect.TypeOf(EngineSnapshot{}))
+	tracerFamilies   = promFamiliesOf(reflect.TypeOf(telemetry.TracerStats{}))
+)
+
+// promFamiliesOf reads a struct type's prom and help tags, grouping
+// adjacent fields that name one family.
+func promFamiliesOf(t reflect.Type) []promFamily {
+	var fams []promFamily
+	for i := 0; i < t.NumField(); i++ {
+		tag, ok := t.Field(i).Tag.Lookup("prom")
+		if !ok {
+			continue
+		}
+		name, label, _ := strings.Cut(tag, ",")
+		if n := len(fams); n == 0 || fams[n-1].name != name {
+			fams = append(fams, promFamily{name: name, help: t.Field(i).Tag.Get("help")})
+		}
+		f := &fams[len(fams)-1]
+		var labels []telemetry.Label
+		if k, v, ok := strings.Cut(label, "="); ok {
+			labels = []telemetry.Label{telemetry.L(k, v)}
+		}
+		f.fields = append(f.fields, i)
+		f.labels = append(f.labels, labels)
+	}
+	return fams
+}
+
+// writeFamilies emits each family's samples from struct value v: a
+// histogram for telemetry.HistSample fields, otherwise a counter when the
+// name ends in _total and a gauge when it does not.
+func writeFamilies(p *telemetry.Prom, fams []promFamily, v reflect.Value) {
+	for _, f := range fams {
+		if _, ok := v.Field(f.fields[0]).Interface().(telemetry.HistSample); ok {
+			hists := make([]telemetry.HistSample, len(f.fields))
+			for j, i := range f.fields {
+				hists[j] = v.Field(i).Interface().(telemetry.HistSample)
+				hists[j].Labels = f.labels[j]
+			}
+			p.Histogram(f.name, f.help, hists...)
+			continue
+		}
+		samples := make([]telemetry.Sample, len(f.fields))
+		for j, i := range f.fields {
+			samples[j] = telemetry.Sample{Labels: f.labels[j], Value: float64(v.Field(i).Int())}
+		}
+		if strings.HasSuffix(f.name, "_total") {
+			p.Counter(f.name, f.help, samples...)
+		} else {
+			p.Gauge(f.name, f.help, samples...)
+		}
+	}
+}
+
+// sortedKeys orders a map's keys for deterministic exposition output.
+func sortedKeys(m map[string]int64) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"dswp/internal/obs"
 	"dswp/internal/telemetry"
 	"dswp/internal/testutil"
 )
@@ -410,5 +413,169 @@ func TestDebugRequestsDisabled(t *testing.T) {
 	one.Body.Close()
 	if one.StatusCode != http.StatusNotFound {
 		t.Fatalf("disabled /debug/requests/{id}: %d", one.StatusCode)
+	}
+}
+
+// TestMetricsPerWorkload: per-workload cumulative series aggregate
+// independently, export sorted by name, and feed the end-to-end latency
+// total and the per-workload windows of /debug/vars.
+func TestMetricsPerWorkload(t *testing.T) {
+	m := newMetrics(nil)
+	m.observe("b-wl", true, "", 100, 2, false)
+	m.observe("b-wl", true, "deadline", 900, 4, false)
+	m.observe("a-wl", true, "", 50, 1, true)
+	m.observe("nope", false, "bad-request", 0, 0, false)
+	m.breakerTransition("a-wl")
+
+	s := m.Snapshot()
+	if len(s.Workloads) != 2 || s.Workloads[0].Workload != "a-wl" || s.Workloads[1].Workload != "b-wl" {
+		t.Fatalf("workload order: %+v", s.Workloads)
+	}
+	b := s.Workloads[1]
+	if b.Requests != 2 || b.ByClass["deadline"] != 1 || b.OccHW != 4 {
+		t.Fatalf("b-wl stats: %+v", b)
+	}
+	if b.Latency.Sum != 100 { // only successes feed the latency hist
+		t.Fatalf("b-wl latency sum = %d, want 100", b.Latency.Sum)
+	}
+	a := s.Workloads[0]
+	if a.Degraded != 1 {
+		t.Fatalf("a-wl degraded = %d", a.Degraded)
+	}
+	if tot := s.LatencyTotalUS; tot.Count != 2 || tot.Sum != 150 {
+		t.Fatalf("latency total = count %d sum %d, want the two successes (2, 150)", tot.Count, tot.Sum)
+	}
+	if s.Window.ErrorsByClass60s["bad-request"] != 1 || s.Window.BreakerTransitions60s != 1 {
+		t.Fatalf("engine window = %+v, want the unresolved request and the breaker transition", s.Window)
+	}
+	profs := debugVarsOf(s, false).Workloads
+	if len(profs) != 2 {
+		t.Fatalf("profiles = %+v", profs)
+	}
+	if p := profs["a-wl"]; p.Seconds != telemetry.DefaultWindowSeconds || p.BreakerTransitions60s != 1 {
+		t.Fatalf("profiles[a-wl] = %+v, want a live window with the breaker transition", p)
+	}
+	if p, ok := profs["nope"]; ok {
+		t.Fatalf("profiles[nope] = %+v, want no entry for an unresolved workload", p)
+	}
+}
+
+// TestEncodersAgree serves completed, failed and shed requests with cache
+// and pool hits and misses, then requires every integer of the /metrics
+// JSON snapshot to equal its Prometheus sample: each counter and gauge,
+// each failpoint count, and each histogram's count and buckets.
+func TestEncodersAgree(t *testing.T) {
+	bg := context.Background()
+	e := New(Options{Workers: 1, QueueDepth: 1})
+	defer shutdown(t, e)
+	srv := httptest.NewServer(NewMux(e))
+	defer srv.Close()
+
+	for _, body := range []string{
+		`{"workload":"list-traversal","n":32}`, // cache and pool miss
+		`{"workload":"list-traversal","n":32}`, // cache and pool hit
+		`{"workload":"list-traversal","n":32,"mode":"bogus"}`,
+		`{"workload":"nope"}`,
+	} {
+		postRun(t, srv, body)
+	}
+	slow := Request{Workload: "list-of-lists", Outer: 50, Inner: 6, InjectStallUS: 500}
+	busy := runAsync(e, bg, slow)
+	waitFor(t, func() bool { return e.Metrics().Snapshot().InFlight == 1 })
+	queued := runAsync(e, bg, slow)
+	waitFor(t, func() bool { return e.Metrics().Snapshot().Queued == 1 })
+	_, err := e.Run(bg, slow)
+	wantErr(t, err, ErrOverloaded)
+	wantErr(t, <-busy, nil)
+	wantErr(t, <-queued, nil)
+	waitFor(t, func() bool { s := e.Metrics().Snapshot(); return s.InFlight == 0 && s.Queued == 0 })
+
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return buf.Bytes()
+	}
+	var js map[string]json.RawMessage
+	if err := json.Unmarshal(get(srv.URL+"/metrics"), &js); err != nil {
+		t.Fatal(err)
+	}
+	text := string(get(srv.URL + "/metrics?format=prometheus"))
+	if problems := telemetry.LintProm(text); len(problems) > 0 {
+		t.Fatalf("lint: %v", problems)
+	}
+	lines := map[string]bool{}
+	for _, l := range strings.Split(text, "\n") {
+		lines[l] = true
+	}
+	want := func(line string) {
+		t.Helper()
+		if !lines[line] {
+			t.Errorf("exposition has no line %q", line)
+		}
+	}
+	for _, key := range []string{"completed", "failed", "shed", "cache_hits", "cache_misses", "pool_hits", "pool_misses"} {
+		if string(js[key]) == "0" {
+			t.Errorf("the traffic left %s at 0", key)
+		}
+	}
+
+	st := reflect.TypeOf(EngineSnapshot{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		raw, ok := js[key]
+		if key == "-" || !ok {
+			continue
+		}
+		name, label, _ := strings.Cut(f.Tag.Get("prom"), ",")
+		var labels []string
+		if k, v, ok := strings.Cut(label, "="); ok {
+			labels = append(labels, fmt.Sprintf(`%s=%q`, k, v))
+		}
+		// series renders one sample's name and label set.
+		series := func(suffix string, extra ...string) string {
+			ls := append(append([]string{}, labels...), extra...)
+			if len(ls) == 0 {
+				return name + suffix
+			}
+			return name + suffix + "{" + strings.Join(ls, ",") + "}"
+		}
+		switch f.Type.Kind() {
+		case reflect.Int64:
+			if name == "" {
+				t.Errorf("JSON key %s has no Prometheus family", key)
+				continue
+			}
+			want(series("") + " " + string(raw))
+		case reflect.Map: // failpoints: site -> triggers
+			var sites map[string]int64
+			if err := json.Unmarshal(raw, &sites); err != nil {
+				t.Fatal(err)
+			}
+			for site, n := range sites {
+				want(fmt.Sprintf(`dswp_failpoint_triggers_total{site=%q} %d`, site, n))
+			}
+		default: // a histogram
+			var h telemetry.HistSample
+			if err := json.Unmarshal(raw, &h); err != nil {
+				t.Fatal(err)
+			}
+			want(fmt.Sprintf("%s %d", series("_count"), h.Count))
+			var cum int64
+			for b, n := range h.Buckets {
+				cum += n
+				le := "+Inf"
+				if b < obs.HistBuckets-1 {
+					le = fmt.Sprint(obs.BucketHigh(b))
+				}
+				want(fmt.Sprintf("%s %d", series("_bucket", `le="`+le+`"`), cum))
+			}
+		}
 	}
 }

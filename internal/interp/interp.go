@@ -283,8 +283,13 @@ func deadlockError(threads []*thread, queues []*queue) error {
 				why = fmt.Sprintf(" (StallFull q%d)", th.stallQueue)
 			}
 			block, off := th.code.Where(th.pc)
+			// A loop-free thread reads -1, as runtime.BlockInfo.Iter does.
+			iter := th.iters
+			if th.code.Outer < 0 {
+				iter = -1
+			}
 			state = fmt.Sprintf("blocked%s at %s/%s[%d] %q iter=%d",
-				why, th.res.Fn.Name, block.Name, off, in, th.iters)
+				why, th.res.Fn.Name, block.Name, off, in, iter)
 		}
 		fmt.Fprintf(&sb, " thread%d=%s;", i, state)
 	}

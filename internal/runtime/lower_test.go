@@ -73,9 +73,8 @@ func TestLowerEdgeCases(t *testing.T) {
 		iterEvents int    // back-edge transfers (KIteration events)
 		errText    string // substring of both executors' errors
 		deadlock   string // block[pc] "instr" of the blocked thread
-		// iters is the blocked thread's completed outer-loop iterations,
-		// checked when positive (a loop-free thread reads 0 in the
-		// interpreter's text and -1 in the runtime's BlockInfo).
+		// iters is the blocked thread's completed outer-loop iterations;
+		// a loop-free thread reads -1 on both executors.
 		iters int64
 	}{
 		{
@@ -184,7 +183,7 @@ body:
     ret
 }
 `),
-			deadlock: `body[1] "consume r3 = [0]"`,
+			deadlock: `body[1] "consume r3 = [0]"`, iters: -1,
 		},
 		{
 			name:    "fell off the end",
@@ -236,10 +235,7 @@ entry:
 					t.Errorf("runtime err = %v, want it to contain %q", rerr, tc.errText)
 				}
 			case tc.deadlock != "":
-				want := "f/" + tc.deadlock
-				if tc.iters > 0 {
-					want += fmt.Sprintf(" iter=%d", tc.iters)
-				}
+				want := fmt.Sprintf("f/%s iter=%d", tc.deadlock, tc.iters)
 				if ierr == nil || !strings.Contains(ierr.Error(), want) {
 					t.Errorf("interp err = %v, want it to contain %q", ierr, want)
 				}
@@ -251,7 +247,7 @@ entry:
 				if got := fmt.Sprintf("%s[%d] %q", th.Block, th.PC, th.Instr); got != tc.deadlock {
 					t.Errorf("runtime blocked at %s, want %s", got, tc.deadlock)
 				}
-				if tc.iters > 0 && th.Iter != tc.iters {
+				if th.Iter != tc.iters {
 					t.Errorf("runtime iter = %d, want %d", th.Iter, tc.iters)
 				}
 			default:

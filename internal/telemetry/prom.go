@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -35,12 +34,9 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 // NewProm returns an empty builder.
 func NewProm() *Prom { return &Prom{} }
 
-// escapeLabel escapes a label value per the exposition format.
-func escapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	return strings.ReplaceAll(v, `"`, `\"`)
-}
+// labelEscaper escapes a label value per the exposition format: only
+// backslash, double quote and newline have escapes.
+var labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
 
 // escapeHelp escapes a HELP string.
 func escapeHelp(v string) string {
@@ -74,7 +70,10 @@ func (p *Prom) sample(name, suffix string, labels []Label, v float64) {
 			if i > 0 {
 				p.buf.WriteByte(',')
 			}
-			fmt.Fprintf(&p.buf, `%s=%q`, l.Name, escapeLabel(l.Value))
+			p.buf.WriteString(l.Name)
+			p.buf.WriteString(`="`)
+			labelEscaper.WriteString(&p.buf, l.Value)
+			p.buf.WriteByte('"')
 		}
 		p.buf.WriteByte('}')
 	}
@@ -105,12 +104,33 @@ func (p *Prom) Gauge(name, help string, samples ...Sample) {
 	}
 }
 
-// HistSample is one labeled histogram: a snapshot of an obs.Hist's log2
-// buckets plus the exact sum its owner tracked alongside.
+// HistSample is one histogram snapshot: an obs.Hist's log2 buckets with
+// their count and headline quantiles (bucket lower bounds, exact to
+// within 2x), plus the exact sum its owner tracked alongside. The JSON
+// shape carries the count, quantiles and buckets; the sum and labels
+// are for the Prometheus encoder.
 type HistSample struct {
-	Labels  []Label
-	Buckets obs.Hist
-	Sum     int64
+	Count   int64    `json:"count"`
+	P50     int64    `json:"p50"`
+	P99     int64    `json:"p99"`
+	Buckets obs.Hist `json:"buckets"`
+	Sum     int64    `json:"-"`
+	Labels  []Label  `json:"-"`
+}
+
+// Merge adds o's buckets and sum into h and recomputes its count and
+// quantiles; labels are kept.
+func (h *HistSample) Merge(o HistSample) {
+	for i := range h.Buckets {
+		h.Buckets[i] += o.Buckets[i]
+	}
+	h.Sum += o.Sum
+	h.fill()
+}
+
+func (h *HistSample) fill() {
+	h.Count = h.Buckets.Total()
+	h.P50, h.P99 = h.Buckets.Quantile(0.50), h.Buckets.Quantile(0.99)
 }
 
 // Histogram emits one histogram family. The log2 buckets translate to
@@ -164,22 +184,10 @@ func (h *SumHist) Sum() int64 { return atomic.LoadInt64(&h.sum) }
 // Snapshot copies the buckets with atomic loads and returns them with
 // the sum, ready for Prom.Histogram.
 func (h *SumHist) Snapshot(labels ...Label) HistSample {
-	var s HistSample
-	s.Labels = labels
+	s := HistSample{Labels: labels, Sum: h.Sum()}
 	for i := range h.H {
 		s.Buckets[i] = atomic.LoadInt64(&h.H[i])
 	}
-	s.Sum = h.Sum()
+	s.fill()
 	return s
-}
-
-// sortedKeys returns a map's keys sorted — exposition output must be
-// deterministic for tests and diffs.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -182,7 +182,18 @@ func parseSample(line string) (name string, labels map[string]string, value floa
 		return "", nil, 0, fmt.Errorf("empty metric name: %q", line)
 	}
 	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
+		// The label body ends at the first brace outside a quoted value.
+		end, quoted := -1, false
+		for i := 1; i < len(rest) && end < 0; i++ {
+			switch {
+			case quoted && rest[i] == '\\':
+				i++
+			case rest[i] == '"':
+				quoted = !quoted
+			case !quoted && rest[i] == '}':
+				end = i
+			}
+		}
 		if end < 0 {
 			return "", nil, 0, fmt.Errorf("unterminated labels: %q", line)
 		}
@@ -235,10 +246,21 @@ func splitLabels(body string) []string {
 	return append(out, body[start:])
 }
 
+// unescapeLabel reverses labelEscaper in one left-to-right pass, so an
+// escaped backslash is never re-read as the start of another escape.
 func unescapeLabel(v string) string {
-	v = strings.ReplaceAll(v, `\"`, `"`)
-	v = strings.ReplaceAll(v, `\n`, "\n")
-	return strings.ReplaceAll(v, `\\`, `\`)
+	var b strings.Builder
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c == '\\' && i+1 < len(v) {
+			i++
+			if c = v[i]; c == 'n' {
+				c = '\n'
+			}
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
 }
 
 // seriesKey canonicalizes a sample's identity: name plus sorted labels,

@@ -1,9 +1,9 @@
 // Package telemetry is the serving-grade observability plane over the
 // pipeline-as-a-service engine: request-scoped span traces with tail
 // sampling (tracer.go), a dependency-free Prometheus text-format encoder
-// and linter (prom.go, promlint.go), per-workload cumulative series
-// (registry.go), and fixed-size per-second windowed time-series
-// (window.go).
+// and linter (prom.go, promlint.go), and fixed-size per-second windowed
+// time-series (window.go). The serving engine's Metrics owns every
+// series built from these parts.
 //
 // Where internal/obs instruments one pipeline *run* (stages, queues,
 // stalls), this package instruments the *service* around it: how a

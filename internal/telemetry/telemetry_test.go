@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -329,7 +330,8 @@ func TestPromEncoderLintsClean(t *testing.T) {
 	p.Counter("t_requests_total", "Requests.", Sample{Value: 42})
 	p.Counter("t_by_class_total", "By class.",
 		Sample{Labels: []Label{L("class", "deadline")}, Value: 1},
-		Sample{Labels: []Label{L("class", `we"ird\`)}, Value: 2})
+		Sample{Labels: []Label{L("class", `we"ird\`)}, Value: 2},
+		Sample{Labels: []Label{L("class", "tab\tbrace}\nnl\\n")}, Value: 3})
 	p.Gauge("t_inflight", "In flight.", Sample{Value: 3})
 	var h SumHist
 	for _, v := range []int64{1, 5, 9000, 1 << 40} {
@@ -341,17 +343,36 @@ func TestPromEncoderLintsClean(t *testing.T) {
 	if problems := LintProm(out); len(problems) > 0 {
 		t.Fatalf("linter rejected builder output: %v\n%s", problems, out)
 	}
+	lines := strings.Split(out, "\n")
 	for _, want := range []string{
 		"# HELP t_requests_total Requests.",
 		"# TYPE t_requests_total counter",
 		"t_requests_total 42",
 		`t_by_class_total{class="deadline"} 1`,
+		`t_by_class_total{class="we\"ird\\"} 2`,
+		"t_by_class_total{class=\"tab\tbrace}\\nnl\\\\n\"} 3",
 		`t_latency_us_bucket{path="total",le="+Inf"} 4`,
 		`t_latency_us_sum{path="total"} ` + fmt.Sprint(1+5+9000+(int64(1)<<40)),
 		`t_latency_us_count{path="total"} 4`,
 	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
+		if !slices.Contains(lines, want) {
+			t.Fatalf("exposition has no line %q:\n%s", want, out)
+		}
+	}
+	// Each label value reads back as it was written.
+	got := map[float64]string{}
+	for _, line := range lines {
+		if strings.HasPrefix(line, "t_by_class_total{") {
+			_, labels, v, err := parseSample(line)
+			if err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+			got[v] = labels["class"]
+		}
+	}
+	for v, want := range map[float64]string{1: "deadline", 2: `we"ird\`, 3: "tab\tbrace}\nnl\\n"} {
+		if got[v] != want {
+			t.Errorf("label of sample %v reads back %q, want %q", v, got[v], want)
 		}
 	}
 }
@@ -458,41 +479,5 @@ func TestWindowAggregation(t *testing.T) {
 	lite := w.Snapshot(false)
 	if lite.Series != nil || lite.Rate60s != 1 {
 		t.Fatalf("headline snapshot wrong: %+v", lite)
-	}
-}
-
-// TestRegistryPerWorkload: per-workload cumulative series aggregate
-// independently and export deterministically sorted.
-func TestRegistryPerWorkload(t *testing.T) {
-	r := NewRegistry(60)
-	r.Observe("b-wl", "", 100, 2, false)
-	r.Observe("b-wl", "deadline", 900, 4, false)
-	r.Observe("a-wl", "", 50, 1, true)
-	r.ObserveBreaker("a-wl")
-
-	snap := r.PromSnapshot()
-	if len(snap) != 2 || snap[0].Workload != "a-wl" || snap[1].Workload != "b-wl" {
-		t.Fatalf("PromSnapshot order: %+v", snap)
-	}
-	b := snap[1]
-	if b.Requests != 2 || b.ByClass["deadline"] != 1 || b.OccHW != 4 {
-		t.Fatalf("b-wl stats: %+v", b)
-	}
-	if b.Latency.Sum != 100 { // only successes feed the latency hist
-		t.Fatalf("b-wl latency sum = %d, want 100", b.Latency.Sum)
-	}
-	a := snap[0]
-	if a.Degraded != 1 {
-		t.Fatalf("a-wl degraded = %d", a.Degraded)
-	}
-	profs := r.Profiles(false)
-	if len(profs) != 2 {
-		t.Fatalf("Profiles = %+v", profs)
-	}
-	if p := profs["a-wl"]; p.Seconds != 60 {
-		t.Fatalf("Profiles[a-wl] = %+v, want a live 60s window", p)
-	}
-	if p, ok := profs["nope"]; ok {
-		t.Fatalf("Profiles[nope] = %+v, want no entry for an unserved workload", p)
 	}
 }

@@ -68,17 +68,18 @@ func (o TraceOptions) withDefaults() TraceOptions {
 	return o
 }
 
-// TracerStats reports the tracer's lifetime counters.
+// TracerStats reports the tracer's lifetime counters. The prom and help
+// tags name each field's Prometheus family, as on the engine snapshot.
 type TracerStats struct {
-	Started int64 `json:"started"`
+	Started int64 `json:"started" prom:"dswp_traces_started_total" help:"Request traces started."`
 	// Kept breaks retained traces down by tail-sampling reason.
-	KeptError   int64 `json:"kept_error"`
-	KeptSlow    int64 `json:"kept_slow"`
-	KeptSampled int64 `json:"kept_sampled"`
-	Dropped     int64 `json:"dropped"`
+	KeptError   int64 `json:"kept_error" prom:"dswp_traces_kept_total,reason=error" help:"Traces retained by tail sampling, by reason."`
+	KeptSlow    int64 `json:"kept_slow" prom:"dswp_traces_kept_total,reason=slow"`
+	KeptSampled int64 `json:"kept_sampled" prom:"dswp_traces_kept_total,reason=sampled"`
+	Dropped     int64 `json:"dropped" prom:"dswp_traces_dropped_total" help:"Traces discarded by tail sampling."`
 	// Retained is the current ring occupancy (<= capacity).
-	Retained int `json:"retained"`
-	Capacity int `json:"capacity"`
+	Retained int `json:"retained" prom:"dswp_traces_retained" help:"Traces currently held in the bounded ring."`
+	Capacity int `json:"capacity" prom:"dswp_trace_capacity" help:"Trace ring capacity."`
 }
 
 // Tracer owns request traces: it mints them at admission, receives them

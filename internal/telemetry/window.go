@@ -80,8 +80,7 @@ func (w *Window) Observe(class string, latUS, occupancy int64) {
 	} else {
 		// Latency percentiles track successful requests; error latencies
 		// are dominated by deadlines and retries and would drown them.
-		b := &s.lat
-		b[histBucketOf(latUS)]++
+		s.lat.Add(latUS)
 	}
 	if occupancy > s.occHW {
 		s.occHW = occupancy
@@ -121,22 +120,6 @@ func (w *Window) ObserveReap() {
 	w.mu.Lock()
 	w.slotFor().reaped++
 	w.mu.Unlock()
-}
-
-// histBucketOf mirrors obs's internal bucketing (bit-length) without
-// atomics — window slots are mutex-guarded already.
-func histBucketOf(v int64) int {
-	if v < 0 {
-		v = 0
-	}
-	b := 0
-	for x := uint64(v); x > 0; x >>= 1 {
-		b++
-	}
-	if b >= obs.HistBuckets {
-		b = obs.HistBuckets - 1
-	}
-	return b
 }
 
 // SecondPoint is one second's aggregate, oldest first in Series.

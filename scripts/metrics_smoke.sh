@@ -70,6 +70,18 @@ for family in dswp_requests_total dswp_latency_us_bucket dswp_workload_requests_
   grep -q "^$family" "$PROM" || fail "/metrics missing family $family"
 done
 
+# Both /metrics formats encode one snapshot: once dswpd is idle after the
+# load pass, the Prometheus request count equals the JSON one.
+for i in $(seq 1 50); do
+  curl -sf "http://localhost:$PORT/healthz" | tr -d ' \n' \
+    | grep '"in_flight":0,"queued":0' >/dev/null && break
+  sleep 0.1
+done
+JREQ=$(curl -s "http://localhost:$PORT/metrics" | sed -n 's/^ *"requests": *\([0-9]*\),*$/\1/p')
+PREQ=$(curl -s "http://localhost:$PORT/metrics?format=prometheus" | awk '$1=="dswp_requests_total"{print $2}')
+[ -n "$JREQ" ] && [ "$JREQ" = "$PREQ" ] \
+  || fail "dswp_requests_total $PREQ != JSON requests $JREQ"
+
 # A traced request is retrievable post-hoc in all three formats.
 RID=$(curl -s -D - -o /dev/null -X POST -d '{"workload":"list-traversal","n":64}' \
   "http://localhost:$PORT/run" | tr -d '\r' | awk -F': ' 'tolower($1)=="x-request-id"{print $2}')
