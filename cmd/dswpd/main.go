@@ -53,9 +53,9 @@ func main() {
 		queueDepth = flag.Int("queue-depth", 0, "pending-request bound (0 = 4*workers)")
 		cacheCap   = flag.Int("cache-cap", 32, "max cached compiled pipelines")
 		poolSize   = flag.Int("pool", 0, "warm instances per pipeline (0 = workers)")
-		queueKind  = flag.String("queue", "channel", "default substrate: channel or ring")
+		queueKind  = flag.String("queue", "channel", "queue substrate of every served run: channel or ring")
 		replicate  = flag.Bool("replicate", false, "apply PS-DSWP parallel-stage replication to every compile")
-		queueCap   = flag.Int("queue-cap", 0, fmt.Sprintf("default synchronization-array capacity (0 = %d)", rt.DefaultQueueCap))
+		queueCap   = flag.Int("queue-cap", 0, fmt.Sprintf("synchronization-array capacity of every served run (0 = %d)", rt.DefaultQueueCap))
 		deadline   = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 		drain      = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown grace for in-flight runs")
 		ckptDir    = flag.String("ckpt-dir", "", "directory for the durable checkpoint store (empty = in-memory)")

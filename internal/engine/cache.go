@@ -25,6 +25,11 @@ type pipeline struct {
 	plan          *rt.Plan
 	pool          *pool
 	compileMicros int64
+	// est is one run's working-set estimate (estimateBytes) at the
+	// engine's queue geometry; labels are the per-thread span names
+	// (stageLabels).
+	est    int64
+	labels []string
 
 	// Cache bookkeeping, guarded by the owning cache's mutex.
 	refs int

@@ -110,7 +110,7 @@ func TestClassifyTaxonomy(t *testing.T) {
 		{&rt.QueueFaultError{}, "queue-fault", http.StatusInternalServerError},
 		{&rt.StepLimitError{}, "step-limit", http.StatusInternalServerError},
 		{&UnknownWorkloadError{Name: "x"}, "bad-request", http.StatusBadRequest},
-		{&UnknownQueueKindError{Name: "x"}, "bad-request", http.StatusBadRequest},
+		{&UnknownModeError{Name: "x"}, "bad-request", http.StatusBadRequest},
 		{errors.New("mystery"), "internal", http.StatusInternalServerError},
 	}
 	for _, c := range cases {

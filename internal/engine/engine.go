@@ -65,12 +65,11 @@ func (e *UnknownWorkloadError) Error() string {
 	return fmt.Sprintf("engine: unknown workload %q", e.Name)
 }
 
-// UnknownQueueKindError identifies a request whose queue_kind names no
-// queue substrate.
-type UnknownQueueKindError struct{ Name string }
+// UnknownModeError identifies a request whose mode names no executor.
+type UnknownModeError struct{ Name string }
 
-func (e *UnknownQueueKindError) Error() string {
-	return fmt.Sprintf("engine: unknown queue kind %q (want channel or ring)", e.Name)
+func (e *UnknownModeError) Error() string {
+	return fmt.Sprintf("engine: unknown mode %q (want supervised, concurrent or sequential)", e.Name)
 }
 
 // Options configures an Engine.
@@ -92,11 +91,10 @@ type Options struct {
 	// own Replicate/ReplicaWidth knobs; this only flips the default on
 	// (the dswpd -replicate flag).
 	Replicate bool
-	// QueueCap is the default synchronization-array capacity for served
-	// runs (default runtime.DefaultQueueCap). Requests overriding it
-	// bypass the warm pool, whose instances are built for this capacity.
+	// QueueCap is the synchronization-array capacity of every served run
+	// (default runtime.DefaultQueueCap); warm pools build instances at it.
 	QueueCap int
-	// Queue is the default communication substrate for served runs.
+	// Queue is the communication substrate of every served run.
 	Queue queue.Kind
 	// DefaultDeadline bounds requests that carry no deadline of their
 	// own (default 30s; <0 disables).
@@ -201,16 +199,12 @@ type Request struct {
 	// heuristically but explicit widths are honored). Only meaningful
 	// with Replicate.
 	ReplicaWidth int `json:"replica_width,omitempty"`
-	// Mode selects execution: "supervised" (default; checkpointing and
-	// sequential resume), "concurrent" (raw pipeline runtime), or
-	// "sequential" (the untransformed loop on the interpreter).
+	// Mode selects execution: "supervised" (default; checkpointing,
+	// sequential resume and the circuit breaker), "concurrent" (the bare
+	// pipeline: its failure is the request's error), or "sequential" (the
+	// untransformed loop on the interpreter). Any other value is refused
+	// with *UnknownModeError before admission.
 	Mode string `json:"mode,omitempty"`
-	// QueueCap overrides the engine's synchronization-array capacity for
-	// this run (0 = engine default). Non-default values bypass the pool.
-	QueueCap int `json:"queue_cap,omitempty"`
-	// QueueKind overrides the substrate: "channel" or "ring" ("" = engine
-	// default). Non-default values bypass the pool.
-	QueueKind string `json:"queue_kind,omitempty"`
 	// DeadlineMillis bounds this request end to end, queue wait included
 	// (0 = engine default).
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
@@ -241,16 +235,17 @@ type Response struct {
 	Digest string `json:"digest"`
 	// LiveOuts are thread 0's live-out registers.
 	LiveOuts map[string]int64 `json:"live_outs,omitempty"`
-	// Pipelined is false when the workload has a single SCC (or the
-	// transform was otherwise not applicable) and the engine served the
-	// run sequentially instead.
+	// Pipelined reports whether the run executed the compiled pipeline.
+	// It is false for every sequential run: mode "sequential", a workload
+	// with a single SCC (or an otherwise inapplicable transform), and a
+	// run degraded by an open breaker.
 	Pipelined bool `json:"pipelined"`
 	// Threads and NumQueues describe the compiled pipeline.
 	Threads   int `json:"threads,omitempty"`
 	NumQueues int `json:"num_queues,omitempty"`
 	// ReplicatedStage/ReplicaWidth report parallel-stage replication:
 	// the stage served by ReplicaWidth round-robin replicas (absent when
-	// the pipeline is sequential or replication was not requested).
+	// the run was sequential or the pipeline is not replicated).
 	ReplicatedStage int `json:"replicated_stage,omitempty"`
 	ReplicaWidth    int `json:"replica_width,omitempty"`
 	// Cache is "hit" or "miss".
@@ -550,8 +545,9 @@ func (e *Engine) serve(j *job) {
 	e.observe(j.tr, j.req.Workload, true, j.res.TotalMicros, nil, j.res.Degraded)
 }
 
-// execute compiles (or fetches) the pipeline and runs it in the
-// requested mode.
+// execute compiles (or fetches) the pipeline and runs it on one of two
+// executors: the original loop on the interpreter, or the pipeline under
+// the supervisor (runPipelined).
 func (e *Engine) execute(ctx context.Context, j *job) (*Response, error) {
 	req := j.req
 	tr := j.tr
@@ -580,62 +576,57 @@ func (e *Engine) execute(ctx context.Context, j *job) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	resp.Pipelined = p.tr != nil
 	if p.tr != nil {
 		resp.Threads = len(p.tr.Threads)
 		resp.NumQueues = p.tr.NumQueues
-		if topo := p.plan.Topology(); topo.Replicated() {
-			resp.ReplicatedStage = topo.Stage
-			resp.ReplicaWidth = topo.Width
-			e.met.replicaRuns.Add(1)
-		}
 	}
 
-	kind, qcap := e.runGeometry(req)
-
-	// Memory-accounting admission: reserve the run's working-set estimate
-	// (or shed) now that the compiled geometry is known.
-	est := estimateBytes(p, kind, qcap)
-	if gerr := e.governor.admit(est); gerr != nil {
+	// Memory-accounting admission: reserve the pipeline's working-set
+	// estimate (or shed).
+	if gerr := e.governor.admit(p.est); gerr != nil {
 		return nil, gerr
 	}
-	defer e.governor.release(est)
+	defer e.governor.release(p.est)
 
-	faults := faultsOf(req, p)
-	start := time.Now()
-	rs := tr.Begin("run")
 	mode := req.Mode
 	if mode == "" {
 		mode = "supervised"
 	}
-	rs.Attr("mode", mode).Attr("pipelined", resp.Pipelined)
-	if resp.ReplicaWidth > 1 {
-		rs.Attr("replicated_stage", int64(resp.ReplicatedStage))
-		rs.Attr("replica_width", int64(resp.ReplicaWidth))
+	// Single-SCC workloads (164.gzip) compile to a nil transform and are
+	// served on the interpreter, so every workload is runnable. The
+	// breaker guards supervised runs only.
+	pipelined := p.tr != nil && mode != "sequential"
+	var probe bool
+	if pipelined && mode == "supervised" {
+		pipelined, probe = e.breaker.allow(req.Workload)
+		if probe {
+			tr.Event("breaker-probe")
+		}
+		if !pipelined {
+			resp.Degraded = true
+			e.met.degraded.Add(1)
+			tr.Event("breaker-degraded")
+		}
 	}
+
+	start := time.Now()
+	rs := tr.Begin("run")
+	rs.Attr("mode", mode).Attr("pipelined", pipelined)
 	var res *interp.Result
-	switch {
-	case req.Mode == "sequential" || p.tr == nil:
-		// Single-SCC workloads (164.gzip) compile to a nil transform and
-		// are served on the interpreter, so every workload is runnable.
+	if pipelined {
+		resp.Pipelined = true
+		if topo := p.plan.Topology(); topo.Replicated() {
+			resp.ReplicatedStage = topo.Stage
+			resp.ReplicaWidth = topo.Width
+			e.met.replicaRuns.Add(1)
+			rs.Attr("replicated_stage", int64(topo.Stage))
+			rs.Attr("replica_width", int64(topo.Width))
+		}
+		res, err = e.runPipelined(ctx, j, p, resp, mode == "supervised", probe)
+	} else {
 		res, err = interp.Run(p.prog.F, interp.Options{
 			Ctx: ctx, Mem: p.prog.Mem, Regs: p.prog.Regs,
 		})
-	case req.Mode == "concurrent":
-		inst, warm := e.acquireInstance(tr, p, kind, qcap, faults)
-		resp.Warm = warm
-		res, err = rt.RunCtx(ctx, p.tr.Threads, rt.Options{
-			Plan: p.plan, Instance: inst, Queue: kind, QueueCap: qcap,
-			Mem: p.prog.Mem, Regs: p.prog.Regs, Faults: faults,
-			Recorder: e.tracer.RunRecorder(tr, len(p.tr.Threads), stageLabels(p)...),
-		})
-		e.releaseInstance(p, inst, poisons(err) || j.reaped.Load())
-	case req.Mode == "" || req.Mode == "supervised":
-		res, err = e.runSupervised(ctx, j, p, resp, kind, qcap, faults)
-	default:
-		tr.End(rs)
-		return nil, fmt.Errorf("engine: unknown mode %q", req.Mode)
 	}
 	tr.End(rs)
 	if err != nil {
@@ -657,11 +648,7 @@ func hex16(d uint64) string { return fmt.Sprintf("%016x", d) }
 // stageLabels names a replicated pipeline's threads for per-replica
 // telemetry spans ("stage 1 r0"); nil for sequential pipelines, which
 // keep the default "stage N" names.
-func stageLabels(p *pipeline) []string {
-	if p.plan == nil {
-		return nil
-	}
-	topo := p.plan.Topology()
+func stageLabels(topo *rt.Topology) []string {
 	if !topo.Replicated() {
 		return nil
 	}
@@ -676,71 +663,51 @@ func stageLabels(p *pipeline) []string {
 	return labels
 }
 
-// runGeometry resolves the queue substrate and capacity for a request.
-func (e *Engine) runGeometry(req Request) (queue.Kind, int) {
-	kind := e.opts.Queue
-	if req.QueueKind != "" {
-		kind, _ = queue.ParseKind(req.QueueKind) // resolve rejected a bad one
-	}
-	qcap := e.opts.QueueCap
-	if req.QueueCap > 0 {
-		qcap = req.QueueCap
-	}
-	return kind, qcap
-}
-
-// runSupervised is the default serving path, and where the engine's own
-// fault-tolerance machinery composes with the supervisor's:
+// runPipelined runs the compiled pipeline under the supervisor, on a
+// warm instance at the engine's queue geometry. A concurrent run
+// (supervised false) is the bare attempt: no checkpoints, no resume, no
+// store, no breaker, so its failure is the request's error. A supervised
+// run is where the engine's own fault-tolerance machinery composes with
+// the supervisor's:
 //
-//   - the workload's circuit breaker may degrade the run to the original
-//     sequential loop (correct results, no speedup) while open;
-//   - the pipelined attempt runs under the supervisor with durable
-//     checkpoint commits keyed uniquely per request; a failed attempt
-//     resumes once, sequentially, from the supervisor's newest commit,
-//     and a failed resume is the request's error;
+//   - the pipelined attempt commits durable checkpoints keyed uniquely
+//     per request; a failed attempt resumes once, sequentially, from the
+//     supervisor's newest commit, and a failed resume is the request's
+//     error;
 //   - every attempt that failed other than by cancellation counts against
-//     the breaker, resumed or not, and a panicked attempt quarantines its
-//     instance.
+//     the workload's breaker, resumed or not.
 //
-// Terminal outcomes — success, cancellation, failure — delete the
-// request's store entry; a crash is the only path that leaves one behind,
-// which is exactly what Recover scans for.
-func (e *Engine) runSupervised(ctx context.Context, j *job, p *pipeline,
-	resp *Response, kind queue.Kind, qcap int,
-	faults *rt.FaultPlan) (*interp.Result, error) {
+// Either way a panicked attempt quarantines its instance. Terminal
+// outcomes of a supervised run — success, cancellation, failure — delete
+// the request's store entry; a crash is the only path that leaves one
+// behind, which is exactly what Recover scans for.
+func (e *Engine) runPipelined(ctx context.Context, j *job, p *pipeline,
+	resp *Response, supervised, probe bool) (*interp.Result, error) {
 
 	req, tr := j.req, j.tr
-	pipelined, probe := e.breaker.allow(req.Workload)
-	if probe {
-		tr.Event("breaker-probe")
+	pl := supervisor.Pipeline{Threads: p.tr.Threads, Original: p.prog.F,
+		Mem: p.prog.Mem, Regs: p.prog.Regs}
+	pol := supervisor.Policy{
+		Queue: e.opts.Queue, QueueCap: e.opts.QueueCap, Plan: p.plan,
+		Faults:   faultsOf(req, p),
+		Recorder: e.tracer.RunRecorder(tr, len(p.tr.Threads), p.labels...),
+		// A concurrent run's failure is returned as-is.
+		DisableResume: !supervised,
 	}
-	if !pipelined {
-		resp.Degraded = true
-		resp.Pipelined = false
-		e.met.degraded.Add(1)
-		tr.Event("breaker-degraded")
-		return interp.Run(p.prog.F, interp.Options{
-			Ctx: ctx, Mem: p.prog.Mem, Regs: p.prog.Regs,
-		})
+	if supervised {
+		pl.LoopHeader, pl.RegOwner = p.prog.LoopHeader, p.tr.RegOwner
+		pol.CheckpointEvery, pol.Store = e.opts.CheckpointEvery, e.store
+		pol.StoreKey = fmt.Sprintf("%s.r%06d", req.Workload, atomic.AddInt64(&e.reqSeq, 1))
+		pol.StoreMeta, _ = json.Marshal(req)
+		defer e.store.Delete(pol.StoreKey)
 	}
 
-	ckey := fmt.Sprintf("%s.r%06d", req.Workload, atomic.AddInt64(&e.reqSeq, 1))
-	meta, _ := json.Marshal(req)
-	defer e.store.Delete(ckey)
-
-	inst, warm := e.acquireInstance(tr, p, kind, qcap, faults)
-	resp.Warm = warm
-	res, srep, err := supervisor.Run(ctx, supervisor.Pipeline{
-		Threads: p.tr.Threads, Original: p.prog.F,
-		LoopHeader: p.prog.LoopHeader, RegOwner: p.tr.RegOwner,
-		Mem: p.prog.Mem, Regs: p.prog.Regs,
-	}, supervisor.Policy{
-		Queue: kind, QueueCap: qcap, Plan: p.plan, Instance: inst,
-		Faults: faults, CheckpointEvery: e.opts.CheckpointEvery,
-		Store: e.store, StoreKey: ckey, StoreMeta: meta,
-		Recorder: e.tracer.RunRecorder(tr, len(p.tr.Threads), stageLabels(p)...),
-	})
-	e.releaseInstance(p, inst, poisons(srep.Failure) || j.reaped.Load())
+	pol.Instance, resp.Warm = e.acquireInstance(tr, p, pol.Faults)
+	res, srep, err := supervisor.Run(ctx, pl, pol)
+	e.releaseInstance(p, pol.Instance, poisons(srep.Failure) || j.reaped.Load())
+	if !supervised {
+		return res, err
+	}
 	resp.Checkpoints = srep.Checkpoints
 	resp.DurableCheckpoints = srep.DurableCommits
 	e.met.durableCommits.Add(srep.DurableCommits)
@@ -775,9 +742,9 @@ func poisons(err error) bool {
 }
 
 // faultsOf builds the injected fault plan a request's chaos knobs ask
-// for; nil for ordinary requests.
+// of a pipelined run; nil for ordinary requests.
 func faultsOf(req Request, p *pipeline) *rt.FaultPlan {
-	if p.tr == nil || (req.InjectPanic <= 0 && req.InjectStallUS <= 0) {
+	if req.InjectPanic <= 0 && req.InjectStallUS <= 0 {
 		return nil
 	}
 	f := &rt.FaultPlan{Thread: map[int]failpoint.Policy{}}
@@ -802,27 +769,22 @@ func faultsOf(req Request, p *pipeline) *rt.FaultPlan {
 // acquireInstance is instanceFor wrapped in a "pool-acquire" span, so a
 // retained trace shows whether the run paid an allocation.
 func (e *Engine) acquireInstance(tr *telemetry.RequestTrace, p *pipeline,
-	kind queue.Kind, qcap int, faults *rt.FaultPlan) (*rt.Instance, bool) {
+	faults *rt.FaultPlan) (*rt.Instance, bool) {
 	ps := tr.Begin("pool-acquire")
-	inst, warm := e.instanceFor(p, kind, qcap, faults)
+	inst, warm := e.instanceFor(p, faults)
 	ps.Attr("warm", warm)
 	tr.End(ps)
 	return inst, warm
 }
 
-// instanceFor fetches a warm instance when the request's geometry matches
-// the pool's; otherwise the run allocates fresh state. Fault-injecting
+// instanceFor fetches a warm instance from the pipeline's pool, or makes
+// one that joins the pool when its run returns it. Fault-injecting
 // requests always run on fresh state (Faults are incompatible with warm
 // instances at the runtime layer).
-func (e *Engine) instanceFor(p *pipeline, kind queue.Kind, qcap int, faults *rt.FaultPlan) (*rt.Instance, bool) {
+func (e *Engine) instanceFor(p *pipeline, faults *rt.FaultPlan) (*rt.Instance, bool) {
 	// An injected error forces the cold path (fresh allocation); a sleep
 	// action delays acquisition. Neither may change results.
-	if fpPool.Fail() != nil {
-		e.met.poolMisses.Add(1)
-		return nil, false
-	}
-	if p.pool == nil || faults != nil ||
-		kind != e.opts.Queue || qcap != e.opts.QueueCap {
+	if fpPool.Fail() != nil || faults != nil {
 		e.met.poolMisses.Add(1)
 		return nil, false
 	}
@@ -837,7 +799,7 @@ func (e *Engine) instanceFor(p *pipeline, kind queue.Kind, qcap int, faults *rt.
 // releaseInstance hands a run's instance back to its pool; poisoned
 // instances (the run panicked) are quarantined, never reissued.
 func (e *Engine) releaseInstance(p *pipeline, inst *rt.Instance, poisoned bool) {
-	if inst == nil || p.pool == nil {
+	if inst == nil {
 		return
 	}
 	p.pool.release(inst, poisoned)
@@ -861,8 +823,10 @@ func (e *Engine) compile(req Request, build func() *workloads.Program, key strin
 	if err != nil {
 		if errors.Is(err, core.ErrSingleSCC) || errors.Is(err, core.ErrUnprofitable) {
 			e.noteCompile(req.Workload, false, false)
-			return &pipeline{key: key, prog: prog,
-				compileMicros: time.Since(start).Microseconds()}, nil
+			p := &pipeline{key: key, prog: prog,
+				compileMicros: time.Since(start).Microseconds()}
+			p.est = estimateBytes(p, e.opts.Queue, e.opts.QueueCap)
+			return p, nil
 		}
 		return nil, fmt.Errorf("engine: transform %s: %w", req.Workload, err)
 	}
@@ -893,9 +857,11 @@ func (e *Engine) compile(req Request, build func() *workloads.Program, key strin
 	}
 	plan.SetTopology(topo)
 	p := &pipeline{key: key, prog: prog, tr: tr, plan: plan,
+		labels:        stageLabels(topo),
+		pool:          newPool(plan, e.opts.Queue, e.opts.QueueCap, e.opts.PoolSize, e.met),
 		compileMicros: time.Since(start).Microseconds()}
+	p.est = estimateBytes(p, e.opts.Queue, e.opts.QueueCap)
 	e.met.latCompile.Add(p.compileMicros)
-	p.pool = newPool(plan, e.opts.Queue, e.opts.QueueCap, e.opts.PoolSize, e.met)
 	return p, nil
 }
 

@@ -15,6 +15,7 @@ import (
 	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/profile"
+	"dswp/internal/queue"
 	"dswp/internal/testutil"
 	"dswp/internal/workloads"
 )
@@ -107,21 +108,26 @@ func TestConcurrentIdenticalSingleCompile(t *testing.T) {
 }
 
 // TestConcurrentMixedWorkloads serves 64 concurrent requests across a
-// workload mix (pipelined, packed, parametric, and a single-SCC case)
-// twice and checks every response against its sequential reference,
-// with exactly one compile per distinct cache key and warm instances
-// reused in the second wave.
+// workload mix (pipelined, packed, parametric, and a single-SCC case),
+// each workload in every mode, twice, on an engine per queue substrate,
+// and checks every response against its sequential reference, with
+// exactly one compile per distinct cache key and warm instances reused
+// in the second wave.
 func TestConcurrentMixedWorkloads(t *testing.T) {
 	testutil.VerifyNone(t)
-	mix := []Request{
+	var mix []Request
+	for _, req := range []Request{
 		{Workload: "list-traversal", N: 200},
 		{Workload: "list-traversal", N: 200, PackFlows: true},
 		{Workload: "list-of-lists", Outer: 30, Inner: 4},
 		{Workload: "wc"},
 		{Workload: "adpcmdec"},
 		{Workload: "164.gzip"}, // single SCC: served sequentially
-		{Workload: "list-traversal", N: 200, Mode: "concurrent"},
-		{Workload: "list-of-lists", Outer: 30, Inner: 4, Mode: "sequential"},
+	} {
+		for _, mode := range []string{"supervised", "concurrent", "sequential"} {
+			req.Mode = mode
+			mix = append(mix, req)
+		}
 	}
 	want := make([]string, len(mix))
 	keys := map[string]bool{}
@@ -134,55 +140,60 @@ func TestConcurrentMixedWorkloads(t *testing.T) {
 		keys[key] = true
 	}
 
-	e := New(Options{Workers: 8, QueueDepth: 128})
-	defer shutdown(t, e)
+	for _, kind := range []queue.Kind{queue.KindChannel, queue.KindRing} {
+		t.Run(kind.String(), func(t *testing.T) {
+			e := New(Options{Workers: 8, QueueDepth: 128, Queue: kind})
+			defer shutdown(t, e)
 
-	// Two waves: the first compiles every key and fills the warm pools;
-	// the second must be served entirely from the cache, and released
-	// instances must come back warm under concurrent clients.
-	const n = 64
-	var wg sync.WaitGroup
-	var warm atomic.Int64
-	fail := make(chan string, 2*n)
-	for wave := 0; wave < 2; wave++ {
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				req := mix[i%len(mix)]
-				resp, err := e.Run(context.Background(), req)
-				if err != nil {
-					fail <- fmt.Sprintf("wave %d request %d (%s): %v", wave, i, req.Workload, err)
-					return
+			// Two waves: the first compiles every key and fills the warm
+			// pools; the second must be served entirely from the cache,
+			// and released instances must come back warm under
+			// concurrent clients.
+			const n = 64
+			var wg sync.WaitGroup
+			var warm atomic.Int64
+			fail := make(chan string, 2*n)
+			for wave := 0; wave < 2; wave++ {
+				for i := 0; i < n; i++ {
+					wg.Add(1)
+					go func(i int) {
+						defer wg.Done()
+						req := mix[i%len(mix)]
+						resp, err := e.Run(context.Background(), req)
+						if err != nil {
+							fail <- fmt.Sprintf("wave %d request %d (%s %s): %v", wave, i, req.Workload, req.Mode, err)
+							return
+						}
+						if resp.Digest != want[i%len(mix)] {
+							fail <- fmt.Sprintf("wave %d request %d (%s %s): digest %s, want %s",
+								wave, i, req.Workload, req.Mode, resp.Digest, want[i%len(mix)])
+						}
+						if wave == 1 && resp.Cache != "hit" {
+							fail <- fmt.Sprintf("wave 1 request %d (%s): cache %q, want hit", i, req.Workload, resp.Cache)
+						}
+						if wave == 1 && resp.Warm {
+							warm.Add(1)
+						}
+					}(i)
 				}
-				if resp.Digest != want[i%len(mix)] {
-					fail <- fmt.Sprintf("wave %d request %d (%s): digest %s, want %s",
-						wave, i, req.Workload, resp.Digest, want[i%len(mix)])
-				}
-				if wave == 1 && resp.Cache != "hit" {
-					fail <- fmt.Sprintf("wave 1 request %d (%s): cache %q, want hit", i, req.Workload, resp.Cache)
-				}
-				if wave == 1 && resp.Warm {
-					warm.Add(1)
-				}
-			}(i)
-		}
-		wg.Wait()
-	}
-	close(fail)
-	for msg := range fail {
-		t.Error(msg)
-	}
-	if warm.Load() == 0 {
-		t.Error("no second-wave request reused a pooled instance")
-	}
+				wg.Wait()
+			}
+			close(fail)
+			for msg := range fail {
+				t.Error(msg)
+			}
+			if warm.Load() == 0 {
+				t.Error("no second-wave request reused a pooled instance")
+			}
 
-	s := e.Metrics().Snapshot()
-	if s.Compiles != int64(len(keys)) {
-		t.Errorf("%d compiles, want exactly %d (one per distinct key)", s.Compiles, len(keys))
-	}
-	if s.Shed != 0 {
-		t.Errorf("%d requests shed with queue depth 128", s.Shed)
+			s := e.Metrics().Snapshot()
+			if s.Compiles != int64(len(keys)) {
+				t.Errorf("%d compiles, want exactly %d (one per distinct key)", s.Compiles, len(keys))
+			}
+			if s.Shed != 0 {
+				t.Errorf("%d requests shed with queue depth 128", s.Shed)
+			}
+		})
 	}
 }
 

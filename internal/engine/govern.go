@@ -45,7 +45,8 @@ func (e *RequestTooLargeError) Error() string {
 // allowance for register files and interpreter state, and a fixed
 // overhead for the job/trace/response plumbing. It is deliberately a
 // slight over-estimate — admission control should saturate before the
-// allocator does, not after.
+// allocator does, not after. compile takes it once per pipeline, at the
+// engine's queue geometry.
 func estimateBytes(p *pipeline, kind queue.Kind, qcap int) int64 {
 	const (
 		fixed     = 64 << 10 // job, trace, response, goroutine stacks

@@ -80,7 +80,7 @@ type errorBody struct {
 func classify(err error) (string, int) {
 	var (
 		uw *UnknownWorkloadError
-		uq *UnknownQueueKindError
+		um *UnknownModeError
 		dl *rt.DeadlockError
 		to *rt.TimeoutError
 		sf *rt.StageFailure
@@ -113,7 +113,7 @@ func classify(err error) (string, int) {
 		return "queue-fault", http.StatusInternalServerError
 	case errors.As(err, &sl):
 		return "step-limit", http.StatusInternalServerError
-	case errors.As(err, &uw), errors.As(err, &uq):
+	case errors.As(err, &uw), errors.As(err, &um):
 		return "bad-request", http.StatusBadRequest
 	default:
 		return "internal", http.StatusInternalServerError

@@ -62,14 +62,20 @@ func TestHTTPRunEndpoint(t *testing.T) {
 	if resp, body = postRun(t, srv, `{"workload":"wc","bogus_field":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d: %s", resp.StatusCode, body)
 	}
-	// A misspelt queue kind is refused before admission, not served on
-	// the default substrate.
-	if resp, body = postRun(t, srv, `{"workload":"wc","queue_kind":"rnig"}`); resp.StatusCode != http.StatusBadRequest ||
-		!strings.Contains(string(body), `"bad-request"`) || !strings.Contains(string(body), "rnig") {
-		t.Fatalf("unknown queue kind: %d: %s", resp.StatusCode, body)
+	// A misspelt mode is refused before admission: nothing compiles.
+	compiles := e.Metrics().Snapshot().Compiles
+	if resp, body = postRun(t, srv, `{"workload":"wc","mode":"supervsied"}`); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), `"bad-request"`) || !strings.Contains(string(body), "supervsied") {
+		t.Fatalf("unknown mode: %d: %s", resp.StatusCode, body)
 	}
-	if resp, body = postRun(t, srv, `{"workload":"list-traversal","n":128,"queue_kind":"ring"}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("queue_kind ring: %d: %s", resp.StatusCode, body)
+	if got := e.Metrics().Snapshot().Compiles; got != compiles {
+		t.Fatalf("an unknown mode compiled: compiles %d -> %d", compiles, got)
+	}
+	// Queue geometry is the engine's (dswpd -queue, -queue-cap), not a
+	// request's.
+	if resp, body = postRun(t, srv, `{"workload":"wc","queue_cap":64}`); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(string(body), "unknown field") {
+		t.Fatalf("queue_cap field: %d: %s", resp.StatusCode, body)
 	}
 	if resp, _ := http.Get(srv.URL + "/run"); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /run: %d", resp.StatusCode)

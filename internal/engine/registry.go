@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"dswp/internal/queue"
 	"dswp/internal/workloads"
 )
 
@@ -13,11 +12,13 @@ import (
 // compiled pipeline lives under. The key captures everything that changes
 // the compile: the workload and its parameters, and every transform
 // config field a request can set. Unknown names fail with
-// *UnknownWorkloadError, and an unknown queue kind with
-// *UnknownQueueKindError, before the request is admitted.
+// *UnknownWorkloadError, and an unknown mode with *UnknownModeError,
+// before the request is admitted.
 func resolve(req Request) (func() *workloads.Program, string, error) {
-	if _, err := queue.ParseKind(req.QueueKind); err != nil {
-		return nil, "", &UnknownQueueKindError{Name: req.QueueKind}
+	switch req.Mode {
+	case "", "supervised", "concurrent", "sequential":
+	default:
+		return nil, "", &UnknownModeError{Name: req.Mode}
 	}
 	var build func() *workloads.Program
 	ident := req.Workload

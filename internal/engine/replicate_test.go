@@ -10,7 +10,8 @@ import (
 // a Replicate request on a replicable workload compiles a replicated
 // pipeline exactly once, serves digests bit-identical to the sequential
 // reference, reports the replicated stage and width on the response, and
-// counts both the compile and the runs in the engine metrics.
+// counts both the compile and the runs in the engine metrics. A
+// sequential run of the same pipeline reports neither.
 func TestReplicatedServing(t *testing.T) {
 	base := runtime.NumGoroutine()
 	e := New(Options{Workers: 2})
@@ -63,6 +64,21 @@ func TestReplicatedServing(t *testing.T) {
 	if resp.ReplicaWidth != 4 || resp.Digest != seq.Digest {
 		t.Fatalf("width-4 run: width=%d digest=%s, want 4 and %s",
 			resp.ReplicaWidth, resp.Digest, seq.Digest)
+	}
+
+	// A sequential run of a replicated pipeline reports what ran: no
+	// pipeline and no replication, and it is not a replica run, while
+	// threads still describe the compiled pipeline.
+	seqRep, err := e.Run(context.Background(), Request{
+		Workload: "29.compress", Replicate: true, Mode: "sequential",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seqRep.Pipelined || seqRep.ReplicatedStage != 0 || seqRep.ReplicaWidth != 0 ||
+		seqRep.Threads != baseThreads+width-1 || seqRep.Digest != seq.Digest {
+		t.Fatalf("sequential run of a replicated pipeline: pipelined=%t stage=%d width=%d threads=%d digest=%s",
+			seqRep.Pipelined, seqRep.ReplicatedStage, seqRep.ReplicaWidth, seqRep.Threads, seqRep.Digest)
 	}
 
 	// A non-replicable workload with Replicate set is served unreplicated
