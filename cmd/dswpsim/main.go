@@ -5,9 +5,9 @@
 //	dswpsim -workload 181.mcf -scheme dswp -width full -comm 1 -qsize 32
 //
 // The functional engine producing the traces is selectable: the
-// deterministic round-robin interpreter (-runtime=interp, optionally with a
-// bounded -queuecap), or the goroutine-backed concurrent runtime
-// (-runtime=goroutine) with bounded queues, watchdog deadlock
+// deterministic round-robin interpreter with unbounded queues
+// (-runtime=interp), or the goroutine-backed concurrent runtime
+// (-runtime=goroutine) with bounded queues (-queuecap), watchdog deadlock
 // detection, and optional seed-derived fault injection (-faults N). A
 // concurrent-runtime failure ends the run with its typed error and exit
 // code; -runtime=supervised is the mode that recovers from one.
@@ -30,11 +30,14 @@
 //	dswpsim -workload all -validate -seed 7
 //
 // Observability: -metrics prints the pipeline report (stage utilization,
-// queue pressure, fill/drain breakdown) collected from the functional
-// engine, -trace FILE exports the produce/consume/stall event trace as
-// Chrome trace-event JSON (load it in Perfetto or chrome://tracing), and
-// -stats prints the transformation's compile-time pass statistics. The
-// workload may also be given as a positional argument:
+// queue pressure, fill/drain breakdown, times in nanoseconds) collected
+// from the concurrent runtime, -trace FILE exports the produce/consume/
+// stall event trace as Chrome trace-event JSON (load it in Perfetto or
+// chrome://tracing), and -stats prints the transformation's compile-time
+// pass statistics. -metrics and -trace need a pipelined scheme on
+// -runtime=goroutine or supervised: the goroutine runtime is the only
+// source of pipeline events. The workload may also be given as a
+// positional argument:
 //
 //	dswpsim -runtime=goroutine -trace out.json -metrics listsum
 //
@@ -80,8 +83,8 @@ func main() {
 	comm := flag.Int("comm", 1, "inter-core communication latency (cycles)")
 	qsize := flag.Int("qsize", 32, "synchronization-array queue depth (timing model)")
 	threads := flag.Int("threads", 2, "thread count (doacross supports >2)")
-	engine := flag.String("runtime", "interp", "functional engine: interp | goroutine")
-	queuecap := flag.Int("queuecap", 0, fmt.Sprintf("functional queue capacity (interp: 0 = unbounded; goroutine: 0 = %d)", rt.DefaultQueueCap))
+	engine := flag.String("runtime", "interp", "functional engine: interp | goroutine | supervised")
+	queuecap := flag.Int("queuecap", 0, fmt.Sprintf("queue capacity of the goroutine and supervised runtimes (0 = %d; interp queues are unbounded)", rt.DefaultQueueCap))
 	queueKind := flag.String("queue", "", "communication substrate: channel | ring (default channel)")
 	pack := flag.Bool("pack", false, "coalesce same-point flows into multi-word queue packets (compiler-side flow packing)")
 	faults := flag.Uint64("faults", 0, "fault-injection seed for the goroutine runtime (0 = none)")
@@ -104,6 +107,11 @@ func main() {
 		return
 	}
 
+	if *metrics || *traceOut != "" {
+		if err := instrumentable(*engine, *scheme); err != nil {
+			fail(err)
+		}
+	}
 	p, err := findWorkload(*workload)
 	if err != nil {
 		fail(err)
@@ -283,21 +291,23 @@ type runner struct {
 	psReport *psdswp.Report
 }
 
-// recorder builds the instrumentation sink for a run of nThreads threads
-// over nQueues queues, with tick units matching the engine (retired steps
-// for the interpreter, nanoseconds for the goroutine runtime).
+// instrumentable rejects -metrics and -trace on runs that emit no
+// pipeline events: the interpreter and the sequential base scheme.
+func instrumentable(engine, scheme string) error {
+	if engine == "" || engine == "interp" || scheme == "base" {
+		return fmt.Errorf("-metrics and -trace need a pipelined scheme on -runtime=goroutine (or supervised); got -runtime=%s -scheme=%s", engine, scheme)
+	}
+	return nil
+}
+
+// recorder builds the instrumentation sink for a concurrent run of
+// nThreads threads over nQueues queues.
 func (r *runner) recorder(nThreads, nQueues int) obs.Recorder {
 	if !r.instrument {
 		return nil
 	}
 	r.metrics = obs.NewMetrics(nThreads, nQueues)
 	r.trace = obs.NewTrace(nThreads, 0)
-	if r.engine == "" || r.engine == "interp" {
-		r.metrics.Unit = "steps"
-		r.trace.MicrosPerTick = 1.0
-	} else {
-		r.metrics.Unit = "ns"
-	}
 	return obs.Multi(r.metrics, r.trace)
 }
 
@@ -308,7 +318,6 @@ func (r *runner) recorder(nThreads, nQueues int) obs.Recorder {
 func (r *runner) execute(fns []*ir.Function, p *workloads.Program, numQueues int, opts interp.Options) ([]*interp.ThreadResult, error) {
 	switch r.engine {
 	case "", "interp":
-		opts.Recorder = r.recorder(len(fns), numQueues)
 		res, err := interp.RunThreads(fns, opts)
 		if err != nil {
 			return nil, err
@@ -376,10 +385,8 @@ func countQueues(fns []*ir.Function) int {
 func buildTraces(p *workloads.Program, scheme string, threads int, r *runner) ([]*interp.ThreadResult, *obs.PassStats, error) {
 	opts := p.Options()
 	opts.RecordTrace = true
-	opts.QueueCap = r.queueCap
 	switch scheme {
 	case "base":
-		opts.Recorder = r.recorder(1, 0)
 		res, err := interp.Run(p.F, opts)
 		if err != nil {
 			return nil, nil, err

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	rt "dswp/internal/runtime"
@@ -31,6 +32,31 @@ func TestExitCodes(t *testing.T) {
 	for _, c := range cases {
 		if got := exitCode(c.err); got != c.want {
 			t.Errorf("%s: exitCode(%v) = %d, want %d", c.name, c.err, got, c.want)
+		}
+	}
+}
+
+// TestInstrumentableRuns: -metrics and -trace are refused (exit 1) on
+// runs that emit no pipeline events, with a message naming the runtime
+// that does.
+func TestInstrumentableRuns(t *testing.T) {
+	for _, c := range []struct {
+		engine, scheme string
+		ok             bool
+	}{
+		{"interp", "dswp", false},
+		{"", "dswp", false},
+		{"goroutine", "base", false},
+		{"supervised", "base", false},
+		{"goroutine", "dswp", true},
+		{"supervised", "doacross", true},
+	} {
+		err := instrumentable(c.engine, c.scheme)
+		if (err == nil) != c.ok {
+			t.Errorf("-runtime=%s -scheme=%s: err = %v, want ok %v", c.engine, c.scheme, err, c.ok)
+		}
+		if err != nil && (exitCode(err) != 1 || !strings.Contains(err.Error(), "-runtime=goroutine")) {
+			t.Errorf("-runtime=%s -scheme=%s: exit %d, message %q", c.engine, c.scheme, exitCode(err), err)
 		}
 	}
 }

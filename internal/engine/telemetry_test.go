@@ -119,6 +119,56 @@ func TestTracedRequestRetrievable(t *testing.T) {
 	}
 }
 
+// TestResumedRequestTrace: a supervised request whose attempt panics and
+// resumes sequentially keeps a stage 0 span in the runtime's clock. The
+// resume adds its marker and nothing else: no per-value events past the
+// CoarseOnly bridge, no ring overflow, and no end stamped in retired
+// instructions.
+func TestResumedRequestTrace(t *testing.T) {
+	e := New(Options{Workers: 1, QueueDepth: 4, Telemetry: alwaysSample()})
+	defer shutdown(t, e)
+
+	resp, id, err := e.RunTraced(context.Background(),
+		Request{Workload: "list-traversal", N: 20000, InjectPanic: 400})
+	if err != nil || !resp.Resumed {
+		t.Fatalf("RunTraced: err %v, resumed %v", err, resp.Resumed)
+	}
+	tr := e.Tracer().Get(id)
+	if tr == nil {
+		t.Fatal("resumed request's trace not kept")
+	}
+	st := findChild(findSpan(tr.Root, "run"), "stage 0")
+	if st == nil {
+		t.Fatalf("no stage 0 span under run")
+	}
+	for _, a := range st.Attrs {
+		switch a.Key {
+		case "events_lost", "branches", "iterations":
+			t.Errorf("stage 0 carries %s = %v", a.Key, a.Value)
+		}
+	}
+	resume := findChild(st, "sequential-resume")
+	if resume == nil {
+		t.Fatalf("stage 0 has no sequential-resume child: %v", spanNames(st.Children))
+	}
+	if st.EndNS < resume.StartNS {
+		t.Fatalf("stage 0 ends at %d ns, before its resume marker at %d ns", st.EndNS, resume.StartNS)
+	}
+}
+
+// findSpan returns the first span named name in s's subtree.
+func findSpan(s *telemetry.Span, name string) *telemetry.Span {
+	if s == nil || s.Name == name {
+		return s
+	}
+	for _, c := range s.Children {
+		if f := findSpan(c, name); f != nil {
+			return f
+		}
+	}
+	return nil
+}
+
 func spanNames(spans []*telemetry.Span) []string {
 	var out []string
 	for _, s := range spans {

@@ -46,18 +46,6 @@ type Options struct {
 	// RecordTrace enables event recording (timing runs need it; pure
 	// correctness checks can skip it to save memory).
 	RecordTrace bool
-	// QueueCap bounds each synchronization-array queue (0 = unbounded).
-	// With a bound, produce blocks on a full queue exactly as the
-	// hardware synchronization array would, so full-queue back-pressure
-	// (and deadlocks caused by it) become observable functionally, not
-	// just in the timing model.
-	QueueCap int
-	// Recorder receives instrumentation events (flow ops, stalls,
-	// branches, iterations, stage boundaries). Timestamps are retired
-	// instruction counts — the deterministic scheduler's only clock — so
-	// stall durations are in steps, not wall time. nil disables
-	// instrumentation at the cost of one nil check per site.
-	Recorder obs.Recorder
 	// Ctx, when set, cancels execution cooperatively: the run returns an
 	// error wrapping ctx.Err() at the next scheduling boundary (at most
 	// one burst of instructions later). nil means no cancellation.
@@ -74,13 +62,13 @@ type Options struct {
 
 const defaultMaxSteps = 500_000_000
 
-// queue is a FIFO for functional execution: unbounded by default (capacity
-// limits are a timing concern handled by package sim), or bounded when
-// Options.QueueCap asks the interpreter to reproduce full-queue blocking.
+// queue is an unbounded FIFO for functional execution. Capacity is a
+// timing concern (package sim) and a concurrency concern (the goroutine
+// runtime's bounded queues), never the interpreter's: a thread here only
+// ever blocks on an empty queue.
 type queue struct {
 	buf  []int64
 	head int
-	cap  int // 0 = unbounded
 }
 
 func (q *queue) push(v int64) { q.buf = append(q.buf, v) }
@@ -89,8 +77,6 @@ func (q *queue) empty() bool { return q.head >= len(q.buf) }
 
 // occupancy returns the number of buffered values.
 func (q *queue) occupancy() int { return len(q.buf) - q.head }
-
-func (q *queue) full() bool { return q.cap > 0 && q.occupancy() >= q.cap }
 
 func (q *queue) pop() int64 {
 	v := q.buf[q.head]
@@ -102,37 +88,19 @@ func (q *queue) pop() int64 {
 	return v
 }
 
-// stallReason says why a thread cannot retire its next instruction, using
-// the sim package's StallEmpty/StallFull vocabulary.
-type stallReason uint8
-
-const (
-	stallNone  stallReason = iota
-	stallEmpty             // consume on an empty queue
-	stallFull              // produce on a full queue (bounded mode only)
-)
-
 type thread struct {
-	res        *ThreadResult
-	code       *Code
-	regs       []int64
-	pc         int
-	done       bool
-	stall      stallReason
+	res  *ThreadResult
+	code *Code
+	regs []int64
+	pc   int
+	done bool
+	// stallQueue is the empty queue the thread last blocked on. In a
+	// deadlock every live thread's last burst ended blocked on it.
 	stallQueue int
 
 	// iters counts completed outer-loop iterations (back-edge transfers
 	// to code.Outer), reported in deadlock diagnostics.
 	iters int64
-
-	// Instrumentation state (used only with Options.Recorder set):
-	// inStall marks an open stall interval begun at step stallStart;
-	// stallWasFull records which kind of stall opened the interval, so
-	// the End event's kind matches its Begin even though th.stall is
-	// cleared before the blocked op completes.
-	inStall      bool
-	stallWasFull bool
-	stallStart   int64
 }
 
 // Run executes fn single-threaded. It is the baseline path and the
@@ -207,17 +175,6 @@ func RunThreads(fns []*ir.Function, opts Options) (*Result, error) {
 	// A queue is allocated when a thread first touches it, so deadlock
 	// reports list only the queues the run used.
 	queues := make([]*queue, numQueues)
-	rec := opts.Recorder
-	if rec != nil {
-		// Declare every statically referenced queue's capacity and open
-		// each stage before execution starts.
-		for q := 0; q < numQueues; q++ {
-			rec.Record(obs.Event{Kind: obs.KQueueCap, Thread: 0, Queue: int32(q), Arg: int64(opts.QueueCap)})
-		}
-		for ti := range threads {
-			rec.Record(obs.Event{Kind: obs.KStageStart, Thread: int32(ti), Queue: -1})
-		}
-	}
 
 	var total int64
 	// Round-robin until all threads are done. Each turn a thread runs a
@@ -236,7 +193,7 @@ func RunThreads(fns []*ir.Function, opts Options) (*Result, error) {
 				continue
 			}
 			allDone = false
-			progressed, err := runBurst(th, ti, mem, queues, opts.QueueCap, min(total+burst, maxSteps), &total, opts.RecordTrace, rec)
+			progressed, err := runBurst(th, mem, queues, min(total+burst, maxSteps), &total, opts.RecordTrace)
 			if err != nil {
 				return nil, fmt.Errorf("interp: thread %d: %w", ti, err)
 			}
@@ -275,21 +232,14 @@ func deadlockError(threads []*thread, queues []*queue) error {
 			if op := th.code.Ops[th.pc]; op.In != nil {
 				in = op.In.String()
 			}
-			why := ""
-			switch th.stall {
-			case stallEmpty:
-				why = fmt.Sprintf(" (StallEmpty q%d)", th.stallQueue)
-			case stallFull:
-				why = fmt.Sprintf(" (StallFull q%d)", th.stallQueue)
-			}
 			block, off := th.code.Where(th.pc)
 			// A loop-free thread reads -1, as runtime.BlockInfo.Iter does.
 			iter := th.iters
 			if th.code.Outer < 0 {
 				iter = -1
 			}
-			state = fmt.Sprintf("blocked%s at %s/%s[%d] %q iter=%d",
-				why, th.res.Fn.Name, block.Name, off, in, iter)
+			state = fmt.Sprintf("blocked (StallEmpty q%d) at %s/%s[%d] %q iter=%d",
+				th.stallQueue, th.res.Fn.Name, block.Name, off, in, iter)
 		}
 		fmt.Fprintf(&sb, " thread%d=%s;", i, state)
 	}
@@ -305,7 +255,7 @@ func deadlockError(threads []*thread, queues []*queue) error {
 		}
 		prods, cons := queueEndpoints(threads, id)
 		qs = append(qs, obs.QueueState{
-			Queue: id, Len: q.occupancy(), Cap: q.cap,
+			Queue: id, Len: q.occupancy(),
 			Producers: prods, Consumers: cons,
 		})
 	}
@@ -339,16 +289,13 @@ func queueEndpoints(threads []*thread, id int) (prods, cons []int) {
 	return prods, cons
 }
 
-// runBurst executes thread ti until the shared retired-step counter
-// reaches end, the thread stalls on a queue or it returns; it reports
-// whether any instruction retired. rec, when non-nil, receives
-// flow/stall/branch/iteration/stage events timestamped with the shared
-// retired-step counter.
-func runBurst(th *thread, ti int, mem *Memory, queues []*queue, qcap int, end int64, total *int64, trace bool, rec obs.Recorder) (bool, error) {
+// runBurst executes th until the shared retired-step counter reaches
+// end, the thread blocks on an empty queue or it returns; it reports
+// whether any instruction retired.
+func runBurst(th *thread, mem *Memory, queues []*queue, end int64, total *int64, trace bool) (bool, error) {
 	ops, regs, counts, words := th.code.Ops, th.regs, th.res.Counts, mem.Words()
 	pc, tot := th.pc, *total
 	start := tot
-	hooked := trace || rec != nil
 	var addr int64
 	var err error
 run:
@@ -356,19 +303,10 @@ run:
 		op := &ops[pc]
 		switch op.Op {
 		case ir.OpConsume:
-			q := touch(queues, op.Q, qcap)
+			q := touch(queues, op.Q)
 			if q.empty() {
-				if rec != nil && !th.inStall {
-					th.inStall, th.stallWasFull, th.stallStart = true, false, tot
-					rec.Record(obs.Event{Kind: obs.KStallEmptyBegin,
-						Thread: int32(ti), Queue: op.Q, When: tot})
-				}
-				th.stall, th.stallQueue = stallEmpty, int(op.Q)
+				th.stallQueue = int(op.Q)
 				break run
-			}
-			th.stall = stallNone
-			if th.inStall {
-				th.stallEnds(ti, op.Q, tot, rec)
 			}
 			v := q.pop()
 			if op.Dst >= 0 {
@@ -376,25 +314,11 @@ run:
 			}
 			pc++
 		case ir.OpProduce:
-			q := touch(queues, op.Q, qcap)
-			if q.full() {
-				if rec != nil && !th.inStall {
-					th.inStall, th.stallWasFull, th.stallStart = true, true, tot
-					rec.Record(obs.Event{Kind: obs.KStallFullBegin,
-						Thread: int32(ti), Queue: op.Q, When: tot})
-				}
-				th.stall, th.stallQueue = stallFull, int(op.Q)
-				break run
-			}
-			th.stall = stallNone
-			if th.inStall {
-				th.stallEnds(ti, op.Q, tot, rec)
-			}
 			v := int64(0)
 			if op.A >= 0 {
 				v = regs[op.A]
 			}
-			q.push(v)
+			touch(queues, op.Q).push(v)
 			pc++
 		case ir.OpBranch:
 			back := op.BackF
@@ -447,8 +371,9 @@ run:
 
 		counts[op.ID]++
 		tot++
-		if hooked {
-			th.hook(ti, op, regs, addr, queues, tot, th.res.Steps+tot-start, trace, rec)
+		if trace {
+			ev, _ := op.Retired(regs, addr)
+			th.res.Trace = append(th.res.Trace, ev)
 		}
 		if th.done {
 			break
@@ -461,58 +386,11 @@ run:
 }
 
 // touch returns queue id, allocating it on first use.
-func touch(queues []*queue, id int32, qcap int) *queue {
+func touch(queues []*queue, id int32) *queue {
 	q := queues[id]
 	if q == nil {
-		q = &queue{cap: qcap}
+		q = &queue{}
 		queues[id] = q
 	}
 	return q
-}
-
-// stallEnds closes the open stall interval, charging its duration in
-// steps. The End kind mirrors the Begin kind recorded when the interval
-// opened (th.stall is already cleared by the time the blocked op finally
-// completes, so it cannot be consulted here) — this keeps full/empty
-// stall accounting symmetric with the concurrent runtime on bounded-queue
-// runs.
-func (th *thread) stallEnds(ti int, q int32, now int64, rec obs.Recorder) {
-	th.inStall = false
-	kind := obs.KStallEmptyEnd
-	if th.stallWasFull {
-		kind = obs.KStallFullEnd
-	}
-	rec.Record(obs.Event{Kind: kind, Thread: int32(ti), Queue: q,
-		When: now, Arg: now - th.stallStart})
-}
-
-// hook records the trace event and recorder events of an op that just
-// retired as the tot-th step overall and the steps-th of its thread.
-// Events about the op itself carry its pre-retirement timestamp.
-func (th *thread) hook(ti int, op *Op, regs []int64, addr int64, queues []*queue, tot, steps int64, trace bool, rec obs.Recorder) {
-	ev, back := op.Retired(regs, addr)
-	if trace {
-		th.res.Trace = append(th.res.Trace, ev)
-	}
-	if rec == nil {
-		return
-	}
-	switch op.Op {
-	case ir.OpConsume, ir.OpProduce:
-		kind := obs.KConsume
-		if op.Op == ir.OpProduce {
-			kind = obs.KProduce
-		}
-		rec.Record(obs.Event{Kind: kind, Thread: int32(ti), Queue: op.Q,
-			When: tot - 1, Arg: int64(queues[op.Q].occupancy())})
-	case ir.OpBranch:
-		rec.Record(obs.Event{Kind: obs.KBranch, Thread: int32(ti), Queue: -1,
-			When: tot - 1, Arg: b2i(ev.Taken)})
-	case ir.OpRet:
-		rec.Record(obs.Event{Kind: obs.KStageDone, Thread: int32(ti), Queue: -1,
-			When: tot, Arg: steps})
-	}
-	if back {
-		rec.Record(obs.Event{Kind: obs.KIteration, Thread: int32(ti), Queue: -1, When: tot - 1})
-	}
 }

@@ -309,78 +309,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-// TestQueueCapOnePipeline re-runs the two-thread pipeline with every queue
-// bounded to a single slot: produce must block on full and the round-robin
-// scheduler must still drain the pipeline to the same answer.
-func TestQueueCapOnePipeline(t *testing.T) {
-	prod := ir.MustParse(`func producer {
-  liveout r9
-entry:
-    r1 = const 0
-    r5 = const 10
-    r6 = const 1
-    jump loop
-loop:
-    r1 = add r1, r6
-    produce [0] = r1
-    r2 = cmplt r1, r5
-    br r2, loop, done
-done:
-    consume r9 = [1]
-    ret
-}
-`)
-	cons := ir.MustParse(`func consumer {
-entry:
-    r1 = const 0
-    r5 = const 10
-    r6 = const 1
-    r7 = const 0
-    jump loop
-loop:
-    consume r2 = [0]
-    r7 = add r7, r2
-    r1 = add r1, r6
-    r3 = cmplt r1, r5
-    br r3, loop, done
-done:
-    produce [1] = r7
-    ret
-}
-`)
-	for _, cap := range []int{1, 2, 32} {
-		res, err := RunThreads([]*ir.Function{prod, cons}, Options{QueueCap: cap})
-		if err != nil {
-			t.Fatalf("cap %d: %v", cap, err)
-		}
-		if got := res.LiveOuts[ir.Reg(9)]; got != 55 {
-			t.Fatalf("cap %d: pipeline sum = %d, want 55", cap, got)
-		}
-	}
-}
-
-// TestQueueCapFullDeadlockReport checks that a producer wedged on a full
-// queue is reported as StallFull with the queue's occupancy and endpoints.
-func TestQueueCapFullDeadlockReport(t *testing.T) {
-	a := ir.MustParse(`func a {
-entry:
-    r1 = const 7
-    produce [0] = r1
-    produce [0] = r1
-    ret
-}
-`)
-	_, err := RunThreads([]*ir.Function{a}, Options{QueueCap: 1})
-	if err == nil {
-		t.Fatal("expected full-queue deadlock")
-	}
-	for _, want := range []string{"deadlock", "StallFull q0", "q0=full 1/1", "prod [0]"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q missing %q", err, want)
-		}
-	}
-}
-
 // TestDeadlockReportsQueueOccupancy: empty-queue deadlocks name the stalled
 // queue, its state, and which threads produce/consume it.
 func TestDeadlockReportsQueueOccupancy(t *testing.T) {

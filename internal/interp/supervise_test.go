@@ -7,23 +7,7 @@ import (
 	"testing"
 
 	"dswp/internal/ir"
-	"dswp/internal/obs"
 )
-
-// eventLog is a minimal recorder collecting raw events for assertions.
-type eventLog struct{ evs []obs.Event }
-
-func (l *eventLog) Record(e obs.Event) { l.evs = append(l.evs, e) }
-
-func (l *eventLog) count(k obs.Kind) int {
-	n := 0
-	for _, e := range l.evs {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
 
 // sumLoop is a counted loop summing 1..10 into r7 (r1 = induction, r5 =
 // limit, r6 = step); resumable at "loop" with a hand-built register file.
@@ -44,59 +28,6 @@ done:
     ret
 }
 `
-
-// TestStallEventSymmetry: with a one-slot queue the producer's full stalls
-// must close as KStallFullEnd and the consumer's empty stalls as
-// KStallEmptyEnd — Begin/End kinds pairing exactly as the concurrent
-// runtime reports them. (The interpreter used to close every stall as
-// KStallEmptyEnd because th.stall was cleared before the End site read it.)
-func TestStallEventSymmetry(t *testing.T) {
-	prod := ir.MustParse(`func producer {
-entry:
-    r1 = const 0
-    r5 = const 10
-    r6 = const 1
-    jump loop
-loop:
-    r1 = add r1, r6
-    produce [0] = r1
-    r2 = cmplt r1, r5
-    br r2, loop, done
-done:
-    ret
-}
-`)
-	cons := ir.MustParse(`func consumer {
-entry:
-    r1 = const 0
-    r5 = const 10
-    r6 = const 1
-    jump loop
-loop:
-    consume r2 = [0]
-    r1 = add r1, r6
-    r3 = cmplt r1, r5
-    br r3, loop, done
-done:
-    ret
-}
-`)
-	log := &eventLog{}
-	if _, err := RunThreads([]*ir.Function{prod, cons}, Options{QueueCap: 1, Recorder: log}); err != nil {
-		t.Fatal(err)
-	}
-	fb, fe := log.count(obs.KStallFullBegin), log.count(obs.KStallFullEnd)
-	eb, ee := log.count(obs.KStallEmptyBegin), log.count(obs.KStallEmptyEnd)
-	if fb == 0 {
-		t.Fatal("cap-1 pipeline recorded no full stalls")
-	}
-	if fb != fe {
-		t.Fatalf("full stall Begin/End mismatch: %d begins, %d ends", fb, fe)
-	}
-	if eb != ee {
-		t.Fatalf("empty stall Begin/End mismatch: %d begins, %d ends", eb, ee)
-	}
-}
 
 // TestStartBlockRegFileResume: starting at the loop header with the
 // architectural state of four completed iterations must finish with the

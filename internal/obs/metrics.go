@@ -110,10 +110,10 @@ type QueueMetrics struct {
 	// produce.
 	HighWater int64
 	// StallFull counts producer blocking occurrences; StallFullTicks
-	// accumulates the blocked durations.
+	// accumulates the blocked durations (ns).
 	StallFull, StallFullTicks int64
-	// Cap is the queue capacity (0 = unbounded), from KQueueCap. Written
-	// once at startup, so it can ride in the producer line.
+	// Cap is the queue capacity, from KQueueCap. Written once at
+	// startup, so it can ride in the producer line.
 	Cap int64
 	_   [3]int64 // pad producer group to 64 bytes
 
@@ -121,13 +121,13 @@ type QueueMetrics struct {
 	// Consumes counts completed consume operations.
 	Consumes int64
 	// StallEmpty counts consumer blocking occurrences; StallEmptyTicks
-	// accumulates the blocked durations.
+	// accumulates the blocked durations (ns).
 	StallEmpty, StallEmptyTicks int64
 	_                           [5]int64 // pad consumer group to 64 bytes
 
 	// OccHist is a histogram of occupancy-after-produce samples
 	// (producer-written); BlockHist is a histogram of blocked durations
-	// (ticks), full and empty merged (written by whichever side stalled).
+	// (ns), full and empty merged (written by whichever side stalled).
 	OccHist   Hist
 	BlockHist Hist
 }
@@ -146,12 +146,13 @@ type StageMetrics struct {
 	Branches, TakenBr  int64
 	Iterations         int64
 	// StallFull/StallEmpty count blocking occurrences charged to this
-	// stage; the Ticks fields accumulate the blocked durations.
+	// stage; the Ticks fields accumulate the blocked durations (ns).
 	StallFull, StallEmpty           int64
 	StallFullTicks, StallEmptyTicks int64
 	// StartTick/EndTick bracket the stage's execution; FirstFlowTick is
 	// the first completed produce or consume (used by the fill-time
-	// estimate). Stored as tick+1 so zero means "never observed".
+	// estimate). Each is a run-relative nanosecond stamp stored as
+	// tick+1, so zero means "never observed".
 	StartTick, EndTick, FirstFlowTick int64
 	_                                 [3]int64 // pad to 128 bytes (two cache lines)
 }
@@ -179,12 +180,9 @@ func (s *StageMetrics) Utilization() float64 {
 
 // Metrics is a Recorder that aggregates counters and histograms with
 // fixed-size atomic storage: no allocation and no locking on the record
-// path, safe under the goroutine runtime's true concurrency.
+// path, safe under the goroutine runtime's true concurrency. It ignores
+// run-level KDurableCommit events, which carry no stage or queue.
 type Metrics struct {
-	// Unit names the engine's tick unit for presentation ("ns" for the
-	// goroutine runtime, "steps" for the interpreter).
-	Unit string
-
 	stages  []StageMetrics
 	queues  []QueueMetrics
 	dropped int64
@@ -206,7 +204,6 @@ func NewMetrics(threads, queues int) *Metrics {
 		queues = 0
 	}
 	return &Metrics{
-		Unit:   "ticks",
 		stages: make([]StageMetrics, threads),
 		queues: make([]QueueMetrics, queues),
 	}
@@ -252,6 +249,9 @@ func Tick(stored int64) int64 { return stored - 1 }
 
 // Record implements Recorder.
 func (m *Metrics) Record(e Event) {
+	if e.Kind == KDurableCommit {
+		return
+	}
 	var st *StageMetrics
 	if int(e.Thread) >= 0 && int(e.Thread) < len(m.stages) {
 		st = &m.stages[e.Thread]

@@ -1,7 +1,7 @@
 // Package obs is the pipeline observability layer: a low-overhead
-// instrumentation protocol (Recorder) shared by the deterministic
-// interpreter (internal/interp) and the goroutine runtime
-// (internal/runtime), concrete recorders that aggregate metrics (Metrics)
+// instrumentation protocol (Recorder) fed by the goroutine runtime
+// (internal/runtime) and the supervisor's recovery markers
+// (internal/supervisor), concrete recorders that aggregate metrics (Metrics)
 // or retain raw events in ring buffers (Trace), a Chrome trace-event JSON
 // exporter viewable in Perfetto, a plain-text pipeline report, and the
 // compile-time PassStats the DSWP transformation emits.
@@ -30,11 +30,12 @@ const (
 	// immediately after the pop.
 	KConsume
 	// KStallFullBegin/KStallFullEnd bracket a produce blocked on a full
-	// queue. The End event's Arg is the blocked duration in ticks.
+	// queue. The End event's Arg is the blocked duration in nanoseconds.
 	KStallFullBegin
 	KStallFullEnd
 	// KStallEmptyBegin/KStallEmptyEnd bracket a consume blocked on an
-	// empty queue. The End event's Arg is the blocked duration in ticks.
+	// empty queue. The End event's Arg is the blocked duration in
+	// nanoseconds.
 	KStallEmptyBegin
 	KStallEmptyEnd
 	// KBranch: a conditional branch retired. Arg is 1 when taken.
@@ -46,8 +47,8 @@ const (
 	// Done event's Arg is the stage's retired instruction count.
 	KStageStart
 	KStageDone
-	// KQueueCap declares a queue's capacity (Arg; 0 = unbounded). Engines
-	// emit it once per queue before execution starts.
+	// KQueueCap declares a queue's capacity (Arg). The runtime emits it
+	// once per queue before execution starts.
 	KQueueCap
 	// KCheckpoint: the pipeline committed an iteration-aligned checkpoint
 	// while paused at an epoch barrier. Arg is the committed outer-loop
@@ -60,7 +61,8 @@ const (
 	// KDurableCommit: the supervisor wrote a checkpoint to the durable
 	// store while the pipeline was paused at the epoch barrier. Arg is
 	// the commit's wall-clock cost in microseconds — the fsync the
-	// barrier absorbs, made visible to request traces.
+	// barrier absorbs, made visible to request traces. Thread is -1: the
+	// commit belongs to the run, not to any one stage.
 	KDurableCommit
 )
 
@@ -98,16 +100,14 @@ func (k Kind) String() string {
 	return "?"
 }
 
-// Event is one instrumentation record. When is in engine ticks: the
-// goroutine runtime stamps nanoseconds since run start, the deterministic
-// interpreter stamps retired-instruction counts (its only meaningful
-// clock). Recorders treat ticks as opaque; presentation layers scale them
-// (see Trace.MicrosPerTick and Metrics.Unit).
+// Event is one instrumentation record. When is nanoseconds since run
+// start; every Tick and Ticks field of Metrics counts the same
+// nanoseconds.
 type Event struct {
 	Kind   Kind
-	Thread int32
+	Thread int32 // emitting stage, or -1 for a run-level event
 	Queue  int32 // queue id, or -1 when not queue-related
-	When   int64 // engine ticks since run start
+	When   int64 // nanoseconds since run start
 	Arg    int64 // kind-specific payload (see Kind docs)
 }
 

@@ -165,7 +165,6 @@ func TestTraceEventsMerged(t *testing.T) {
 // a valid traceEvents JSON with a track per thread and per queue.
 func TestWriteChromeValidJSON(t *testing.T) {
 	tr := NewTrace(2, 64)
-	tr.MicrosPerTick = 1
 	evs := []Event{
 		{Kind: KStageStart, Thread: 0, Queue: -1, When: 0},
 		{Kind: KStageStart, Thread: 1, Queue: -1, When: 0},
@@ -232,6 +231,61 @@ func TestWriteChromeValidJSON(t *testing.T) {
 		if d != 0 {
 			t.Errorf("tid %d ends at span depth %d", tid, d)
 		}
+	}
+}
+
+// TestRunLevelEvents: a Thread -1 event (the supervisor's durable
+// commit) is neither dropped by Trace nor counted as dropped by Metrics,
+// and reaches the Chrome export as a global instant without a thread
+// track of its own.
+func TestRunLevelEvents(t *testing.T) {
+	commit := Event{Kind: KDurableCommit, Thread: -1, Queue: -1, When: 2500, Arg: 40}
+	tr, m := NewTrace(1, 4), NewMetrics(1, 0)
+	rec := Multi(tr, m)
+	rec.Record(Event{Kind: KStageStart, Thread: 0, Queue: -1, When: 1000})
+	rec.Record(commit)
+	rec.Record(Event{Kind: KStageDone, Thread: 0, Queue: -1, When: 3000, Arg: 9})
+	if tr.Dropped() != 0 || m.Dropped() != 0 {
+		t.Fatalf("dropped: trace %d, metrics %d, want 0", tr.Dropped(), m.Dropped())
+	}
+	if bad := m.CheckConsistency(); len(bad) != 0 {
+		t.Fatalf("CheckConsistency = %v", bad)
+	}
+	evs := tr.Events()
+	if len(evs) != 3 || evs[1] != commit {
+		t.Fatalf("events = %v, want the commit between start and done", evs)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf, []string{"stage"}); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []ChromeEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	var found bool
+	for _, e := range doc.TraceEvents {
+		if e.Name == "thread_name" && e.Tid < 0 {
+			t.Errorf("run-level event got a thread track: %+v", e)
+		}
+		if e.Name == "durable-commit" {
+			found = true
+			if e.Scope != "g" || e.Ts != 2.5 {
+				t.Errorf("durable-commit = %+v, want a global instant at 2.5us", e)
+			}
+		}
+	}
+	if !found {
+		t.Fatalf("Chrome export has no durable-commit:\n%s", buf.String())
+	}
+
+	// Other out-of-range threads are still dropped.
+	tr.Record(Event{Kind: KIteration, Thread: 7})
+	if tr.Dropped() != 1 {
+		t.Fatalf("thread 7: dropped = %d, want 1", tr.Dropped())
 	}
 }
 

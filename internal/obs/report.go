@@ -6,7 +6,7 @@ import (
 )
 
 // FillDrain is the report's pipeline fill/drain breakdown. All values are
-// engine ticks.
+// nanoseconds.
 type FillDrain struct {
 	// Total is the whole run: earliest stage start to latest stage end.
 	Total int64
@@ -92,15 +92,11 @@ func Bottleneck(m *Metrics) (stage int, ratio float64) {
 
 // FormatReport renders the plain-text pipeline report: a stage
 // utilization table, a queue pressure table, and the fill/drain
-// breakdown. threadNames labels stages (index = thread id; missing
-// entries fall back to "threadN").
+// breakdown, with times in nanoseconds. threadNames labels stages (index
+// = thread id; missing entries fall back to "threadN").
 func FormatReport(m *Metrics, threadNames []string) string {
-	unit := m.Unit
-	if unit == "" {
-		unit = "ticks"
-	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "pipeline report (times in %s)\n\n", unit)
+	sb.WriteString("pipeline report (times in ns)\n\n")
 
 	name := func(i int) string {
 		if i < len(threadNames) && threadNames[i] != "" {
@@ -126,18 +122,14 @@ func FormatReport(m *Metrics, threadNames []string) string {
 		if qm.Produces == 0 && qm.Consumes == 0 {
 			continue
 		}
-		capStr := "inf"
-		if qm.Cap > 0 {
-			capStr = fmt.Sprintf("%d", qm.Cap)
-		}
-		fmt.Fprintf(&sb, "%-5d %10d %10d %5d/%-3s %7dx %7d %7dx %7d\n",
-			q, qm.Produces, qm.Consumes, qm.HighWater, capStr,
+		fmt.Fprintf(&sb, "%-5d %10d %10d %5d/%-3d %7dx %7d %7dx %7d\n",
+			q, qm.Produces, qm.Consumes, qm.HighWater, qm.Cap,
 			qm.StallFull, qm.StallFullTicks, qm.StallEmpty, qm.StallEmptyTicks)
 	}
 
 	fd := ComputeFillDrain(m)
-	fmt.Fprintf(&sb, "\nfill/drain breakdown (%s): total %d = fill %d + steady %d + drain %d\n",
-		unit, fd.Total, fd.Fill, fd.Steady, fd.Drain)
+	fmt.Fprintf(&sb, "\nfill/drain breakdown (ns): total %d = fill %d + steady %d + drain %d\n",
+		fd.Total, fd.Fill, fd.Steady, fd.Drain)
 	if bs, ratio := Bottleneck(m); bs >= 0 {
 		fmt.Fprintf(&sb, "bottleneck: stage %d (%s), %.1f%% busy, %.2fx the mean of the "+
 			"other stages — replicate this stage (PS-DSWP) if the planner allows it\n",

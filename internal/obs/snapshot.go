@@ -12,7 +12,6 @@ import "sync/atomic"
 // permits (the producer bumps its counter after publishing the value, so
 // the consumer may count a value first).
 type MetricsSnapshot struct {
-	Unit        string
 	Stages      []StageMetrics
 	Queues      []QueueMetrics
 	Dropped     int64
@@ -31,7 +30,6 @@ func loadHist(dst, src *Hist) {
 // atomic load per field.
 func (m *Metrics) Snapshot() *MetricsSnapshot {
 	s := &MetricsSnapshot{
-		Unit:        m.Unit,
 		Stages:      make([]StageMetrics, len(m.stages)),
 		Queues:      make([]QueueMetrics, len(m.queues)),
 		Dropped:     atomic.LoadInt64(&m.dropped),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
@@ -61,15 +62,17 @@ func (r *Ring) Events() []Event {
 
 // Trace is a Recorder retaining raw events in per-thread ring buffers.
 // Engines emit each thread's events from that thread only, so every ring
-// has a single writer and the record path takes no lock. Events from
-// out-of-range threads are dropped (counted).
+// has a single writer and the record path takes no lock. Run-level events
+// (Thread -1, such as KDurableCommit) come from whichever thread drove
+// them, so they go to one mutex-guarded list instead; they are rare (one
+// per checkpoint epoch). Events from other out-of-range threads are
+// dropped (counted).
 type Trace struct {
-	// MicrosPerTick scales engine ticks to Chrome-trace microseconds:
-	// 0.001 for the goroutine runtime (ticks are ns), 1.0 for the
-	// interpreter (one retired instruction renders as one microsecond).
-	MicrosPerTick float64
-	rings         []Ring
-	dropped       int64
+	rings   []Ring
+	dropped int64
+
+	mu  sync.Mutex
+	run []Event
 }
 
 // NewTrace sizes a trace for threads threads with capPerThread retained
@@ -81,14 +84,14 @@ func NewTrace(threads, capPerThread int) *Trace {
 	if threads < 0 {
 		threads = 0
 	}
-	t := &Trace{MicrosPerTick: 0.001, rings: make([]Ring, threads)}
+	t := &Trace{rings: make([]Ring, threads)}
 	for i := range t.rings {
 		t.rings[i].Reset(capPerThread)
 	}
 	return t
 }
 
-// Dropped counts events from out-of-range threads.
+// Dropped counts events from out-of-range threads other than -1.
 func (t *Trace) Dropped() int64 { return atomic.LoadInt64(&t.dropped) }
 
 // Lost reports how many events were overwritten by ring wrap-around.
@@ -102,6 +105,12 @@ func (t *Trace) Lost() int64 {
 
 // Record implements Recorder.
 func (t *Trace) Record(e Event) {
+	if e.Thread == -1 {
+		t.mu.Lock()
+		t.run = append(t.run, e)
+		t.mu.Unlock()
+		return
+	}
 	if int(e.Thread) < 0 || int(e.Thread) >= len(t.rings) {
 		atomic.AddInt64(&t.dropped, 1)
 		return
@@ -109,10 +118,12 @@ func (t *Trace) Record(e Event) {
 	t.rings[e.Thread].Add(e)
 }
 
-// Events returns all retained events merged across threads, ordered by
-// timestamp (ties broken by thread).
+// Events returns all retained events merged across threads and the
+// run-level list, ordered by timestamp (ties broken by thread).
 func (t *Trace) Events() []Event {
-	var out []Event
+	t.mu.Lock()
+	out := append([]Event(nil), t.run...)
+	t.mu.Unlock()
 	for i := range t.rings {
 		out = append(out, t.rings[i].Events()...)
 	}
@@ -178,7 +189,9 @@ const (
 // renders as a counter track named "qN occupancy" fed by the
 // occupancy-after-op samples carried on produce/consume events. Stall
 // intervals render as B/E spans on the blocked thread's track; produces,
-// consumes, branches, and iterations render as instants.
+// consumes, branches, and iterations render as instants; run-level
+// markers (durable commits) as global instants. Event times are
+// nanoseconds, exported as microseconds.
 func (t *Trace) WriteChrome(w io.Writer, threadNames []string) error {
 	events := t.Events()
 	name := func(ti int) string {
@@ -198,7 +211,7 @@ func (t *Trace) WriteChrome(w io.Writer, threadNames []string) error {
 	seenThreads := map[int]bool{}
 	for _, e := range events {
 		ti := int(e.Thread)
-		if !seenThreads[ti] {
+		if ti >= 0 && !seenThreads[ti] {
 			seenThreads[ti] = true
 			emit(ChromeEvent{Name: "thread_name", Phase: "M",
 				Pid: chromePidThreads, Tid: ti,
@@ -207,7 +220,7 @@ func (t *Trace) WriteChrome(w io.Writer, threadNames []string) error {
 	}
 
 	for _, e := range events {
-		ts := float64(e.When) * t.MicrosPerTick
+		ts := float64(e.When) * 0.001
 		ti := int(e.Thread)
 		var ce ChromeEvent
 		switch e.Kind {

@@ -61,28 +61,26 @@ func TestSearchPartitionHashRed(t *testing.T) {
 			if err != nil {
 				t.Fatalf("pack=%v width=%d: %v", pack, width, err)
 			}
-			for _, cap := range []int{0, 1, 2, 32} {
-				opts := p.Options()
-				opts.QueueCap = cap
-				run, err := interp.RunThreads(res.Tr.Threads, opts)
-				if err != nil {
-					t.Fatalf("pack=%v w=%d cap=%d: %v", pack, width, cap, err)
-				}
-				if got := workloads.StateDigest(run); got != want {
-					t.Fatalf("pack=%v w=%d cap=%d: digest %x, want %x", pack, width, cap, got, want)
-				}
+			run, err := interp.RunThreads(res.Tr.Threads, p.Options())
+			if err != nil {
+				t.Fatalf("pack=%v w=%d: %v", pack, width, err)
+			}
+			if got := workloads.StateDigest(run); got != want {
+				t.Fatalf("pack=%v w=%d: digest %x, want %x", pack, width, got, want)
 			}
 			for _, kind := range []queue.Kind{queue.KindChannel, queue.KindRing} {
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				run, err := rt.RunCtx(ctx, res.Tr.Threads, rt.Options{
-					Mem: p.Mem.Clone(), Regs: p.Regs, Queue: kind,
-				})
-				cancel()
-				if err != nil {
-					t.Fatalf("rt pack=%v w=%d %s: %v", pack, width, kind, err)
-				}
-				if got := workloads.StateDigest(run); got != want {
-					t.Fatalf("rt pack=%v w=%d %s: digest %x, want %x", pack, width, kind, got, want)
+				for _, cap := range []int{0, 1, 2, 32} {
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					run, err := rt.RunCtx(ctx, res.Tr.Threads, rt.Options{
+						Mem: p.Mem.Clone(), Regs: p.Regs, Queue: kind, QueueCap: cap,
+					})
+					cancel()
+					if err != nil {
+						t.Fatalf("rt pack=%v w=%d %s cap=%d: %v", pack, width, kind, cap, err)
+					}
+					if got := workloads.StateDigest(run); got != want {
+						t.Fatalf("rt pack=%v w=%d %s cap=%d: digest %x, want %x", pack, width, kind, cap, got, want)
+					}
 				}
 			}
 		}

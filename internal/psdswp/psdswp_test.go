@@ -110,37 +110,32 @@ func TestReplicatedDifferential(t *testing.T) {
 func runReplicated(t *testing.T, p *workloads.Program, base *interp.Result, res *psdswp.Result, tag string) {
 	t.Helper()
 	tr := res.Tr
-	// Deterministic interpreter, unbounded plus bounded capacities, with
-	// flow-conservation metrics (the exit drain keeps produces == consumes
-	// even for the in-flight carried value of the final iteration).
-	for _, cap := range []int{0, 1, 2, 32} {
-		io := p.Options()
-		io.QueueCap = cap
-		m := obs.NewMetrics(len(tr.Threads), tr.NumQueues)
-		io.Recorder = m
-		got, err := interp.RunThreads(tr.Threads, io)
-		if err != nil {
-			t.Fatalf("%s interp cap=%d: %v", tag, cap, err)
-		}
-		if cerr := validate.Compare(tag, base, got); cerr != nil {
-			t.Fatalf("%s interp cap=%d: %v", tag, cap, cerr)
-		}
-		for _, v := range m.CheckConsistency() {
-			t.Errorf("%s interp cap=%d: metrics: %s", tag, cap, v)
-		}
+	// Deterministic interpreter (unbounded queues).
+	got, err := interp.RunThreads(tr.Threads, p.Options())
+	if err != nil {
+		t.Fatalf("%s interp: %v", tag, err)
 	}
-	// Concurrent runtime, both queue substrates.
+	if cerr := validate.Compare(tag, base, got); cerr != nil {
+		t.Fatalf("%s interp: %v", tag, cerr)
+	}
+	// Concurrent runtime, both queue substrates, with flow-conservation
+	// metrics (the exit drain keeps produces == consumes even for the
+	// in-flight carried value of the final iteration).
 	for _, kind := range []queue.Kind{queue.KindChannel, queue.KindRing} {
 		for _, cap := range []int{1, 2, 32} {
+			m := obs.NewMetrics(len(tr.Threads), tr.NumQueues)
 			got, err := rt.RunCtx(context.Background(), tr.Threads, rt.Options{
 				QueueCap: cap, Queue: kind, Mem: p.Mem, Regs: p.Regs,
-				Timeout: 30 * time.Second,
+				Timeout: 30 * time.Second, Recorder: m,
 			})
 			if err != nil {
 				t.Fatalf("%s runtime %s cap=%d: %v", tag, kind, cap, err)
 			}
 			if cerr := validate.Compare(tag, base, got); cerr != nil {
 				t.Fatalf("%s runtime %s cap=%d: %v", tag, kind, cap, cerr)
+			}
+			for _, v := range m.CheckConsistency() {
+				t.Errorf("%s runtime %s cap=%d: metrics: %s", tag, kind, cap, v)
 			}
 		}
 	}

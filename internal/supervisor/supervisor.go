@@ -241,9 +241,9 @@ func Run(ctx context.Context, p Pipeline, pol Policy) (*interp.Result, *Report, 
 							// The stamp comes from whichever thread drove
 							// this epoch's commit — during a faulted
 							// teardown other threads may already be
-							// emitting their exit events, so the recorder
-							// routes commit stamps off the per-thread
-							// rings (Thread is ignored for this kind).
+							// emitting their exit events — so it is a
+							// run-level event (Thread -1), which
+							// recorders keep off their per-thread rings.
 							pol.Recorder.Record(obs.Event{Kind: obs.KDurableCommit,
 								Thread: -1, Queue: -1, When: int64(time.Since(start)),
 								Arg: time.Since(commitStart).Microseconds()})
@@ -337,14 +337,14 @@ func Run(ctx context.Context, p Pipeline, pol Policy) (*interp.Result, *Report, 
 // rebuilt out of the durable store. Sequential execution cannot deadlock
 // on queues or lose synchronization, and needs no inter-thread state
 // beyond the checkpoint. The resume gets a fresh pol.MaxSteps budget (an
-// attempt's spend is sunk), reports to pol.Recorder and records
-// per-thread traces when pol.RecordTrace is set.
+// attempt's spend is sunk) and records per-thread traces when
+// pol.RecordTrace is set. It emits no obs events: Run's KResume is the
+// resume's marker on pol.Recorder.
 func Resume(ctx context.Context, p Pipeline, cp *rt.Checkpoint, pol Policy) (*interp.Result, error) {
 	if err := fpResume.Fail(); err != nil {
 		return nil, err
 	}
-	opts := interp.Options{Ctx: ctx, MaxSteps: pol.MaxSteps,
-		Recorder: pol.Recorder, RecordTrace: pol.RecordTrace}
+	opts := interp.Options{Ctx: ctx, MaxSteps: pol.MaxSteps, RecordTrace: pol.RecordTrace}
 	if cp != nil {
 		opts.StartBlock = p.LoopHeader
 		opts.RegFile = cp.Regs

@@ -3,8 +3,10 @@
 package supervisor_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,6 +15,7 @@ import (
 	"dswp/internal/failpoint"
 	"dswp/internal/interp"
 	"dswp/internal/ir"
+	"dswp/internal/obs"
 	"dswp/internal/profile"
 	rt "dswp/internal/runtime"
 	"dswp/internal/supervisor"
@@ -393,5 +396,107 @@ func TestDurableCommitsAndStoreSeededResume(t *testing.T) {
 	}
 	if cerr := validate.Compare("corrupt-fallback", base, res3); cerr != nil {
 		t.Fatal(cerr)
+	}
+}
+
+// numQueues is one past the highest queue any of fns names.
+func numQueues(t *testing.T, fns []*ir.Function) int {
+	t.Helper()
+	n := 0
+	for _, fn := range fns {
+		c, err := interp.Lower(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = max(n, c.NumQueues)
+	}
+	return n
+}
+
+// TestDurableCommitsReachTraceAndMetrics: the supervisor's run-level
+// KDurableCommit events (Thread -1) are kept by obs.Trace and reach its
+// Chrome export, and obs.Metrics ignores them instead of counting them
+// as dropped, so a clean durable run passes its consistency check.
+func TestDurableCommitsReachTraceAndMetrics(t *testing.T) {
+	p := workloads.ListTraversal(2000)
+	pipe, base := prepare(t, p, 2)
+	if base == nil {
+		t.Fatal("list traversal must be transformable")
+	}
+	store := ckptstore.NewMem()
+	defer store.Close()
+	m := obs.NewMetrics(len(pipe.Threads), numQueues(t, pipe.Threads))
+	tr := obs.NewTrace(len(pipe.Threads), 0)
+	res, rep, err := supervisor.Run(context.Background(), pipe, supervisor.Policy{
+		Store: store, StoreKey: "list.r1", Recorder: obs.Multi(m, tr)})
+	if err != nil || rep.Failure != nil {
+		t.Fatalf("run: %v (attempt %v)", err, rep.Failure)
+	}
+	if cerr := validate.Compare("durable", base, res); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if rep.DurableCommits == 0 {
+		t.Fatal("no durable commits")
+	}
+	if bad := m.CheckConsistency(); len(bad) != 0 {
+		t.Fatalf("metrics: %v", bad)
+	}
+	if d := tr.Dropped(); d != 0 {
+		t.Fatalf("trace dropped %d events", d)
+	}
+	var commits int64
+	for _, e := range tr.Events() {
+		if e.Kind == obs.KDurableCommit {
+			commits++
+		}
+	}
+	if commits != rep.DurableCommits {
+		t.Fatalf("trace holds %d durable commits, report says %d", commits, rep.DurableCommits)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := int64(strings.Count(buf.String(), `"name":"durable-commit"`)); n != commits {
+		t.Fatalf("Chrome export has %d durable-commit events, want %d", n, commits)
+	}
+}
+
+// TestResumeEmitsOnlyItsMarker: a sequential resume adds exactly one
+// event to the run's recorder, the supervisor's KResume, and it is the
+// run's last event. The resume opens no stage of its own and stamps
+// nothing in a second clock.
+func TestResumeEmitsOnlyItsMarker(t *testing.T) {
+	p := workloads.ListTraversal(2000)
+	pipe, base := prepare(t, p, 2)
+	if base == nil {
+		t.Fatal("list traversal must be transformable")
+	}
+	tr := obs.NewTrace(len(pipe.Threads), 0)
+	res, rep, err := supervisor.Run(context.Background(), pipe, supervisor.Policy{
+		Faults: panicPlan(len(pipe.Threads)-1, 400), Recorder: tr})
+	if err != nil || !rep.Resumed {
+		t.Fatalf("run: err %v, resumed %v", err, rep.Resumed)
+	}
+	if cerr := validate.Compare("resumed", base, res); cerr != nil {
+		t.Fatal(cerr)
+	}
+	var starts, resumes int
+	var resumeAt, last int64
+	for _, e := range tr.Events() {
+		switch e.Kind {
+		case obs.KStageStart:
+			starts++
+		case obs.KResume:
+			resumes++
+			resumeAt = e.When
+		}
+		last = max(last, e.When)
+	}
+	if starts != len(pipe.Threads) || resumes != 1 {
+		t.Fatalf("%d stage starts and %d resumes, want %d and 1", starts, resumes, len(pipe.Threads))
+	}
+	if last != resumeAt {
+		t.Fatalf("an event at %d ns follows the resume marker at %d ns", last, resumeAt)
 	}
 }

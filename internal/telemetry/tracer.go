@@ -349,10 +349,10 @@ func (b *runBridge) Record(e obs.Event) {
 
 // materialize converts the buffered events into spans under tr's run
 // span: one span per pipeline stage (its lifetime), stall intervals as
-// child spans, checkpoint/durable-commit/resume markers as
-// zero-duration events, and flow/branch/iteration totals as attrs.
-// Event timestamps are engine ticks — nanoseconds under the goroutine
-// runtime — offset onto the run span's own start.
+// child spans, and checkpoint/durable-commit/resume markers as
+// zero-duration events.
+// Event timestamps are nanoseconds since the run began, offset onto the
+// run span's own start.
 func (b *runBridge) materialize(tr *RequestTrace) {
 	run := findSpan(tr.Root, "run")
 	if run == nil {
@@ -371,7 +371,6 @@ func (b *runBridge) materialize(tr *RequestTrace) {
 		}
 		st := run.child(name, base)
 		st.EndNS, st.track = base, 1+ti
-		var produces, consumes, branches, iterations int64
 		var open *Span // current stall span
 		for _, e := range evs {
 			ts := base + e.When
@@ -381,14 +380,6 @@ func (b *runBridge) materialize(tr *RequestTrace) {
 			case obs.KStageDone:
 				st.EndNS = ts
 				st.Attr("instrs", e.Arg)
-			case obs.KProduce:
-				produces++
-			case obs.KConsume:
-				consumes++
-			case obs.KBranch:
-				branches++
-			case obs.KIteration:
-				iterations++
 			case obs.KStallFullBegin, obs.KStallEmptyBegin:
 				kind := "stall-full"
 				if e.Kind == obs.KStallEmptyBegin {
@@ -412,14 +403,6 @@ func (b *runBridge) materialize(tr *RequestTrace) {
 			if ts > st.EndNS {
 				st.EndNS = ts
 			}
-		}
-		// Flow totals appear only when the engine delivered per-value
-		// events (the bridge is CoarseOnly, so normally it did not).
-		if produces+consumes+branches+iterations > 0 {
-			st.Attr("produces", produces)
-			st.Attr("consumes", consumes)
-			st.Attr("branches", branches)
-			st.Attr("iterations", iterations)
 		}
 		if lost := r.Lost(); lost > 0 {
 			st.Attr("events_lost", lost)

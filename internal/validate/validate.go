@@ -1,12 +1,13 @@
 // Package validate is the differential robustness harness: it runs every
 // DSWP-transformed program under (a) the deterministic round-robin
-// interpreter with bounded and unbounded queues, (b) the goroutine-backed
-// concurrent runtime across queue-capacity sweeps, both communication
-// substrates (channel and lock-free SPSC ring), and randomized GOMAXPROCS
-// settings, and (c) seed-derived fault injection (per-queue delays, forced
-// thread stalls, artificially tiny capacities), asserting identical memory
-// images and live-outs versus sequential execution of the untransformed
-// loop every time. Every leg also runs against the flow-packed transform
+// interpreter (unbounded queues: the trace generator the cycle model
+// replays), (b) the goroutine-backed concurrent runtime across
+// queue-capacity sweeps, both communication substrates (channel and
+// lock-free SPSC ring), and randomized GOMAXPROCS settings, and (c)
+// seed-derived fault injection (per-queue delays, forced thread stalls,
+// artificially tiny capacities), asserting identical memory images and
+// live-outs versus sequential execution of the untransformed loop every
+// time. Every leg also runs against the flow-packed transform
 // (core.Config.PackFlows), so queue kind and packing are both proven to
 // never change results. Workloads with a replicable stage (psdswp) rerun
 // the interpreter and runtime legs on the width-2 and width-4 replicated
@@ -16,9 +17,9 @@
 // partition guarantees the original semantics under any schedule — is
 // checked here as an executable claim rather than assumed.
 //
-// Capacity-sweep runs additionally carry an obs.Metrics recorder and assert
-// flow conservation: on a clean run every queue's produce count equals its
-// consume count.
+// The runtime's capacity-sweep runs additionally carry an obs.Metrics
+// recorder and assert flow conservation: on a clean run every queue's
+// produce count equals its consume count.
 //
 // All randomness derives from Options.Seed, which is logged, so any
 // failure reproduces from its report line alone.
@@ -268,23 +269,14 @@ func Program(p *workloads.Program, opts Options) *Report {
 		}
 	}
 
-	// (a) Deterministic interpreter: unbounded, then each bounded
-	// capacity — full-queue blocking under the friendly schedule — for
-	// the plain and the flow-packed transform.
+	// (a) Deterministic interpreter, the cycle model's trace generator:
+	// one unbounded run each of the plain and the flow-packed transform.
 	for _, v := range variants {
-		for _, cap := range append([]int{0}, opts.Caps...) {
-			if expired() {
-				return rep
-			}
-			io := iopts
-			io.QueueCap = cap
-			m := obs.NewMetrics(len(v.tr.Threads), v.tr.NumQueues)
-			io.Recorder = m
-			tag := fmt.Sprintf("interp %scap=%d", v.tag, cap)
-			res, err := interp.RunThreads(v.tr.Threads, io)
-			check(tag, res, err)
-			checkMetrics(tag, m, err)
+		if expired() {
+			return rep
 		}
+		res, err := interp.RunThreads(v.tr.Threads, iopts)
+		check(fmt.Sprintf("interp %sunbounded", v.tag), res, err)
 	}
 
 	// (b) Concurrent goroutine runtime across the capacity sweep, on both
@@ -344,8 +336,9 @@ func Program(p *workloads.Program, opts Options) *Report {
 	// (e) Parallel-stage replication (psdswp): when the planner finds a
 	// replicable stage, replicate the plain and packed transforms at widths
 	// 2 and 4 and hold the replicated pipelines to the same bit-identical
-	// contract — interpreter capacity sweep with flow-conservation metrics,
-	// both queue substrates, and a supervised run that panics one replica
+	// contract — one unbounded interpreter run, the runtime's capacity
+	// sweep on both queue substrates with flow-conservation metrics, and a
+	// supervised run that panics one replica
 	// (the supervisor must recover via sequential resume to the exact
 	// sequential state, proving replica failures are contained).
 	for _, v := range variants {
@@ -365,30 +358,22 @@ func Program(p *workloads.Program, opts Options) *Report {
 				continue
 			}
 			rtr := res.Tr
-			for _, cap := range append([]int{0}, opts.Caps...) {
-				if expired() {
-					return rep
-				}
-				io := iopts
-				io.QueueCap = cap
-				m := obs.NewMetrics(len(rtr.Threads), rtr.NumQueues)
-				io.Recorder = m
-				tag := fmt.Sprintf("interp replicated %sw=%d cap=%d", v.tag, width, cap)
-				ires, err := interp.RunThreads(rtr.Threads, io)
-				check(tag, ires, err)
-				checkMetrics(tag, m, err)
-			}
+			ires, err := interp.RunThreads(rtr.Threads, iopts)
+			check(fmt.Sprintf("interp replicated %sw=%d unbounded", v.tag, width), ires, err)
 			for _, kind := range []queue.Kind{queue.KindChannel, queue.KindRing} {
 				for _, cap := range opts.Caps {
 					if expired() {
 						return rep
 					}
+					m := obs.NewMetrics(len(rtr.Threads), rtr.NumQueues)
 					tag := fmt.Sprintf("runtime replicated %sw=%d %s cap=%d", v.tag, width, kind, cap)
 					rres, err := rt.RunCtx(ctx, rtr.Threads, rt.Options{
 						QueueCap: cap, Queue: kind, Mem: p.Mem, Regs: p.Regs,
 						MaxSteps: opts.MaxSteps, Timeout: opts.Timeout,
+						Recorder: m,
 					})
 					check(tag, rres, err)
+					checkMetrics(tag, m, err)
 				}
 			}
 			if expired() {

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"dswp/internal/interp"
 	"dswp/internal/ir"
 	"dswp/internal/profile"
+	"dswp/internal/queue"
 	rt "dswp/internal/runtime"
 	"dswp/internal/workloads"
 )
@@ -40,10 +42,9 @@ func TestSuiteDifferential(t *testing.T) {
 	}
 }
 
-// TestCapacityOneEveryWorkload pins the satellite requirement directly:
-// pipeline output equals sequential output at queue capacity 1 under both
-// the interpreter and the concurrent runtime, for every workload DSWP
-// applies to.
+// TestCapacityOneEveryWorkload: pipeline output equals sequential output
+// at queue capacity 1 on both of the concurrent runtime's substrates, for
+// every workload DSWP applies to.
 func TestCapacityOneEveryWorkload(t *testing.T) {
 	for _, p := range AllPrograms() {
 		p := p
@@ -75,12 +76,10 @@ func TestCapacityOneEveryWorkload(t *testing.T) {
 					}
 				}
 			}
-			capOne := iopts
-			capOne.QueueCap = 1
-			res, err := interp.RunThreads(tr.Threads, capOne)
-			compare("interp cap=1", res, err)
-			rres, err := rt.Run(tr.Threads, rt.Options{QueueCap: 1, Mem: p.Mem, Regs: p.Regs})
-			compare("runtime cap=1", rres, err)
+			for _, kind := range []queue.Kind{queue.KindChannel, queue.KindRing} {
+				res, err := rt.Run(tr.Threads, rt.Options{QueueCap: 1, Queue: kind, Mem: p.Mem, Regs: p.Regs})
+				compare(fmt.Sprintf("runtime %s cap=1", kind), res, err)
+			}
 		})
 	}
 }

@@ -8,6 +8,8 @@
 #   - /metrics without negotiation stays JSON;
 #   - /run stamps X-Request-ID and the trace is retrievable from
 #     /debug/requests/{id} in JSON, text, and Chrome formats;
+#   - a request that resumes sequentially after an injected stage panic
+#     shows the sequential-resume marker in its trace;
 #   - /debug/vars serves the windowed series;
 #   - the debug listener (-debug-addr) carries pprof off the main port.
 #
@@ -94,6 +96,16 @@ curl -sf "http://localhost:$PORT/debug/requests/$RID?format=text" | grep "reques
   || fail "/debug/requests/$RID text fetch failed"
 curl -sf "http://localhost:$PORT/debug/requests/$RID?format=chrome" | grep 'traceEvents' >/dev/null \
   || fail "/debug/requests/$RID chrome fetch failed"
+
+# A resumed request's trace carries the supervisor's resume marker: the
+# attempt panics at its 400th retired instruction and the loop finishes
+# on the sequential resume.
+RID=$(curl -s -D - -o /dev/null -X POST \
+  -d '{"workload":"list-traversal","n":20000,"inject_panic":400}' \
+  "http://localhost:$PORT/run" | tr -d '\r' | awk -F': ' 'tolower($1)=="x-request-id"{print $2}')
+[ -n "$RID" ] || fail "resumed /run returned no X-Request-ID"
+curl -sf "http://localhost:$PORT/debug/requests/$RID?format=text" | grep 'sequential-resume' >/dev/null \
+  || fail "/debug/requests/$RID lacks the sequential-resume marker"
 
 curl -sf "http://localhost:$PORT/debug/vars" | grep '"window"' >/dev/null \
   || fail "/debug/vars missing window"
